@@ -25,20 +25,12 @@ from .evaluation import (
     report_tsv,
 )
 from .formats import FormatTag, read_examples
-from .ingest import load_split
-from .jsonio import read_json, write_json, write_jsonl
-from .ingest import few_shot_sample
+from .ingest import few_shot_sample, load_split
+from .jsonio import read_json, write_json, write_jsonl, write_text
 from .parsing import read_generations
-from .refmlm import CountModel, lexicon_from_split, make_segmenter
-from .runner import ExperimentConfig, resolve_data_path
-from .verbalizer import (
-    FileDistributionProvider,
-    apply_template,
-    build_from_wli,
-    load_external_kv,
-    predict,
-    save_kv,
-)
+from .runner import ExperimentConfig, guard_overwrite, resolve_data_path
+from .verbalizer import build_from_wli, load_external_kv, save_kv
+from .verbalizer import predict  # noqa: F401  (unused; perfbench/tracer.py rebinds cli.predict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,12 +46,6 @@ def _descriptor(args) -> DatasetDescriptor:
     return DatasetDescriptor.builtin(args.family, args.language)
 
 
-def _descriptor_from_config(config: ExperimentConfig) -> DatasetDescriptor:
-    if not config.family or not config.language:
-        raise ConfigError("family and language must be set (flags or config file)")
-    return DatasetDescriptor.builtin(config.family, config.language)
-
-
 def _config_from_args(args, _keys=(
     "family", "language", "seed", "few_shot_k", "test_sample_size", "test_repeats",
     "kv_words_per_label", "template", "aggregation", "kv_source", "provider",
@@ -73,6 +59,14 @@ def _config_from_args(args, _keys=(
     if overrides.get("lenient") is False:
         overrides["lenient"] = None  # store_true default; only True is an override
     return config.with_overrides(**overrides)
+
+
+def _guarded_with_sidecar(args) -> tuple[Path, Path]:
+    """--out and its config sidecar, refused if either exists without --force."""
+    out = Path(args.out)
+    sidecar = out.with_name(out.name + ".config.json")
+    guard_overwrite([out, sidecar], args.force)
+    return out, sidecar
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -99,20 +93,13 @@ def cmd_build_formats(args) -> int:
 def cmd_build_kv(args) -> int:
     config = _config_from_args(args)
     config.validate()
-    desc = _descriptor_from_config(config)
-    train = load_split(
-        resolve_data_path(args.train), desc, "train",
-        fmt=config.record_format, strict=not config.lenient,
-    )
+    desc = runner.descriptor(config)
+    train = runner.load(config, args.train, "train", desc)
     source = train
     if config.kv_source == "fewshot":
         source = few_shot_sample(train, desc, config.few_shot_k, config.seed)
     kv = build_from_wli(source, desc, config.kv_words_per_label)
-    out = Path(args.out)
-    sidecar = out.with_name(out.name + ".config.json")
-    for path in (out, sidecar):
-        if path.exists() and not args.force:
-            raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    out, sidecar = _guarded_with_sidecar(args)
     save_kv(kv, out)
     write_json(sidecar, config.to_dict())
     total = sum(len(kv.words_for(label)) for label in kv.labels())
@@ -123,47 +110,18 @@ def cmd_build_kv(args) -> int:
 def cmd_score(args) -> int:
     config = _config_from_args(args)
     config.validate()
-    desc = _descriptor_from_config(config)
+    desc = runner.descriptor(config)
     kv = load_external_kv(resolve_data_path(args.kv), desc.schema, config.kv_words_per_label)
-    test = load_split(
-        resolve_data_path(args.input), desc, "test",
-        fmt=config.record_format, strict=not config.lenient,
-    )
-
+    test = runner.load(config, args.input, "test", desc)
+    train = None
     if config.provider == "refmlm":
         if not config.train_path:
             raise ConfigError("--train is required for the refmlm provider")
-        train = load_split(
-            resolve_data_path(config.train_path), desc, "train",
-            fmt=config.record_format, strict=not config.lenient,
-        )
-        segmenter = make_segmenter(desc.language, lexicon_from_split(train))
-        provider = CountModel.train(
-            [r.text for r in train.records], segmenter, alpha=config.alpha
-        )
-    else:
-        provider = FileDistributionProvider(resolve_data_path(config.provider.split(":", 1)[1]))
-
-    out = Path(args.out)
-    sidecar = out.with_name(out.name + ".config.json")
-    for path in (out, sidecar):
-        if path.exists() and not args.force:
-            raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    rows = []
-    for record in test.records:
-        prompt = apply_template(record.text, config.template)
-        try:
-            prediction = predict(prompt, kv, provider, strategy=config.aggregation)
-        except DataError as exc:
-            raise DataError(f"record {record.id!r}: provider failed: {exc}") from exc
-        rows.append(
-            {
-                "record_id": record.id,
-                "label": prediction.label,
-                "no_coverage": prediction.no_coverage,
-                "scores": prediction.scores,
-            }
-        )
+        train = runner.load(config, config.train_path, "train", desc)
+    # unlike run-kv, whose counts come from the few-shot sample, score trains on all of train
+    provider, _ = runner.make_provider(config, train, train)
+    out, sidecar = _guarded_with_sidecar(args)
+    rows = runner.classify(test, kv, provider, config)
     write_jsonl(out, rows)
     write_json(sidecar, config.to_dict())
     print(f"scored {len(rows)} records -> {out}")
@@ -196,14 +154,10 @@ def cmd_evaluate(args) -> int:
     report = evaluate_run(draws, generations, desc, tag, text_metric=args.text_metric)
     out = Path(args.out)
     paths = [out / "report.json", out / "report.md", out / "report.tsv"]
-    if not args.force:
-        for p in paths:
-            if p.exists():
-                raise FileExistsError(f"{p} exists; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
+    guard_overwrite(paths, args.force)
     write_json(paths[0], report.to_dict())
-    paths[1].write_text(report_markdown(report), encoding="utf-8")
-    paths[2].write_text(report_tsv(report), encoding="utf-8")
+    write_text(paths[1], report_markdown(report))
+    write_text(paths[2], report_tsv(report))
     summary = report.summary()
     for side in ("word", "text"):
         if summary.get(side):
@@ -227,13 +181,9 @@ def cmd_report(args) -> int:
     md, tsv = ablation_table(reports)
     out = Path(args.out)
     paths = [out / "ablation.md", out / "ablation.tsv"]
-    if not args.force:
-        for p in paths:
-            if p.exists():
-                raise FileExistsError(f"{p} exists; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
-    paths[0].write_text(md, encoding="utf-8")
-    paths[1].write_text(tsv, encoding="utf-8")
+    guard_overwrite(paths, args.force)
+    write_text(paths[0], md)
+    write_text(paths[1], tsv)
     print(md)
     return 0
 
@@ -335,10 +285,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, SchemaError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ConfigError, SchemaError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:

@@ -1,4 +1,4 @@
-"""Ablation format construction: the six input/output training formats.
+"""Ablation format construction: the seven input/output training formats.
 
 Every format is bare concatenation. The input always starts with the raw
 record text; when level information is appended it follows after a single

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .core import DatasetDescriptor, MreRecord, validate_record
 from .errors import DataError
-from .jsonio import json_line
+from .jsonio import write_jsonl
 from .parsing import ParseFlag, parse_pairs
 from .rng import SplitMix64, derive_seed, derive_seed_token
 
@@ -166,12 +166,7 @@ def load_split(
 
 def save_split(path: str | Path, split: Split) -> None:
     """Write a split in the canonical JSONL record format."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in split.records:
-            fh.write(json_line(record.to_dict()))
-            fh.write("\n")
+    write_jsonl(path, (record.to_dict() for record in split.records))
 
 
 def few_shot_sample(split: Split, desc: DatasetDescriptor, k: int, seed: int) -> Split:

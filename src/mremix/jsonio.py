@@ -1,15 +1,19 @@
-"""Small JSON/JSONL helpers with deterministic byte output.
+"""The toolkit's one file writer, plus JSON/JSONL readers.
 
-All artifact writers in the toolkit go through these so that repeated runs
-with equal inputs produce byte-identical files (sorted keys, no ASCII
-escaping of CJK text, trailing newline).
+Every artifact goes through these writers so that repeated runs with equal
+inputs produce byte-identical files (sorted keys, no ASCII escaping of CJK
+text, trailing newline). Each write goes to a sibling temporary file that
+replaces the target only once it is complete, so an interrupted run never
+leaves a half-written artifact behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import DataError
 
@@ -18,10 +22,28 @@ def json_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text handle whose contents replace ``path`` when the block completes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
+    with _replacing(path) as fh:
         for row in rows:
             fh.write(json_line(row))
             fh.write("\n")
@@ -42,12 +64,12 @@ def read_jsonl(path: str | Path) -> list[Any]:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+    write_text(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path: str | Path) -> Any:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from exc

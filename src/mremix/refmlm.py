@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._kernels import CoocTable, KERNEL_BACKEND
+from ._kernels import CoocTable
 from .errors import DataError
 from .ingest import Split
+from .jsonio import write_text
 from .verbalizer import MASK_PLACEHOLDER, MaskDistribution
 
 WHITESPACE_LANGUAGES = frozenset({"en"})
@@ -176,8 +177,6 @@ class CountModel:
 
     def save(self, path: str | Path) -> None:
         """Write the model as sorted, word-keyed count lines."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
 
         def enc(word: str) -> str:
             return json.dumps(word, ensure_ascii=False)
@@ -202,7 +201,7 @@ class CountModel:
             c_lines.append(f"c {enc(wa)} {enc(wb)} {count}")
         lines.extend(sorted(c_lines))
 
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "CountModel":
@@ -258,8 +257,3 @@ class CountModel:
         for wa, wb, count in pairs:
             table.set_pair(wid(wa), wid(wb), count)
         return cls(table=table, vocab=vocab, words=words, segmenter=segmenter, alpha=alpha)
-
-
-def kernel_backend() -> str:
-    """Name of the active co-occurrence kernel ('compiled' or 'pure')."""
-    return KERNEL_BACKEND

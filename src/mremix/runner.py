@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ._kernels import KERNEL_BACKEND
 from .core import DatasetDescriptor
 from .errors import ConfigError, DataError
 from .evaluation import Prf, mean_std, text_f1
@@ -25,8 +26,8 @@ from .formats import (
     write_examples,
 )
 from .ingest import Split, few_shot_sample, load_split, repeated_test_sample
-from .jsonio import read_json, write_json, write_jsonl
-from .refmlm import CountModel, kernel_backend, lexicon_from_split, make_segmenter
+from .jsonio import read_json, write_json, write_jsonl, write_text
+from .refmlm import CountModel, lexicon_from_split, make_segmenter
 from .verbalizer import (
     AGGREGATION_STRATEGIES,
     FileDistributionProvider,
@@ -43,6 +44,7 @@ DATA_ROOT_ENV = "MREMIX_DATA_ROOT"
 
 KV_SOURCES = ("train", "fewshot")
 RECORD_FORMATS = ("jsonl", "tsv")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        data = read_json(path)
+        try:
+            data = read_json(path)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
@@ -92,6 +97,13 @@ class ExperimentConfig:
         return asdict(self)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # an unset path or descriptor field
+            expected = str if f.default is None else type(f.default)
+            if type(value) is not expected and not (expected is float and type(value) is int):
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[expected]}, got {value!r}")
         if self.aggregation not in AGGREGATION_STRATEGIES:
             raise ConfigError(f"aggregation must be one of {AGGREGATION_STRATEGIES}")
         if self.kv_source not in KV_SOURCES:
@@ -122,13 +134,15 @@ def resolve_data_path(path: str | Path) -> Path:
     return path
 
 
-def _descriptor(config: ExperimentConfig) -> DatasetDescriptor:
+def descriptor(config: ExperimentConfig) -> DatasetDescriptor:
+    """The built-in dataset descriptor of the config's family and language."""
     if not config.family or not config.language:
-        raise ConfigError("family and language must be set")
+        raise ConfigError("family and language must be set (flags or config file)")
     return DatasetDescriptor.builtin(config.family, config.language)
 
 
-def _load(config: ExperimentConfig, path: Optional[str], role: str, desc) -> Split:
+def load(config: ExperimentConfig, path: Optional[str], role: str, desc) -> Split:
+    """Load and validate a record file in the configured format and strictness."""
     if not path:
         raise ConfigError(f"{role}_path must be set")
     return load_split(
@@ -137,7 +151,8 @@ def _load(config: ExperimentConfig, path: Optional[str], role: str, desc) -> Spl
     )
 
 
-def _guard_overwrite(paths: Sequence[Path], force: bool) -> None:
+def guard_overwrite(paths: Sequence[Path], force: bool) -> None:
+    """Refuse to run over existing outputs unless forced (checked before any write)."""
     if force:
         return
     for path in paths:
@@ -153,10 +168,7 @@ def parse_tags(value: str) -> list[FormatTag]:
     if value.strip().lower() == "all":
         return list(FormatTag)
     tags = []
-    for name in value.split(","):
-        name = name.strip()
-        if not name:
-            continue
+    for name in filter(None, (part.strip() for part in value.split(","))):
         try:
             tags.append(FormatTag(name.upper()))
         except ValueError:
@@ -182,27 +194,17 @@ def build_format_files(
     draw files double as gold manifests for evaluation.
     """
     config.validate()
-    desc = _descriptor(config)
-    split = load_split(
-        resolve_data_path(input_path), desc, role,
-        fmt=config.record_format, strict=not config.lenient,
-    )
+    desc = descriptor(config)
+    split = load(config, input_path, role, desc)
     out = Path(out_dir)
 
-    if role == "train":
-        sources = [(None, split)]
-    else:
-        draws = repeated_test_sample(
-            split, config.test_sample_size, config.test_repeats, config.seed
-        )
-        sources = list(enumerate(draws))
+    sources = [(None, split)]
+    if role != "train":
+        sources = list(enumerate(repeated_test_sample(
+            split, config.test_sample_size, config.test_repeats, config.seed)))
 
     planned: list[tuple[Path, list]] = []
-    manifest: dict = {
-        "role": role,
-        "config": config.to_dict(),
-        "files": [],
-    }
+    manifest: dict = {"role": role, "config": config.to_dict(), "files": []}
     for tag in tags:
         for draw_index, source in sources:
             examples = build_corpus(source.records, tag, desc)
@@ -217,7 +219,7 @@ def build_format_files(
             manifest["files"].append(entry)
 
     manifest_path = out / f"{desc.slug}_{role}_manifest.json"
-    _guard_overwrite([p for p, _ in planned] + [manifest_path], force)
+    guard_overwrite([p for p, _ in planned] + [manifest_path], force)
     for path, examples in planned:
         write_examples(path, examples)
     write_json(manifest_path, manifest)
@@ -282,22 +284,40 @@ class KvComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _make_provider(
-    config: ExperimentConfig, train: Split, fewshot: Split
+def make_provider(
+    config: ExperimentConfig, train: Optional[Split], corpus_split: Optional[Split]
 ) -> tuple[ProbabilityProvider, dict]:
+    """The configured provider and its report metadata. refmlm takes its segmenter
+    lexicon from ``train`` and its counts from ``corpus_split``; file providers use neither."""
     if config.provider == "refmlm":
         segmenter = make_segmenter(config.language, lexicon_from_split(train))
-        corpus = [record.text for record in fewshot.records]
+        corpus = [record.text for record in corpus_split.records]
         model = CountModel.train(corpus, segmenter, alpha=config.alpha)
         detail = {
             "kind": "refmlm",
-            "kernel_backend": kernel_backend(),
+            "kernel_backend": KERNEL_BACKEND,
             "training_texts": len(corpus),
             "vocabulary": len(model.vocabulary()),
         }
         return model, detail
     path = resolve_data_path(config.provider.split(":", 1)[1])
     return FileDistributionProvider(path), {"kind": "file", "path": str(path)}
+
+
+def classify(
+    split: Split, kv: Verbalizer, provider: ProbabilityProvider, config: ExperimentConfig
+) -> list[dict]:
+    """One prediction row per record of ``split``, in order."""
+    rows = []
+    for record in split.records:
+        prompt = apply_template(record.text, config.template)
+        try:
+            prediction = predict(prompt, kv, provider, strategy=config.aggregation)
+        except DataError as exc:
+            raise DataError(f"record {record.id!r}: provider failed: {exc}") from exc
+        rows.append({"record_id": record.id, "label": prediction.label,
+                     "no_coverage": prediction.no_coverage, "scores": prediction.scores})
+    return rows
 
 
 def run_kv(
@@ -313,7 +333,7 @@ def run_kv(
     reports per-draw and mean text-level F1 for each.
     """
     config.validate()
-    desc = _descriptor(config)
+    desc = descriptor(config)
     if desc.schema.open_domain:
         raise ConfigError(
             f"{desc.family} has an open-domain schema and is excluded from KV experiments"
@@ -321,8 +341,8 @@ def run_kv(
     if not config.external_kv_path:
         raise ConfigError("external_kv_path must be set (the baseline verbalizer word lists)")
 
-    train = _load(config, config.train_path, "train", desc)
-    test = _load(config, config.test_path, "test", desc)
+    train = load(config, config.train_path, "train", desc)
+    test = load(config, config.test_path, "test", desc)
     fewshot = few_shot_sample(train, desc, config.few_shot_k, config.seed)
 
     kv_input = train if config.kv_source == "train" else fewshot
@@ -330,7 +350,7 @@ def run_kv(
     origin_kv = load_external_kv(
         resolve_data_path(config.external_kv_path), desc.schema, config.kv_words_per_label
     )
-    provider, provider_detail = _make_provider(config, train, fewshot)
+    provider, provider_detail = make_provider(config, train, fewshot)
 
     draws = repeated_test_sample(test, config.test_sample_size, config.test_repeats, config.seed)
 
@@ -345,26 +365,10 @@ def run_kv(
         no_coverage = 0
         rows_out: list[list[dict]] = []
         for draw in draws:
+            draw_rows = classify(draw, kv, provider, config)
             gold = [record.text_label for record in draw.records]
-            labels: list[str] = []
-            draw_rows: list[dict] = []
-            for record in draw.records:
-                prompt = apply_template(record.text, config.template)
-                try:
-                    prediction = predict(prompt, kv, provider, strategy=config.aggregation)
-                except DataError as exc:
-                    raise DataError(f"record {record.id!r}: provider failed: {exc}") from exc
-                labels.append(prediction.label)
-                no_coverage += prediction.no_coverage
-                draw_rows.append(
-                    {
-                        "record_id": record.id,
-                        "label": prediction.label,
-                        "no_coverage": prediction.no_coverage,
-                        "scores": prediction.scores,
-                    }
-                )
-            per_draw.append(text_f1(gold, labels))
+            per_draw.append(text_f1(gold, [row["label"] for row in draw_rows]))
+            no_coverage += sum(row["no_coverage"] for row in draw_rows)
             rows_out.append(draw_rows)
         rows.append(KvRow(name=name, draws=tuple(per_draw), no_coverage=no_coverage))
         predictions[slug] = rows_out
@@ -389,27 +393,20 @@ def run_kv(
 
     if out_dir is not None:
         out = Path(out_dir)
-        paths = [
-            out / "effective_config.json",
-            out / "wli_kv.txt",
-            out / "origin_kv.txt",
-            out / "kv_report.json",
-            out / "kv_report.md",
-            out / "kv_report.tsv",
+        names = ("effective_config.json", "wli_kv.txt", "origin_kv.txt",
+                 "kv_report.json", "kv_report.md", "kv_report.tsv")
+        pred_files = [
+            (out / f"predictions_{slug}.draw{d}.jsonl", draw_rows)
+            for slug, per_draw_rows in predictions.items()
+            for d, draw_rows in enumerate(per_draw_rows)
         ]
-        pred_paths = {
-            slug: [out / f"predictions_{slug}.draw{d}.jsonl" for d in range(len(draws))]
-            for slug in predictions
-        }
-        _guard_overwrite(paths + [p for ps in pred_paths.values() for p in ps], force)
-        out.mkdir(parents=True, exist_ok=True)
+        guard_overwrite([out / name for name in names] + [p for p, _ in pred_files], force)
         write_json(out / "effective_config.json", config.to_dict())
         save_kv(wli_kv, out / "wli_kv.txt")
         save_kv(origin_kv, out / "origin_kv.txt")
-        for slug, per_draw_rows in predictions.items():
-            for d, draw_rows in enumerate(per_draw_rows):
-                write_jsonl(pred_paths[slug][d], draw_rows)
+        for path, draw_rows in pred_files:
+            write_jsonl(path, draw_rows)
         write_json(out / "kv_report.json", report.to_dict())
-        (out / "kv_report.md").write_text(report.markdown(), encoding="utf-8")
-        (out / "kv_report.tsv").write_text(report.tsv(), encoding="utf-8")
+        write_text(out / "kv_report.md", report.markdown())
+        write_text(out / "kv_report.tsv", report.tsv())
     return report

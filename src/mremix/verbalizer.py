@@ -20,6 +20,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 from .core import LabelSchema
 from .errors import DataError, MremixError, SchemaError
 from .ingest import Split
+from .jsonio import read_jsonl, write_text
 from .rng import SplitMix64, derive_seed_token
 
 MASK_PLACEHOLDER = "{mask}"
@@ -180,14 +181,12 @@ def load_external_kv(
 
 def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
     """Export a verbalizer in the external word-list format (auditable, reloadable)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines: list[str] = []
     for label in verbalizer.labels():
         lines.append(f"[{label}]")
         lines.extend(word for word, _ in verbalizer.words_for(label))
         lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
+    write_text(path, "\n".join(lines))
 
 
 def aggregate(
@@ -310,8 +309,6 @@ class FileDistributionProvider:
     """
 
     def __init__(self, path: str | Path) -> None:
-        from .jsonio import read_jsonl
-
         self._path = str(path)
         self._table: dict[str, tuple[dict[str, float], frozenset[str]]] = {}
         for i, row in enumerate(read_jsonl(path), start=1):

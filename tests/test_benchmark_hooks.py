@@ -1,0 +1,35 @@
+"""The benchmark's tracer must still find every name it hooks in the package.
+
+``perfbench/tracer.py`` rebinds layer functions by module attribute. A
+renamed or removed function would otherwise only show up as a failure of
+the benchmark's traced pass.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHECK = """
+import mremix
+from mremix import cli, evaluation, formats, refmlm, runner
+import tracer
+
+modules = (cli, evaluation, formats, refmlm, runner)
+before = [set(vars(m)) for m in modules]
+tracer.install(tracer.Tracer())
+added = {m.__name__: sorted(set(vars(m)) - b) for m, b in zip(modules, before)}
+assert not any(added.values()), f"tracer hooks names the package lacks: {added}"
+assert mremix.KERNEL_BACKEND in ("compiled", "pure"), mremix.KERNEL_BACKEND
+"""
+
+
+def test_tracer_installs_on_existing_names():
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", CHECK], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -193,28 +193,30 @@ class TestScore:
         assert test.records[0].id in err
 
 
-class TestEvaluate:
-    def _build_draws(self, tmp_path, tag="TRAD_TEXT"):
-        _setup_dataset(tmp_path)
-        out = tmp_path / "draws"
-        main(["build-formats", "--family", "SCNM", "--language", "en",
-              "--input", str(tmp_path / "test.jsonl"), "--role", "test",
-              "--tags", tag, "--test-n", "10", "--repeats", "2",
-              "--seed", "5", "--out", str(out)])
-        name = f"scnm_en_{tag.lower()}.test"
-        draw_paths = [out / f"{name}.draw{d}.jsonl" for d in range(2)]
-        gen_paths = []
-        for d, draw_path in enumerate(draw_paths):
-            examples = read_examples(draw_path)
-            gen_path = tmp_path / f"gen{d}.jsonl"
-            write_jsonl(gen_path, [
-                {"record_id": e.record_id, "output": e.target} for e in examples
-            ])
-            gen_paths.append(gen_path)
-        return draw_paths, gen_paths
+def _build_draws(tmp_path, tag="TRAD_TEXT"):
+    """Gold draw files and perfect generations for them."""
+    _setup_dataset(tmp_path)
+    out = tmp_path / "draws"
+    main(["build-formats", "--family", "SCNM", "--language", "en",
+          "--input", str(tmp_path / "test.jsonl"), "--role", "test",
+          "--tags", tag, "--test-n", "10", "--repeats", "2",
+          "--seed", "5", "--out", str(out)])
+    name = f"scnm_en_{tag.lower()}.test"
+    draw_paths = [out / f"{name}.draw{d}.jsonl" for d in range(2)]
+    gen_paths = []
+    for d, draw_path in enumerate(draw_paths):
+        examples = read_examples(draw_path)
+        gen_path = tmp_path / f"gen{d}.jsonl"
+        write_jsonl(gen_path, [
+            {"record_id": e.record_id, "output": e.target} for e in examples
+        ])
+        gen_paths.append(gen_path)
+    return draw_paths, gen_paths
 
+
+class TestEvaluate:
     def test_perfect_generations(self, tmp_path, capsys):
-        draw_paths, gen_paths = self._build_draws(tmp_path)
+        draw_paths, gen_paths = _build_draws(tmp_path)
         out = tmp_path / "eval"
         code = main(["evaluate", "--family", "SCNM", "--language", "en",
                      "--tag", "TRAD_TEXT",
@@ -228,7 +230,7 @@ class TestEvaluate:
         assert (out / "report.tsv").exists()
 
     def test_missing_generation_file_names_draw(self, tmp_path, capsys):
-        draw_paths, gen_paths = self._build_draws(tmp_path)
+        draw_paths, gen_paths = _build_draws(tmp_path)
         code = main(["evaluate", "--family", "SCNM", "--language", "en",
                      "--tag", "TRAD_TEXT",
                      "--draws", *map(str, draw_paths),
@@ -238,7 +240,7 @@ class TestEvaluate:
         assert "draw 1" in capsys.readouterr().err
 
     def test_count_mismatch_is_config_error(self, tmp_path):
-        draw_paths, gen_paths = self._build_draws(tmp_path)
+        draw_paths, gen_paths = _build_draws(tmp_path)
         code = main(["evaluate", "--family", "SCNM", "--language", "en",
                      "--tag", "TRAD_TEXT",
                      "--draws", *map(str, draw_paths),
@@ -247,7 +249,7 @@ class TestEvaluate:
         assert code == 3
 
     def test_macro_text_metric_recorded(self, tmp_path):
-        draw_paths, gen_paths = self._build_draws(tmp_path)
+        draw_paths, gen_paths = _build_draws(tmp_path)
         out = tmp_path / "macro"
         code = main(["evaluate", "--family", "SCNM", "--language", "en",
                      "--tag", "TRAD_TEXT", "--text-metric", "macro",
@@ -322,10 +324,27 @@ class TestRunKv:
         assert effective["few_shot_k"] == 5  # flag wins
         assert effective["family"] == "SCNM"  # file value kept
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         write_json(cfg, {"familly": "SCNM"})
         assert main(["run-kv", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        # wrongly typed values are one-line config errors, not tracebacks
+        for bad in ({"seed": "x"}, {"few_shot_k": None}, {"lenient": 1}, {"alpha": "1"},
+                    {"test_repeats": True}, {"family": 5}):
+            write_json(cfg, bad)
+            capsys.readouterr()
+            assert main(["run-kv", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, (bad, err)
+            assert next(iter(bad)) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_config_json_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"family": "SCNM",\n', encoding="utf-8")
+        assert main(["run-kv", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "not valid JSON" in err
 
     def test_missing_external_kv_is_config_error(self, tmp_path, capsys):
         _setup_dataset(tmp_path)
@@ -365,6 +384,77 @@ class TestReport:
         md = (out / "ablation.md").read_text(encoding="utf-8")
         assert "w/o TLI" in md and "with WLI" in md
         assert md.count("100.00") == 4
+
+    def test_malformed_report_json_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text('{"rows": [', encoding="utf-8")
+        code = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "grid")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "not valid JSON" in err
+        assert not (tmp_path / "grid").exists()
+
+
+def _overwrite_case(tmp_path, command):
+    """(argv, output directory, one of the outputs) of a command on a small dataset."""
+    _setup_dataset(tmp_path)
+    desc = ["--family", "SCNM", "--language", "en"]
+    out = tmp_path / "out"
+    if command == "build-formats":
+        return (["build-formats", *desc, "--input", str(tmp_path / "train.jsonl"),
+                 "--tags", "TRAD_TEXT", "--out", str(out)], out, "scnm_en_train_manifest.json")
+    if command == "build-kv":
+        return (["build-kv", *desc, "--train", str(tmp_path / "train.jsonl"),
+                 "--out", str(out / "kv.txt")], out, "kv.txt.config.json")
+    if command == "score":
+        return (["score", *desc, "--kv", str(tmp_path / "origin_kv.txt"),
+                 "--input", str(tmp_path / "test.jsonl"), "--train", str(tmp_path / "train.jsonl"),
+                 "--kv-k", "10", "--out", str(out / "preds.jsonl")], out, "preds.jsonl.config.json")
+    if command == "run-kv":
+        return _run_kv_args(tmp_path, out), out, "predictions_wli.draw1.jsonl"
+    draws, gens = _build_draws(tmp_path)
+    evaluate = ["evaluate", *desc, "--tag", "TRAD_TEXT", "--draws", *map(str, draws),
+                "--generations", *map(str, gens)]
+    if command == "evaluate":
+        return evaluate + ["--out", str(out)], out, "report.tsv"
+    assert main(evaluate + ["--out", str(tmp_path / "eval")]) == 0
+    return (["report", "--inputs", str(tmp_path / "eval" / "report.json"), "--out", str(out)],
+            out, "ablation.tsv")
+
+
+@pytest.mark.parametrize(
+    "command", ["build-formats", "build-kv", "score", "evaluate", "report", "run-kv"]
+)
+def test_existing_output_refused_before_any_write(tmp_path, capsys, command):
+    argv, out, present = _overwrite_case(tmp_path, command)
+    out.mkdir()
+    (out / present).write_text("kept", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--force" in err and present in err
+    assert [p.name for p in out.iterdir()] == [present]
+    assert (out / present).read_text(encoding="utf-8") == "kept"
+    assert main(argv + ["--force"]) == 0
+    assert (out / present).read_text(encoding="utf-8") != "kept"
+
+
+def test_failed_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatch):
+    from mremix import jsonio
+
+    argv, out, _ = _overwrite_case(tmp_path, "score")
+    real, calls = jsonio.json_line, []
+
+    def failing(obj):
+        calls.append(obj)
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        return real(obj)
+
+    monkeypatch.setattr(jsonio, "json_line", failing)
+    assert main(argv) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestEnvDataRoot:
