@@ -18,7 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import SchemaError
+from .errors import DataError, SchemaError
+from .jsonio import open_text
 
 FAMILIES = ("SCNM", "SCPOS:RW", "SCPOS:N", "SCPOS:Adj", "SCPOS:N&Adj", "TCREE", "TCONER")
 LANGUAGES = ("en", "zh", "ja")
@@ -56,6 +57,14 @@ def normalize_family(name: str) -> str:
     raise SchemaError(f"unknown dataset family: {name!r}")
 
 
+def _string(data: Mapping, key: str) -> str:
+    """``data[key]``, which must be a string (no coercion of null, numbers or lists)."""
+    value = data[key]
+    if not isinstance(value, str):
+        raise DataError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LabelEntityPair:
     """One unit of word-level information: a label and an entity surface form.
@@ -76,7 +85,7 @@ class LabelEntityPair:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LabelEntityPair":
-        return cls(label=str(data["label"]), entity=str(data["entity"]))
+        return cls(label=_string(data, "label"), entity=_string(data, "entity"))
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,9 @@ class MreRecord:
     def from_dict(cls, data: Mapping) -> "MreRecord":
         pairs = tuple(LabelEntityPair.from_dict(p) for p in data["pairs"])
         return cls(
-            id=str(data["id"]),
-            text=str(data["text"]),
-            text_label=str(data["text_label"]),
+            id=_string(data, "id"),
+            text=_string(data, "text"),
+            text_label=_string(data, "text_label"),
             pairs=pairs,
         )
 
@@ -263,7 +272,9 @@ def parse_schema_document(text: str, source: str = "<schema>") -> dict[tuple[str
 def load_schema_file(path: str | Path) -> dict[tuple[str, str], LabelSchema]:
     """Load a complete schema registry from a file in the bundled format."""
     path = Path(path)
-    return parse_schema_document(path.read_text(encoding="utf-8"), source=str(path))
+    with open_text(path) as fh:
+        text = fh.read()
+    return parse_schema_document(text, source=str(path))
 
 
 _BUILTIN_REGISTRY: dict[tuple[str, str], LabelSchema] | None = None

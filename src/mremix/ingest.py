@@ -22,7 +22,7 @@ from typing import Optional
 
 from .core import DatasetDescriptor, MreRecord, validate_record
 from .errors import DataError
-from .jsonio import write_jsonl
+from .jsonio import open_text, write_jsonl
 from .parsing import ParseFlag, parse_pairs
 from .rng import SplitMix64, derive_seed, derive_seed_token
 
@@ -97,7 +97,7 @@ def _record_from_json(obj: object, lineno: int, path: str) -> MreRecord:
         raise DataError(f"{path}: line {lineno}: 'pairs' must be a list")
     try:
         return MreRecord.from_dict(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, DataError) as exc:
         raise DataError(f"{path}: line {lineno}: malformed record ({exc})") from exc
 
 
@@ -129,7 +129,7 @@ def load_split(
     path = Path(path)
     numbered: list[tuple[int, MreRecord]] = []
     if fmt == "jsonl":
-        with path.open("r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -141,7 +141,7 @@ def load_split(
                     ) from exc
                 numbered.append((lineno, _record_from_json(obj, lineno, str(path))))
     elif fmt == "tsv":
-        with path.open("r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

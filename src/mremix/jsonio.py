@@ -5,6 +5,9 @@ inputs produce byte-identical files (sorted keys, no ASCII escaping of CJK
 text, trailing newline). Each write goes to a sibling temporary file that
 replaces the target only once it is complete, so an interrupted run never
 leaves a half-written artifact behind.
+
+Every input file is read through ``open_text``, so bytes that are not
+UTF-8 give a ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -37,6 +40,16 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle on ``path``; undecodable bytes raise a DataError naming it."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
 def write_text(path: str | Path, text: str) -> None:
     with _replacing(path) as fh:
         fh.write(text)
@@ -52,7 +65,7 @@ def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
 def read_jsonl(path: str | Path) -> list[Any]:
     """Read one JSON document per line; blank lines are skipped."""
     out: list[Any] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -68,7 +81,7 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -23,14 +23,14 @@ verbalizer queries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._kernels import CoocTable
 from .errors import DataError
 from .ingest import Split
-from .jsonio import write_text
+from .jsonio import open_text, write_text
 from .verbalizer import MASK_PLACEHOLDER, MaskDistribution
 
 WHITESPACE_LANGUAGES = frozenset({"en"})
@@ -38,24 +38,27 @@ WHITESPACE_LANGUAGES = frozenset({"en"})
 
 @dataclass(frozen=True)
 class Segmenter:
-    """Word segmentation policy: whitespace or lexicon-driven greedy matching."""
+    """Word segmentation policy: whitespace or lexicon-driven greedy matching.
+
+    Lexicon languages build the lookup set and the longest entry length
+    once, at construction; whitespace languages hold neither.
+    """
 
     language: str
     lexicon: tuple[str, ...] = ()
+    _lexicon_set: frozenset[str] = field(init=False, repr=False, compare=False, default=frozenset())
+    _max_len: int = field(init=False, repr=False, compare=False, default=1)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lexicon", tuple(self.lexicon))
+        if self.language not in WHITESPACE_LANGUAGES:
+            object.__setattr__(self, "_lexicon_set", frozenset(self.lexicon))
+            object.__setattr__(self, "_max_len", max(map(len, self.lexicon), default=1))
 
     def __call__(self, text: str) -> list[str]:
         if self.language in WHITESPACE_LANGUAGES:
             return text.split()
-        return _greedy_segment(text, self._lexicon_set(), self._max_len())
-
-    def _lexicon_set(self) -> frozenset[str]:
-        return frozenset(self.lexicon)
-
-    def _max_len(self) -> int:
-        return max((len(w) for w in self.lexicon), default=1)
+        return _greedy_segment(text, self._lexicon_set, self._max_len)
 
 
 def _greedy_segment(text: str, lexicon: frozenset[str], max_len: int) -> list[str]:
@@ -90,6 +93,21 @@ def lexicon_from_split(split: Split) -> tuple[str, ...]:
     return tuple(sorted(entities))
 
 
+# Word lists whose query plan is kept at once; a new list beyond this drops
+# the older plans.
+_MAX_PLANS = 16
+
+
+@dataclass(frozen=True)
+class _QueryPlan:
+    """The word-list-only part of scoring: distinct queries and their vocabulary ids."""
+
+    queries: tuple[str, ...]  # first-seen order
+    known_positions: tuple[int, ...]  # positions in ``queries`` of in-vocabulary words
+    known_ids: tuple[int, ...]  # their vocabulary ids, in the same order
+    covered: frozenset[str]
+
+
 class CountModel:
     """Bag-of-words co-occurrence model over a segmented corpus."""
 
@@ -102,6 +120,7 @@ class CountModel:
         self._words = words
         self.segmenter = segmenter
         self.alpha = alpha
+        self._plans: dict[tuple[str, ...], _QueryPlan] = {}
 
     @classmethod
     def train(cls, corpus: Sequence[str], segmenter: Segmenter, alpha: float = 1.0) -> "CountModel":
@@ -145,33 +164,42 @@ class CountModel:
 
         Query words outside the training vocabulary keep the smoothing
         floor but are flagged uncovered. Duplicate query words collapse.
+        The word-list-only part of the work is planned once per distinct
+        word list (see ``_plan``).
         """
-        context_text = prompt.replace(MASK_PLACEHOLDER, " ")
-        context_ids = [
-            self._vocab[token] for token in self.segmenter(context_text) if token in self._vocab
-        ]
-
-        queries: list[str] = []
-        seen: set[str] = set()
-        for word in words:
-            if word not in seen:
-                seen.add(word)
-                queries.append(word)
-        if not queries:
+        key = tuple(words)
+        plan = self._plans.get(key) or self._plan(key)
+        if not plan.queries:
             return MaskDistribution(probs={}, covered=frozenset())
 
-        known = [(i, self._vocab[w]) for i, w in enumerate(queries) if w in self._vocab]
-        sums = [0] * len(queries)
-        if known and context_ids:
-            raw = self._table.context_sums(context_ids, [wid for _, wid in known])
-            for (i, _), value in zip(known, raw):
+        context_text = prompt.replace(MASK_PLACEHOLDER, " ")
+        vocab = self._vocab
+        context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
+        sums = [0] * len(plan.queries)
+        if plan.known_ids and context_ids:
+            raw = self._table.context_sums(context_ids, plan.known_ids)
+            for i, value in zip(plan.known_positions, raw):
                 sums[i] = value
 
         weights = [self.alpha + s for s in sums]
         total = sum(weights)
-        probs = {word: weight / total for word, weight in zip(queries, weights)}
-        covered = frozenset(w for w in queries if w in self._vocab)
-        return MaskDistribution(probs=probs, covered=covered)
+        probs = {word: weight / total for word, weight in zip(plan.queries, weights)}
+        return MaskDistribution(probs=probs, covered=plan.covered)
+
+    def _plan(self, words: tuple[str, ...]) -> "_QueryPlan":
+        """Deduplicate ``words`` and resolve them against the vocabulary, and keep the result."""
+        queries = tuple(dict.fromkeys(words))
+        known = [(i, self._vocab[w]) for i, w in enumerate(queries) if w in self._vocab]
+        plan = _QueryPlan(
+            queries=queries,
+            known_positions=tuple(i for i, _ in known),
+            known_ids=tuple(wid for _, wid in known),
+            covered=frozenset(queries[i] for i, _ in known),
+        )
+        if len(self._plans) >= _MAX_PLANS:
+            self._plans.clear()
+        self._plans[words] = plan
+        return plan
 
     # -- persistence: a plain counts file, byte-stable --
 
@@ -206,7 +234,9 @@ class CountModel:
     @classmethod
     def load(cls, path: str | Path) -> "CountModel":
         path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        with open_text(path) as fh:
+            text = fh.read()
+        lines = text.splitlines()
         if not lines or lines[0] != "#mremix-countmodel v1":
             raise DataError(f"{path}: not a count model file")
         alpha = 1.0

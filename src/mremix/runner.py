@@ -342,15 +342,18 @@ def run_kv(
         raise ConfigError("external_kv_path must be set (the baseline verbalizer word lists)")
 
     train = load(config, config.train_path, "train", desc)
-    test = load(config, config.test_path, "test", desc)
     fewshot = few_shot_sample(train, desc, config.few_shot_k, config.seed)
 
-    kv_input = train if config.kv_source == "train" else fewshot
-    wli_kv = build_from_wli(kv_input, desc, config.kv_words_per_label)
+    wli_kv = build_from_wli(
+        train if config.kv_source == "train" else fewshot, desc, config.kv_words_per_label
+    )
     origin_kv = load_external_kv(
         resolve_data_path(config.external_kv_path), desc.schema, config.kv_words_per_label
     )
     provider, provider_detail = make_provider(config, train, fewshot)
+    # the provider keeps what it needs of train; drop it before test comes in
+    del train
+    test = load(config, config.test_path, "test", desc)
 
     draws = repeated_test_sample(test, config.test_sample_size, config.test_repeats, config.seed)
 

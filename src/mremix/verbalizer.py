@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 from .core import LabelSchema
 from .errors import DataError, MremixError, SchemaError
 from .ingest import Split
-from .jsonio import read_jsonl, write_text
+from .jsonio import open_text, read_jsonl, write_text
 from .rng import SplitMix64, derive_seed_token
 
 MASK_PLACEHOLDER = "{mask}"
@@ -56,6 +56,7 @@ class Verbalizer:
 
     label_words: Mapping[str, tuple[tuple[str, float], ...]]
     k: int
+    _all_words: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -71,6 +72,8 @@ class Verbalizer:
                 raise DataError(f"label {label!r} lists a word more than once")
             if any(weight < 0 for _, weight in words):
                 raise DataError(f"label {label!r} has a negative word weight")
+        union = (word for words in self.label_words.values() for word, _ in words)
+        object.__setattr__(self, "_all_words", tuple(dict.fromkeys(union)))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.label_words)
@@ -79,15 +82,8 @@ class Verbalizer:
         return self.label_words[label]
 
     def all_words(self) -> list[str]:
-        """Union of all labels' words, first-seen order, deduplicated."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for words in self.label_words.values():
-            for word, _ in words:
-                if word not in seen:
-                    seen.add(word)
-                    out.append(word)
-        return out
+        """Union of all labels' words, first-seen order, deduplicated (a fresh list)."""
+        return list(self._all_words)
 
 
 def _require_fixed_schema(schema: LabelSchema) -> None:
@@ -143,7 +139,7 @@ def load_external_kv(
     path = Path(path)
     blocks: dict[str, list[str]] = {}
     current: Optional[str] = None
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -305,7 +301,9 @@ class FileDistributionProvider:
     The file is JSONL with one object per prompt:
     ``{"prompt": ..., "probs": {word: p, ...}, "covered": [word, ...]}``;
     ``covered`` is optional and defaults to the keys of ``probs``. Querying
-    a prompt absent from the file is an error.
+    a prompt absent from the file is an error, and so is a row of the wrong
+    shape: a non-string prompt, ``probs`` that is not an object of numbers,
+    or ``covered`` that is not a list of strings.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -314,9 +312,18 @@ class FileDistributionProvider:
         for i, row in enumerate(read_jsonl(path), start=1):
             if not isinstance(row, dict) or "prompt" not in row or "probs" not in row:
                 raise DataError(f"{path}: line {i}: expected 'prompt' and 'probs' fields")
-            probs = {str(w): float(p) for w, p in row["probs"].items()}
-            covered = frozenset(row.get("covered", probs.keys()))
-            self._table[str(row["prompt"])] = (probs, covered)
+            prompt, probs = row["prompt"], row["probs"]
+            if not isinstance(prompt, str):
+                raise DataError(f"{path}: line {i}: 'prompt' must be a string")
+            numbers = isinstance(probs, dict) and all(
+                type(p) in (int, float) for p in probs.values()
+            )
+            if not numbers:
+                raise DataError(f"{path}: line {i}: 'probs' must map words to numbers")
+            covered = row.get("covered", list(probs))
+            if not isinstance(covered, list) or not all(isinstance(w, str) for w in covered):
+                raise DataError(f"{path}: line {i}: 'covered' must be a list of words")
+            self._table[prompt] = ({w: float(p) for w, p in probs.items()}, frozenset(covered))
 
     def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
         entry = self._table.get(prompt)

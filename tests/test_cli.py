@@ -77,6 +77,41 @@ class TestValidate:
     def test_unknown_flag_is_config_error(self):
         assert main(["validate", "--nonsense"]) == 3
 
+    def test_non_utf8_file_is_data_error_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'\xff{"id": "a"}\n')
+        code = main(["validate", "--family", "SCNM", "--language", "en", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: {path}: not valid UTF-8")
+
+    def test_null_text_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "null.jsonl"
+        write_jsonl(path, [{"id": "a", "text": None, "text_label": "Society", "pairs": []}])
+        code = main(["validate", "--family", "SCNM", "--language", "en", str(path)])
+        assert code == 1
+        assert "line 1" in capsys.readouterr().err
+
+
+def test_escaping_unicode_decode_error_is_data_error(monkeypatch, capsys):
+    from mremix import cli
+
+    def undecodable(args):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(cli, "cmd_report", undecodable)
+    assert main(["report", "--inputs", "r.json", "--out", "o"]) == 1
+    assert capsys.readouterr().err.startswith("data error: not valid UTF-8")
+
+
+def test_non_utf8_external_kv_names_file(tmp_path, capsys):
+    _setup_dataset(tmp_path)
+    (tmp_path / "origin_kv.txt").write_bytes(b"[Society]\n\xe6\n")
+    code = main(_run_kv_args(tmp_path, tmp_path / "out"))
+    assert code == 1
+    assert f"{tmp_path / 'origin_kv.txt'}: not valid UTF-8" in capsys.readouterr().err
+
 
 class TestBuildFormats:
     def test_all_tags_train(self, tmp_path):
@@ -155,6 +190,24 @@ class TestBuildKv:
         assert code == 3
         assert "open-domain" in capsys.readouterr().err
 
+    def test_train_path_from_config(self, tmp_path):
+        _setup_dataset(tmp_path)
+        write_json(tmp_path / "cfg.json", {"train_path": str(tmp_path / "train.jsonl")})
+        flag, cfg = tmp_path / "flag.txt", tmp_path / "cfg.txt"
+        main(["build-kv", "--family", "SCNM", "--language", "en",
+              "--train", str(tmp_path / "train.jsonl"), "--out", str(flag)])
+        code = main(["build-kv", "--family", "SCNM", "--language", "en",
+                     "--config", str(tmp_path / "cfg.json"), "--out", str(cfg)])
+        assert code == 0
+        assert cfg.read_bytes() == flag.read_bytes()
+
+    def test_missing_train_is_config_error(self, tmp_path, capsys):
+        code = main(["build-kv", "--family", "SCNM", "--language", "en",
+                     "--out", str(tmp_path / "kv.txt")])
+        assert code == 3
+        assert "--train" in capsys.readouterr().err
+        assert not (tmp_path / "kv.txt").exists()
+
 
 class TestScore:
     def test_emits_predictions(self, tmp_path):
@@ -191,6 +244,26 @@ class TestScore:
         err = capsys.readouterr().err
         assert "provider failed" in err
         assert test.records[0].id in err
+
+    @pytest.mark.parametrize("row", [
+        {"prompt": "p {mask}", "probs": [0.5, 0.5]},
+        {"prompt": "p {mask}", "probs": {"x": "high"}},
+        {"prompt": "p {mask}", "probs": {"x": True}},
+        {"prompt": 7, "probs": {"x": 1.0}},
+        {"prompt": "p {mask}", "probs": {"x": 1.0}, "covered": "x"},
+    ])
+    def test_malformed_probs_row_is_data_error(self, tmp_path, capsys, row):
+        _setup_dataset(tmp_path)
+        dist_path = tmp_path / "dists.jsonl"
+        write_jsonl(dist_path, [{"prompt": "q {mask}", "probs": {"x": 1}}, row])
+        code = main(["score", "--family", "SCNM", "--language", "en",
+                     "--kv", str(tmp_path / "origin_kv.txt"),
+                     "--input", str(tmp_path / "test.jsonl"),
+                     "--provider", f"file:{dist_path}", "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: {dist_path}: line 2: ")
 
 
 def _build_draws(tmp_path, tag="TRAD_TEXT"):

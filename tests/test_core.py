@@ -11,8 +11,15 @@ from mremix import (
     builtin_schema,
     validate_record,
 )
-from mremix.core import FAMILIES, LANGUAGES, family_slug, normalize_family, parse_schema_document
-from mremix.errors import SchemaError
+from mremix.core import (
+    FAMILIES,
+    LANGUAGES,
+    family_slug,
+    load_schema_file,
+    normalize_family,
+    parse_schema_document,
+)
+from mremix.errors import DataError, SchemaError
 from mremix.rng import SplitMix64
 
 EXPECTED_SIZES = {
@@ -161,3 +168,21 @@ def test_parse_schema_document_errors():
         parse_schema_document("SCNM.en.text = a\nSCNM.en.text = b")
     with pytest.raises(SchemaError, match="missing schema entry"):
         parse_schema_document("SCNM.en.text = a | b")
+
+
+def test_from_dict_rejects_non_string_fields():
+    row = {"id": "a", "text": "t", "text_label": "Society",
+           "pairs": [{"label": "people", "entity": "Tanaka"}]}
+    assert MreRecord.from_dict(row).text == "t"
+    for key, value in (("text", None), ("id", 1), ("text_label", 2.0)):
+        with pytest.raises(DataError, match=f"'{key}' must be a string"):
+            MreRecord.from_dict({**row, key: value})
+    with pytest.raises(DataError, match="'entity' must be a string"):
+        LabelEntityPair.from_dict({"label": "people", "entity": None})
+
+
+def test_non_utf8_schema_file_names_file(tmp_path):
+    path = tmp_path / "schemas.txt"
+    path.write_bytes(b"SCNM.en.text = Society\n\xff\n")
+    with pytest.raises(DataError, match="schemas.txt: not valid UTF-8"):
+        load_schema_file(path)

@@ -69,6 +69,23 @@ class TestLoadSplit:
         with pytest.raises(DataError, match="text_label"):
             load_split(path, scnm_en, "train")
 
+    @pytest.mark.parametrize("field, value", [
+        ("text", None), ("id", 7), ("text_label", ["Society"]),
+        ("pairs", [{"label": "people", "entity": None}]),
+        ("pairs", [{"label": 1, "entity": "Tanaka"}]),
+    ])
+    def test_non_string_field_names_line(self, tmp_path, scnm_en, field, value):
+        path = tmp_path / "bad.jsonl"
+        _write_jsonl(path, [ROW2, {**ROW1, field: value}])
+        with pytest.raises(DataError, match="line 2: malformed record .*must be a string"):
+            load_split(path, scnm_en, "train")
+
+    def test_non_utf8_names_file(self, tmp_path, scnm_en):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(json.dumps(ROW1).encode() + b"\n\xff\n")
+        with pytest.raises(DataError, match="bad.jsonl: not valid UTF-8"):
+            load_split(path, scnm_en, "train")
+
     def test_duplicate_id_rejected(self, tmp_path, scnm_en):
         path = tmp_path / "dup.jsonl"
         _write_jsonl(path, [ROW1, {**ROW2, "id": "a"}])

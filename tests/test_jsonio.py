@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from mremix import jsonio
+from mremix.errors import DataError
 
 
 def _fail_on_third_row(monkeypatch):
@@ -35,3 +36,11 @@ def test_writers_emit_canonical_bytes(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == '{\n  "a": 1,\n  "b": "東京"\n}\n'.encode()
     assert (tmp_path / "a.jsonl").read_bytes() == b'{"a": 2, "b": 1}\n'
     assert (tmp_path / "sub" / "a.md").read_bytes() == b"| x |\n"
+
+
+@pytest.mark.parametrize("reader", [jsonio.read_json, jsonio.read_jsonl])
+def test_readers_name_a_non_utf8_file(tmp_path, reader):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"a": "\xe9"}\n')
+    with pytest.raises(DataError, match="bad.json: not valid UTF-8"):
+        reader(path)

@@ -197,6 +197,12 @@ class TestPersistence:
         with pytest.raises(DataError, match="not a count model"):
             CountModel.load(path)
 
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"#mremix-countmodel v1\nlex \"\xff\"\n")
+        with pytest.raises(DataError, match="model.txt: not valid UTF-8"):
+            CountModel.load(path)
+
 
 @pytest.mark.skipif(CompiledCoocTable is None, reason="compiled kernel unavailable")
 class TestKernelEquivalence:

@@ -1,0 +1,176 @@
+"""The scoring caches against uncached references.
+
+The pure kernel answers ``context_sums`` from a per-query-set index, the
+count model plans each word list once, the segmenter builds its lexicon set
+once and the verbalizer its word union once. Each must give exactly what
+the uncached computation gives, through count changes and alternating
+word lists, down to the bytes ``run_kv`` writes.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mremix import (
+    CountModel,
+    DatasetDescriptor,
+    LabelEntityPair,
+    MreRecord,
+    build_from_wli,
+    make_segmenter,
+    refmlm,
+    save_kv,
+    save_split,
+    shuffle_words,
+)
+from mremix._kernels import PurePythonCoocTable
+from mremix.ingest import Split
+from mremix.rng import SplitMix64
+from mremix.runner import ExperimentConfig, run_kv
+from mremix.verbalizer import MASK_PLACEHOLDER, Verbalizer
+
+from synth import planted_splits
+
+IDS = st.integers(min_value=0, max_value=9)
+
+
+class NaiveCoocTable(PurePythonCoocTable):
+    """The pure table with the original one-lookup-per-pair ``context_sums``."""
+
+    def context_sums(self, context_ids, query_ids):
+        return [sum(self.pair_count(c, q) for c in context_ids) for q in query_ids]
+
+
+@st.composite
+def table_scripts(draw):
+    """Query-id lists (reused, with repeats) and a script of count changes and queries."""
+    query_sets = draw(st.lists(st.lists(IDS, max_size=6), min_size=1, max_size=6))
+    step = st.one_of(
+        st.tuples(st.just("observe"), st.lists(IDS, max_size=8)),
+        st.tuples(st.just("set_pair"), IDS, IDS, st.integers(min_value=0, max_value=50)),
+        st.tuples(st.just("query"), st.lists(IDS, max_size=8),
+                  st.integers(min_value=0, max_value=len(query_sets) - 1)),
+    )
+    return query_sets, draw(st.lists(step, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_scripts())
+def test_context_sums_equals_pair_dict_reference(script):
+    query_sets, steps = script
+    table = PurePythonCoocTable()
+    pairs: dict[tuple[int, int], int] = {}
+    for step in steps:
+        if step[0] == "observe":
+            ids = step[1]
+            table.observe(ids)
+            for i in range(len(ids)):
+                for j in range(i + 1, len(ids)):
+                    key = tuple(sorted((ids[i], ids[j])))
+                    pairs[key] = pairs.get(key, 0) + 1
+        elif step[0] == "set_pair":
+            _, a, b, count = step
+            table.set_pair(a, b, count)
+            pairs[tuple(sorted((a, b)))] = count
+        else:
+            _, context, which = step
+            queries = query_sets[which]
+            expected = [
+                sum(pairs.get(tuple(sorted((c, q))), 0) for c in context) for q in queries
+            ]
+            assert table.context_sums(context, queries) == expected
+
+
+def test_context_sums_self_pair_and_repeats():
+    table = PurePythonCoocTable()
+    table.observe([1, 1, 2])  # pairs (1,1)=1, (1,2)=2
+    assert table.context_sums([1, 1, 2], [1, 2, 1]) == [4, 4, 4]
+    table.set_pair(1, 1, 5)  # drops the index built above
+    assert table.context_sums([1, 1, 2], [1, 2, 1]) == [12, 4, 12]
+
+
+_CORPUS_WORDS = [f"w{i}" for i in range(8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=6),
+                    min_size=1, max_size=8),
+    lists=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov1", "oov2"]), max_size=7),
+                   min_size=2, max_size=2),
+    contexts=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov3"]), max_size=6),
+                      min_size=1, max_size=4),
+)
+def test_alternating_word_lists_match_a_fresh_model(corpus, lists, contexts):
+    texts = [" ".join(words) for words in corpus]
+    model = CountModel.train(texts, make_segmenter("en"))
+    for context in contexts:
+        prompt = " ".join(context) + f" {MASK_PLACEHOLDER}"
+        for words in lists:
+            fresh = CountModel.train(texts, make_segmenter("en")).score(prompt, words)
+            got = model.score(prompt, list(words))
+            assert got == fresh
+            assert list(got.probs.items()) == list(fresh.probs.items())
+
+
+def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():
+    assert make_segmenter("en", ["東京"])._lexicon_set == frozenset()
+    ja = make_segmenter("ja", ["東京", "東京都"])
+    assert ja._lexicon_set == frozenset({"東京", "東京都"}) and ja._max_len == 3
+    assert ja == make_segmenter("ja", ["東京", "東京都"])
+    assert ja("東京都と東京") == ["東京都", "と", "東京"]
+
+
+def test_all_words_returns_a_fresh_list():
+    kv = Verbalizer({"a": (("x", 1.0), ("y", 1.0)), "b": (("y", 1.0), ("z", 1.0))}, k=2)
+    words = kv.all_words()
+    words.append("mutated")
+    assert kv.all_words() == ["x", "y", "z"]
+
+
+def _zh_splits():
+    """Planted SCNM/zh splits: per-label two-character entities in unspaced text."""
+    desc = DatasetDescriptor.builtin("SCNM", "zh")
+    chars = [chr(0x4E00 + i) for i in range(200)]
+    pools = {label: [chars[2 * (12 * n + j)] + chars[2 * (12 * n + j) + 1] for j in range(12)]
+             for n, label in enumerate(desc.schema.text_labels)}
+    fillers = chars[150:]
+    rng = SplitMix64(5)
+
+    def split(role: str, per_label: int) -> Split:
+        records = []
+        for label in desc.schema.text_labels:
+            for i in range(per_label):
+                words = rng.sample(pools[label], 5 + rng.randbelow(4))
+                text = "".join(w + fillers[rng.randbelow(len(fillers))] for w in words)
+                pairs = tuple(LabelEntityPair("people", w) for w in words)
+                records.append(MreRecord(f"{role}-{label}-{i}", text, label, pairs))
+        return Split(records=tuple(records), role=role)
+
+    return desc, split("train", 10), split("test", 8)
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+def test_run_kv_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, language):
+    if language == "en":
+        desc, train, test, _ = planted_splits(n_train_per_label=10, n_test_per_label=8)
+    else:
+        desc, train, test = _zh_splits()
+    save_split(tmp_path / "train.jsonl", train)
+    save_split(tmp_path / "test.jsonl", test)
+    save_kv(shuffle_words(build_from_wli(train, desc, k=10), seed=99), tmp_path / "origin.txt")
+    config = ExperimentConfig(
+        family="SCNM", language=language, seed=3, few_shot_k=5, test_sample_size=20,
+        test_repeats=2, kv_words_per_label=10, train_path=str(tmp_path / "train.jsonl"),
+        test_path=str(tmp_path / "test.jsonl"), external_kv_path=str(tmp_path / "origin.txt"),
+    )
+    trees = {}
+    for name, table in (("indexed", PurePythonCoocTable), ("naive", NaiveCoocTable)):
+        monkeypatch.setattr(refmlm, "CoocTable", table)
+        out = tmp_path / name
+        run_kv(config, out_dir=out)
+        trees[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(trees["indexed"]) == 10
+    assert trees["indexed"] == trees["naive"]
