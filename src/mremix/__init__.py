@@ -9,7 +9,6 @@ evaluates predictions at both levels with exact-match F1 under a seeded,
 fully reproducible sampling protocol.
 """
 
-from ._kernels import KERNEL_BACKEND
 from .core import (
     DatasetDescriptor,
     LabelEntityPair,
@@ -69,6 +68,9 @@ from .verbalizer import (
 )
 
 __version__ = "0.1.0"
+
+# Only perfbench/passrun.py reads this; it records it with every benchmark run.
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "KERNEL_BACKEND",

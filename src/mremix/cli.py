@@ -94,11 +94,9 @@ def cmd_build_kv(args) -> int:
     config = _config_from_args(args)
     config.validate()
     desc = runner.descriptor(config)
-    # --train wins over the config's train_path; unlike score's, it is not echoed into the sidecar
-    train_path = args.train or config.train_path
-    if not train_path:
+    if not config.train_path:
         raise ConfigError("--train is required (or train_path in --config)")
-    train = runner.load(config, train_path, "train", desc)
+    train = runner.load(config, config.train_path, "train", desc)
     source = train
     if config.kv_source == "fewshot":
         source = few_shot_sample(train, desc, config.few_shot_k, config.seed)
@@ -239,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-kv", help="build a verbalizer from training WLI")
     _add_descriptor_flags(p)
     _add_config_flags(p)
-    p.add_argument("--train", help="training record file (default: the config's train_path)")
+    p.add_argument("--train", dest="train_path",
+                   help="training record file (default: the config's train_path)")
     p.add_argument("--out", required=True, help="verbalizer word-list file to write")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_build_kv)

@@ -1,6 +1,5 @@
-"""Pure-Python co-occurrence kernel (fallback for the compiled extension).
+"""The co-occurrence table behind the reference count model.
 
-Semantics are pinned here; the Cython kernel must match it exactly.
 Counts are symmetric and stored under the canonical (min_id, max_id) key.
 ``observe`` counts every unordered position pair within one token list, so
 a text contributes len*(len-1)/2 pair increments and one global increment
@@ -115,6 +114,3 @@ class CoocTable:
 
     def num_pairs(self) -> int:
         return len(self._pairs)
-
-    def num_words(self) -> int:
-        return len(self._globals)

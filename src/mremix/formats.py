@@ -22,9 +22,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import DatasetDescriptor, LabelEntityPair, MreRecord, validate_record
+from .core import DatasetDescriptor, LabelEntityPair, MreRecord, _string, validate_record
 from .errors import DataError, SerializationError
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import read_jsonl_numbered, write_jsonl
 
 SEPARATOR = "\n"
 EMPTY_PAIRS_TOKEN = "NONE"
@@ -89,10 +89,10 @@ class FormattedExample:
     @classmethod
     def from_dict(cls, data: dict) -> "FormattedExample":
         return cls(
-            input=str(data["input"]),
-            target=str(data["target"]),
+            input=_string(data, "input"),
+            target=_string(data, "target"),
             tag=FormatTag(data["tag"]),
-            record_id=str(data["record_id"]),
+            record_id=_string(data, "record_id"),
         )
 
 
@@ -178,8 +178,10 @@ def write_examples(path: str | Path, examples: Iterable[FormattedExample]) -> No
 
 
 def read_examples(path: str | Path) -> list[FormattedExample]:
-    rows = read_jsonl(path)
-    try:
-        return [FormattedExample.from_dict(row) for row in rows]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DataError(f"{path}: not a formatted-example file ({exc})") from exc
+    examples = []
+    for lineno, row in read_jsonl_numbered(path):
+        try:
+            examples.append(FormattedExample.from_dict(row))
+        except (KeyError, ValueError, TypeError, DataError) as exc:
+            raise DataError(f"{path}: line {lineno}: not a formatted example ({exc})") from exc
+    return examples

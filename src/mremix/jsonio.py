@@ -62,18 +62,23 @@ def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: str | Path) -> list[Any]:
-    """Read one JSON document per line; blank lines are skipped."""
-    out: list[Any] = []
+def read_jsonl_numbered(path: str | Path) -> list[tuple[int, Any]]:
+    """(line number, document) for each line; blank lines are skipped but counted."""
+    out: list[tuple[int, Any]] = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(json.loads(line))
+                out.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from exc
     return out
+
+
+def read_jsonl(path: str | Path) -> list[Any]:
+    """Read one JSON document per line; blank lines are skipped."""
+    return [doc for _, doc in read_jsonl_numbered(path)]
 
 
 def write_json(path: str | Path, obj: Any) -> None:

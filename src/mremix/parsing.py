@@ -19,10 +19,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .core import LabelEntityPair, LabelSchema
+from .core import LabelEntityPair, LabelSchema, _string
 from .errors import DataError, SerializationError
 from .formats import EMPTY_PAIRS_TOKEN, SEPARATOR, FormatTag, serialize_pairs, target_level
-from .jsonio import read_jsonl
+from .jsonio import read_jsonl_numbered
 
 
 class ParseFlag(str, Enum):
@@ -250,14 +250,17 @@ class GenerationRow:
 def read_generations(path: str | Path) -> list[GenerationRow]:
     """Read a generation file: JSONL with an ``output`` field per test example.
 
-    ``record_id`` is optional; when present it is checked against the draw
-    manifest by the evaluator.
+    ``output`` must be a string. ``record_id`` is optional (null counts as
+    absent); when present it must be a string, and the evaluator checks it
+    against the draw manifest.
     """
-    rows = read_jsonl(path)
     out: list[GenerationRow] = []
-    for i, row in enumerate(rows, start=1):
+    for lineno, row in read_jsonl_numbered(path):
         if not isinstance(row, dict) or "output" not in row:
-            raise DataError(f"{path}: line {i}: expected an object with an 'output' field")
-        rid = row.get("record_id")
-        out.append(GenerationRow(None if rid is None else str(rid), str(row["output"])))
+            raise DataError(f"{path}: line {lineno}: expected an object with an 'output' field")
+        try:
+            rid = None if row.get("record_id") is None else _string(row, "record_id")
+            out.append(GenerationRow(rid, _string(row, "output")))
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return out

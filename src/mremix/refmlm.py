@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._kernels import CoocTable
+from .cooc import CoocTable
 from .errors import DataError
 from .ingest import Split
 from .jsonio import open_text, write_text

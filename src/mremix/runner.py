@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ._kernels import KERNEL_BACKEND
 from .core import DatasetDescriptor
 from .errors import ConfigError, DataError
 from .evaluation import Prf, mean_std, text_f1
@@ -295,7 +294,6 @@ def make_provider(
         model = CountModel.train(corpus, segmenter, alpha=config.alpha)
         detail = {
             "kind": "refmlm",
-            "kernel_backend": KERNEL_BACKEND,
             "training_texts": len(corpus),
             "vocabulary": len(model.vocabulary()),
         }

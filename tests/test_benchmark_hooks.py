@@ -24,7 +24,7 @@ before = [set(vars(m)) for m in modules]
 tracer.install(tracer.Tracer())
 added = {m.__name__: sorted(set(vars(m)) - b) for m, b in zip(modules, before)}
 assert not any(added.values()), f"tracer hooks names the package lacks: {added}"
-assert mremix.KERNEL_BACKEND in ("compiled", "pure"), mremix.KERNEL_BACKEND
+assert mremix.KERNEL_BACKEND == "pure", mremix.KERNEL_BACKEND
 """
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -179,6 +178,7 @@ class TestBuildKv:
         assert "[Society]" in text
         sidecar = read_json(tmp_path / "kv.txt.config.json")
         assert sidecar["kv_words_per_label"] == 5
+        assert sidecar["train_path"] == str(tmp_path / "train.jsonl")
 
     def test_tconer_refused_with_exclusion_message(self, tmp_path, capsys):
         desc, train, test = _setup_dataset(tmp_path)
@@ -320,6 +320,26 @@ class TestEvaluate:
                      "--generations", str(gen_paths[0]),
                      "--out", str(tmp_path / "eval3")])
         assert code == 3
+
+    @pytest.mark.parametrize("row", [
+        {"output": None}, {"output": 5}, {"record_id": 7, "output": "Society"},
+    ])
+    def test_non_string_generation_field_is_data_error(self, tmp_path, capsys, row):
+        draw_paths, gen_paths = _build_draws(tmp_path)
+        first = gen_paths[0].read_text(encoding="utf-8").splitlines()[0]
+        gen_paths[0].write_text(f"{first}\n\n{json.dumps(row)}\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["evaluate", "--family", "SCNM", "--language", "en",
+                     "--tag", "TRAD_TEXT",
+                     "--draws", *map(str, draw_paths),
+                     "--generations", *map(str, gen_paths),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{gen_paths[0]}: line 3: " in err[0]
+        assert "must be a string" in err[0]
+        assert not (tmp_path / "eval").exists()
 
     def test_macro_text_metric_recorded(self, tmp_path):
         draw_paths, gen_paths = _build_draws(tmp_path)
@@ -554,35 +574,3 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "OK" in proc.stdout
-
-
-def test_kernel_backends_yield_identical_artifacts(tmp_path):
-    from mremix._kernels import CompiledCoocTable
-
-    if CompiledCoocTable is None:
-        pytest.skip("compiled kernel unavailable")
-    _setup_dataset(tmp_path)
-    outputs = {}
-    for backend, force_pure in (("compiled", "0"), ("pure", "1")):
-        out = tmp_path / backend
-        env = {**os.environ, "MREMIX_PURE_KERNELS": force_pure}
-        proc = subprocess.run(
-            [sys.executable, "-m", "mremix", *_run_kv_args(tmp_path, out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[backend] = {
-            str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
-        }
-    # identical artifacts except the metadata honestly naming the active kernel
-    for rel in outputs["compiled"]:
-        if rel == "kv_report.json":
-            continue
-        assert outputs["compiled"][rel] == outputs["pure"][rel], rel
-    reports = {
-        backend: json.loads(tree["kv_report.json"]) for backend, tree in outputs.items()
-    }
-    assert reports["compiled"]["rows"] == reports["pure"]["rows"]
-    for report in reports.values():
-        report["metadata"]["provider"].pop("kernel_backend")
-    assert reports["compiled"] == reports["pure"]

@@ -20,6 +20,7 @@ from mremix.formats import (
     target_level,
     write_examples,
 )
+from mremix.jsonio import write_jsonl
 from mremix.parsing import ParseFlag, parse_pairs
 from mremix.rng import SplitMix64
 
@@ -170,6 +171,17 @@ class TestCorpus:
         path = tmp_path / corpus_filename(scnm_en, FormatTag.WITH_TLI_TO_WLI, "train")
         write_examples(path, examples)
         assert read_examples(path) == examples
+
+    @pytest.mark.parametrize("key", ["input", "target", "record_id"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_non_string_field_names_line(self, tmp_path, scnm_en, key, value):
+        _, train, _, _ = planted_splits(n_train_per_label=1, n_test_per_label=1)
+        rows = [e.to_dict() for e in build_corpus(train.records[:2], FormatTag.TRAD_TEXT, scnm_en)]
+        rows[1][key] = value
+        path = tmp_path / "examples.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(DataError, match=rf"examples.jsonl: line 2: .*{key!r} must be a string"):
+            read_examples(path)
 
     def test_filename_convention(self, scnm_en):
         name = corpus_filename(scnm_en, FormatTag.WITH_WLI_TO_TLI, "train")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from mremix import CountModel, lexicon_from_split, make_segmenter
-from mremix._kernels import CompiledCoocTable, PurePythonCoocTable
+from mremix.cooc import CoocTable
 from mremix.errors import DataError
 from mremix.rng import SplitMix64
 from mremix.verbalizer import MASK_PLACEHOLDER
@@ -204,26 +204,10 @@ class TestPersistence:
             CountModel.load(path)
 
 
-@pytest.mark.skipif(CompiledCoocTable is None, reason="compiled kernel unavailable")
-class TestKernelEquivalence:
-    def test_backends_agree_exactly(self):
-        rng = SplitMix64(11)
-        compiled, pure = CompiledCoocTable(), PurePythonCoocTable()
-        for _ in range(300):
-            ids = [rng.randbelow(40) for _ in range(rng.randbelow(15))]
-            compiled.observe(ids)
-            pure.observe(ids)
-        assert sorted(compiled.pair_items()) == sorted(pure.pair_items())
-        assert sorted(compiled.global_items()) == sorted(pure.global_items())
-        for _ in range(50):
-            ctx = [rng.randbelow(40) for _ in range(6)]
-            qry = [rng.randbelow(50) for _ in range(10)]
-            assert compiled.context_sums(ctx, qry) == pure.context_sums(ctx, qry)
-
-    def test_setters_match(self):
-        for table in (CompiledCoocTable(), PurePythonCoocTable()):
-            table.set_pair(3, 1, 7)
-            table.set_global(1, 2)
-            assert table.pair_count(1, 3) == 7
-            assert table.global_count(1) == 2
-            assert table.global_count(9) == 0
+def test_setters_match():
+    table = CoocTable()
+    table.set_pair(3, 1, 7)
+    table.set_global(1, 2)
+    assert table.pair_count(1, 3) == 7
+    assert table.global_count(1) == 2
+    assert table.global_count(9) == 0

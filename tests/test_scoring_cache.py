@@ -1,6 +1,6 @@
 """The scoring caches against uncached references.
 
-The pure kernel answers ``context_sums`` from a per-query-set index, the
+The co-occurrence table answers ``context_sums`` from a per-query-set index, the
 count model plans each word list once, the segmenter builds its lexicon set
 once and the verbalizer its word union once. Each must give exactly what
 the uncached computation gives, through count changes and alternating
@@ -25,7 +25,7 @@ from mremix import (
     save_split,
     shuffle_words,
 )
-from mremix._kernels import PurePythonCoocTable
+from mremix.cooc import CoocTable
 from mremix.ingest import Split
 from mremix.rng import SplitMix64
 from mremix.runner import ExperimentConfig, run_kv
@@ -36,8 +36,8 @@ from synth import planted_splits
 IDS = st.integers(min_value=0, max_value=9)
 
 
-class NaiveCoocTable(PurePythonCoocTable):
-    """The pure table with the original one-lookup-per-pair ``context_sums``."""
+class NaiveCoocTable(CoocTable):
+    """The table with the original one-lookup-per-pair ``context_sums``."""
 
     def context_sums(self, context_ids, query_ids):
         return [sum(self.pair_count(c, q) for c in context_ids) for q in query_ids]
@@ -60,7 +60,7 @@ def table_scripts(draw):
 @given(table_scripts())
 def test_context_sums_equals_pair_dict_reference(script):
     query_sets, steps = script
-    table = PurePythonCoocTable()
+    table = CoocTable()
     pairs: dict[tuple[int, int], int] = {}
     for step in steps:
         if step[0] == "observe":
@@ -84,7 +84,7 @@ def test_context_sums_equals_pair_dict_reference(script):
 
 
 def test_context_sums_self_pair_and_repeats():
-    table = PurePythonCoocTable()
+    table = CoocTable()
     table.observe([1, 1, 2])  # pairs (1,1)=1, (1,2)=2
     assert table.context_sums([1, 1, 2], [1, 2, 1]) == [4, 4, 4]
     table.set_pair(1, 1, 5)  # drops the index built above
@@ -167,7 +167,7 @@ def test_run_kv_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, langu
         test_path=str(tmp_path / "test.jsonl"), external_kv_path=str(tmp_path / "origin.txt"),
     )
     trees = {}
-    for name, table in (("indexed", PurePythonCoocTable), ("naive", NaiveCoocTable)):
+    for name, table in (("indexed", CoocTable), ("naive", NaiveCoocTable)):
         monkeypatch.setattr(refmlm, "CoocTable", table)
         out = tmp_path / name
         run_kv(config, out_dir=out)
