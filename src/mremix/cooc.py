@@ -1,21 +1,24 @@
 """The co-occurrence table behind the reference count model.
 
-Counts are symmetric and stored under the canonical (min_id, max_id) key.
-``observe`` counts every unordered position pair within one token list, so
-a text contributes len*(len-1)/2 pair increments and one global increment
-per token.
+The table keeps what it is given: each observed text's ids, as one
+``array``. Counts are symmetric within-text position pairs: two distinct
+ids occurring k_a and k_b times in a text co-occur k_a*k_b times, and an
+id occurring k times pairs with itself k*(k-1)/2 times.
 
-``context_sums`` answers from a per-query-set index instead of one pair
-lookup per (context, query) id: for every id that co-occurs with a query,
-an ``array`` row of (query position, count) pairs. An index is built on
-the first call with a query-id tuple and reused for later calls with the
-same tuple; any count change drops every index.
+Scoring only reads counts between context ids and query ids, so
+``context_sums`` builds one index restricted to its query set instead of
+counting every pair: for every id that co-occurs with a query, an
+``array`` row of (query position, count) pairs. An index is built from
+the kept texts on the first call with a query-id tuple and reused for
+later calls with the same tuple; ``observe`` drops every index.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Sequence
+from collections import Counter
+from itertools import chain
+from typing import Sequence
 
 # Query-id tuples whose index is kept at once; a new tuple beyond this
 # drops the older indexes, so memory stays bounded whatever the caller asks.
@@ -25,42 +28,16 @@ _MAX_INDEXES = 4
 class CoocTable:
     """Symmetric (context, candidate) co-occurrence counts over integer ids."""
 
-    __slots__ = ("_pairs", "_globals", "_indexes")
+    __slots__ = ("_texts", "_indexes")
 
     def __init__(self) -> None:
-        self._pairs: dict[tuple[int, int], int] = {}
-        self._globals: dict[int, int] = {}
+        self._texts: list[array] = []
         self._indexes: dict[tuple[int, ...], dict[int, array]] = {}
 
     def observe(self, ids: Sequence[int]) -> None:
-        """Count one text: all unordered position pairs plus global occurrences."""
+        """Add one text: its ids count all unordered position pairs within it."""
         self._indexes.clear()
-        globals_ = self._globals
-        for w in ids:
-            globals_[w] = globals_.get(w, 0) + 1
-        pairs = self._pairs
-        n = len(ids)
-        for i in range(n):
-            a = ids[i]
-            for j in range(i + 1, n):
-                b = ids[j]
-                key = (a, b) if a <= b else (b, a)
-                pairs[key] = pairs.get(key, 0) + 1
-
-    def pair_count(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        return self._pairs.get(key, 0)
-
-    def set_pair(self, a: int, b: int, count: int) -> None:
-        key = (a, b) if a <= b else (b, a)
-        self._pairs[key] = count
-        self._indexes.clear()
-
-    def global_count(self, w: int) -> int:
-        return self._globals.get(w, 0)
-
-    def set_global(self, w: int, count: int) -> None:
-        self._globals[w] = count
+        self._texts.append(array("q", ids))
 
     def context_sums(self, context_ids: Sequence[int], query_ids: Sequence[int]) -> list[int]:
         """For each query id, the summed pair count against all context ids."""
@@ -82,35 +59,36 @@ class CoocTable:
         positions: dict[int, list[int]] = {}
         for position, q in enumerate(query_ids):
             positions.setdefault(q, []).append(position)
+        # A query id q occurring k_q times in a text lists that text k_q times,
+        # so counting the ids of q's texts gives, for every other id c, the sum
+        # over texts of k_q * k_c: their pair count. For q itself it gives the
+        # sum of k_q * k_q, and len(texts) is the sum of k_q, so the self-pair
+        # count, the sum of k_q * (k_q - 1) / 2, is half their difference.
+        texts_of: dict[int, list[array]] = {q: [] for q in positions}
+        for ids in self._texts:
+            for w in ids:
+                found = texts_of.get(w)
+                if found is not None:
+                    found.append(ids)
         index: dict[int, array] = {}
-
-        def add(other: int, query_positions: list[int], count: int) -> None:
-            row = index.get(other)
-            if row is None:
-                row = index[other] = array("q")
-            for position in query_positions:
-                row.append(position)
-                row.append(count)
-
-        for (a, b), count in self._pairs.items():
-            at_a = positions.get(a)
-            if at_a is not None:
-                add(b, at_a, count)
-            if b != a:
-                at_b = positions.get(b)
-                if at_b is not None:
-                    add(a, at_b, count)
+        for q, texts in texts_of.items():
+            counts = Counter(chain.from_iterable(texts))
+            if q in counts:
+                counts[q] = (counts[q] - len(texts)) // 2
+            at = positions[q]
+            for c, count in counts.items():
+                if count:
+                    row = index.get(c)
+                    if row is None:
+                        row = index[c] = array("q")
+                    for position in at:
+                        row.append(position)
+                        row.append(count)
         if len(self._indexes) >= _MAX_INDEXES:
             self._indexes.clear()
         self._indexes[query_ids] = index
         return index
 
-    def pair_items(self) -> Iterable[tuple[int, int, int]]:
-        for (a, b), count in self._pairs.items():
-            yield a, b, count
-
-    def global_items(self) -> Iterable[tuple[int, int]]:
-        yield from self._globals.items()
-
     def num_pairs(self) -> int:
-        return len(self._pairs)
+        """Entries held by the kept indexes: one per (id, query position) pair."""
+        return sum(len(row) // 2 for index in self._indexes.values() for row in index.values())

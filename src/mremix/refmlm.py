@@ -22,15 +22,13 @@ verbalizer queries.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cooc import CoocTable
 from .errors import DataError
 from .ingest import Split
-from .jsonio import open_text, write_text
 from .verbalizer import MASK_PLACEHOLDER, MaskDistribution
 
 WHITESPACE_LANGUAGES = frozenset({"en"})
@@ -111,13 +109,12 @@ class _QueryPlan:
 class CountModel:
     """Bag-of-words co-occurrence model over a segmented corpus."""
 
-    def __init__(self, table: CoocTable, vocab: dict[str, int], words: list[str],
-                 segmenter: Segmenter, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise DataError("smoothing constant alpha must be positive")
+    def __init__(self, table: CoocTable, vocab: dict[str, int], segmenter: Segmenter,
+                 alpha: float = 1.0) -> None:
+        if not 0 < alpha < math.inf:
+            raise DataError("smoothing constant alpha must be finite and positive")
         self._table = table
         self._vocab = vocab
-        self._words = words
         self.segmenter = segmenter
         self.alpha = alpha
         self._plans: dict[tuple[str, ...], _QueryPlan] = {}
@@ -129,33 +126,14 @@ class CountModel:
             raise DataError("cannot train a count model on an empty corpus")
         table = CoocTable()
         vocab: dict[str, int] = {}
-        words: list[str] = []
         for text in corpus:
-            ids = []
-            for token in segmenter(text):
-                wid = vocab.get(token)
-                if wid is None:
-                    wid = len(words)
-                    vocab[token] = wid
-                    words.append(token)
-                ids.append(wid)
-            table.observe(ids)
-        return cls(table=table, vocab=vocab, words=words, segmenter=segmenter, alpha=alpha)
+            table.observe([vocab.setdefault(token, len(vocab)) for token in segmenter(text)])
+        return cls(table=table, vocab=vocab, segmenter=segmenter, alpha=alpha)
 
-    # -- introspection (word-keyed; backend-independent) --
+    # -- introspection --
 
     def vocabulary(self) -> frozenset[str]:
         return frozenset(self._vocab)
-
-    def pair_count(self, a: str, b: str) -> int:
-        ia, ib = self._vocab.get(a), self._vocab.get(b)
-        if ia is None or ib is None:
-            return 0
-        return self._table.pair_count(ia, ib)
-
-    def global_count(self, w: str) -> int:
-        wid = self._vocab.get(w)
-        return 0 if wid is None else self._table.global_count(wid)
 
     # -- the provider contract --
 
@@ -200,90 +178,3 @@ class CountModel:
             self._plans.clear()
         self._plans[words] = plan
         return plan
-
-    # -- persistence: a plain counts file, byte-stable --
-
-    def save(self, path: str | Path) -> None:
-        """Write the model as sorted, word-keyed count lines."""
-
-        def enc(word: str) -> str:
-            return json.dumps(word, ensure_ascii=False)
-
-        lines = [
-            "#mremix-countmodel v1",
-            f"alpha {self.alpha!r}",
-            f"language {self.segmenter.language}",
-        ]
-        lines.extend(f"lex {enc(w)}" for w in sorted(self.segmenter.lexicon))
-
-        g_lines = []
-        for wid, count in self._table.global_items():
-            g_lines.append(f"g {enc(self._words[wid])} {count}")
-        lines.extend(sorted(g_lines))
-
-        c_lines = []
-        for ia, ib, count in self._table.pair_items():
-            wa, wb = self._words[ia], self._words[ib]
-            if wb < wa:
-                wa, wb = wb, wa
-            c_lines.append(f"c {enc(wa)} {enc(wb)} {count}")
-        lines.extend(sorted(c_lines))
-
-        write_text(path, "\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CountModel":
-        path = Path(path)
-        with open_text(path) as fh:
-            text = fh.read()
-        lines = text.splitlines()
-        if not lines or lines[0] != "#mremix-countmodel v1":
-            raise DataError(f"{path}: not a count model file")
-        alpha = 1.0
-        language = "en"
-        lexicon: list[str] = []
-        globals_: list[tuple[str, int]] = []
-        pairs: list[tuple[str, str, int]] = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            kind, _, rest = line.partition(" ")
-            try:
-                if kind == "alpha":
-                    alpha = float(rest)
-                elif kind == "language":
-                    language = rest.strip()
-                elif kind == "lex":
-                    lexicon.append(json.loads(rest))
-                elif kind == "g":
-                    word_json, count = rest.rsplit(" ", 1)
-                    globals_.append((json.loads(word_json), int(count)))
-                elif kind == "c":
-                    decoder = json.JSONDecoder()
-                    wa, end = decoder.raw_decode(rest)
-                    wb, end2 = decoder.raw_decode(rest[end:].lstrip())
-                    count = int(rest[end:].lstrip()[end2:].strip())
-                    pairs.append((wa, wb, count))
-                else:
-                    raise DataError(f"{path}: line {lineno}: unknown line kind {kind!r}")
-            except (ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}: line {lineno}: malformed line ({exc})") from exc
-
-        segmenter = Segmenter(language=language, lexicon=tuple(lexicon))
-        table = CoocTable()
-        vocab: dict[str, int] = {}
-        words: list[str] = []
-
-        def wid(word: str) -> int:
-            i = vocab.get(word)
-            if i is None:
-                i = len(words)
-                vocab[word] = i
-                words.append(word)
-            return i
-
-        for word, count in globals_:
-            table.set_global(wid(word), count)
-        for wa, wb, count in pairs:
-            table.set_pair(wid(wa), wid(wb), count)
-        return cls(table=table, vocab=vocab, words=words, segmenter=segmenter, alpha=alpha)

@@ -9,6 +9,7 @@ absolute paths, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -116,8 +117,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha!r}")
         try:
             apply_template("", self.template)
         except ValueError as exc:

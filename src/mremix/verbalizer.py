@@ -13,6 +13,7 @@ datasets are excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
@@ -20,7 +21,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 from .core import LabelSchema
 from .errors import DataError, MremixError, SchemaError
 from .ingest import Split
-from .jsonio import open_text, read_jsonl, write_text
+from .jsonio import open_text, read_jsonl_numbered, write_text
 from .rng import SplitMix64, derive_seed_token
 
 MASK_PLACEHOLDER = "{mask}"
@@ -302,14 +303,14 @@ class FileDistributionProvider:
     ``{"prompt": ..., "probs": {word: p, ...}, "covered": [word, ...]}``;
     ``covered`` is optional and defaults to the keys of ``probs``. Querying
     a prompt absent from the file is an error, and so is a row of the wrong
-    shape: a non-string prompt, ``probs`` that is not an object of numbers,
-    or ``covered`` that is not a list of strings.
+    shape: a non-string prompt, ``probs`` that is not an object of finite,
+    non-negative numbers, or ``covered`` that is not a list of strings.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._path = str(path)
         self._table: dict[str, tuple[dict[str, float], frozenset[str]]] = {}
-        for i, row in enumerate(read_jsonl(path), start=1):
+        for i, row in read_jsonl_numbered(path):
             if not isinstance(row, dict) or "prompt" not in row or "probs" not in row:
                 raise DataError(f"{path}: line {i}: expected 'prompt' and 'probs' fields")
             prompt, probs = row["prompt"], row["probs"]
@@ -320,6 +321,8 @@ class FileDistributionProvider:
             )
             if not numbers:
                 raise DataError(f"{path}: line {i}: 'probs' must map words to numbers")
+            if not all(0 <= p < math.inf for p in probs.values()):
+                raise DataError(f"{path}: line {i}: 'probs' must be finite and non-negative")
             covered = row.get("covered", list(probs))
             if not isinstance(covered, list) or not all(isinstance(w, str) for w in covered):
                 raise DataError(f"{path}: line {i}: 'covered' must be a list of words")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -251,6 +252,10 @@ class TestScore:
         {"prompt": "p {mask}", "probs": {"x": True}},
         {"prompt": 7, "probs": {"x": 1.0}},
         {"prompt": "p {mask}", "probs": {"x": 1.0}, "covered": "x"},
+        {"prompt": "p {mask}", "probs": {"x": math.nan}},
+        {"prompt": "p {mask}", "probs": {"x": -1}},
+        {"prompt": "p {mask}", "probs": {"x": 0.5, "y": math.inf}},
+        {"prompt": "p {mask}", "probs": {"x": -math.inf}},
     ])
     def test_malformed_probs_row_is_data_error(self, tmp_path, capsys, row):
         _setup_dataset(tmp_path)
@@ -264,6 +269,38 @@ class TestScore:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"data error: {dist_path}: line 2: ")
+
+    def test_probs_error_names_true_line_after_blank(self, tmp_path, capsys):
+        _setup_dataset(tmp_path)
+        dist_path = tmp_path / "dists.jsonl"
+        dist_path.write_text('{"prompt": "q {mask}", "probs": {"x": 1}}\n\n'
+                             '{"prompt": 5, "probs": {"x": 1}}\n', encoding="utf-8")
+        code = main(["score", "--family", "SCNM", "--language", "en",
+                     "--kv", str(tmp_path / "origin_kv.txt"),
+                     "--input", str(tmp_path / "test.jsonl"),
+                     "--provider", f"file:{dist_path}", "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"data error: {dist_path}: line 3: 'prompt' must be a string\n")
+
+    @pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "config-nan"])
+    def test_non_finite_alpha_is_config_error(self, tmp_path, capsys, source):
+        _setup_dataset(tmp_path)
+        args = ["score", "--family", "SCNM", "--language", "en",
+                "--kv", str(tmp_path / "origin_kv.txt"),
+                "--input", str(tmp_path / "test.jsonl"),
+                "--train", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "p.jsonl")]
+        if source == "config-nan":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"alpha": NaN}\n', encoding="utf-8")
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--alpha", source.split("-")[1]]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alpha must be finite and positive")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "p.jsonl").exists()
 
 
 def _build_draws(tmp_path, tag="TRAD_TEXT"):

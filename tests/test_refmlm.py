@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
 from mremix import CountModel, lexicon_from_split, make_segmenter
-from mremix.cooc import CoocTable
 from mremix.errors import DataError
 from mremix.rng import SplitMix64
 from mremix.verbalizer import MASK_PLACEHOLDER
@@ -40,29 +42,35 @@ class TestSegmenters:
         assert all(isinstance(w, str) for w in lex)
 
 
+def _pair_count(model, a, b):
+    """The count of (a, b) position pairs, read through the model's table."""
+    vocab = model._vocab
+    if a not in vocab or b not in vocab:
+        return 0
+    return model._table.context_sums([vocab[a]], [vocab[b]])[0]
+
+
 class TestTrainCounts:
     def test_direct_counts(self):
         model = CountModel.train(["a b", "a c"], make_segmenter("en"))
-        assert model.pair_count("a", "b") == 1
-        assert model.pair_count("b", "a") == 1
-        assert model.pair_count("a", "c") == 1
-        assert model.pair_count("b", "c") == 0
+        assert _pair_count(model, "a", "b") == 1
+        assert _pair_count(model, "b", "a") == 1
+        assert _pair_count(model, "a", "c") == 1
+        assert _pair_count(model, "b", "c") == 0
 
     def test_single_word_text_has_no_pairs_but_global(self):
         model = CountModel.train(["solo"], make_segmenter("en"))
-        assert model.global_count("solo") == 1
-        assert model.pair_count("solo", "solo") == 0
+        assert model.vocabulary() == frozenset({"solo"})
+        assert _pair_count(model, "solo", "solo") == 0
 
     def test_duplicated_text_doubles_counts(self):
         once = CountModel.train(["a b c"], make_segmenter("en"))
         twice = CountModel.train(["a b c", "a b c"], make_segmenter("en"))
-        assert twice.pair_count("a", "b") == 2 * once.pair_count("a", "b")
-        assert twice.global_count("c") == 2 * once.global_count("c")
+        assert _pair_count(twice, "a", "b") == 2 * _pair_count(once, "a", "b") == 2
 
     def test_repeated_token_within_text(self):
         model = CountModel.train(["a a"], make_segmenter("en"))
-        assert model.pair_count("a", "a") == 1
-        assert model.global_count("a") == 2
+        assert _pair_count(model, "a", "a") == 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError, match="empty corpus"):
@@ -71,6 +79,11 @@ class TestTrainCounts:
     def test_alpha_must_be_positive(self):
         with pytest.raises(DataError, match="alpha"):
             CountModel.train(["a b"], make_segmenter("en"), alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(DataError, match="alpha must be finite and positive"):
+            CountModel.train(["a b"], make_segmenter("en"), alpha=alpha)
 
 
 class TestScore:
@@ -131,12 +144,18 @@ class TestScore:
             prompt = context + f" {MASK_PLACEHOLDER}"
             queries = vocab[:5]
 
-            # independent recomputation of both distributions
+            # independent recomputation of both distributions from position pairs
             ctx_tokens = context.split()
-            for model in (base, scaled):
+            for model, copies in ((base, 1), (scaled, 10)):
+                pairs = Counter()
+                for text in corpus:
+                    tokens = text.split()
+                    for i in range(len(tokens)):
+                        for j in range(i + 1, len(tokens)):
+                            pairs[frozenset((tokens[i], tokens[j]))] += copies
                 raw = []
                 for q in queries:
-                    raw.append(1.0 + sum(model.pair_count(c, q) for c in ctx_tokens))
+                    raw.append(1.0 + sum(pairs[frozenset((c, q))] for c in ctx_tokens))
                 expected = [value / sum(raw) for value in raw]
                 dist = model.score(prompt, queries)
                 for q, e in zip(queries, expected):
@@ -164,50 +183,3 @@ class TestScore:
             p_before = before.score(prompt, queries).probs[target_w]
             p_after = after.score(prompt, queries).probs[target_w]
             assert p_after >= p_before
-
-
-class TestPersistence:
-    def _model(self):
-        _, train, _, _ = planted_splits(n_train_per_label=4)
-        lex = lexicon_from_split(train)
-        seg = make_segmenter("ja", lex)
-        return CountModel.train([r.text for r in train.records], seg, alpha=0.5)
-
-    def test_save_load_roundtrip_scores(self, tmp_path):
-        model = self._model()
-        path = tmp_path / "model.txt"
-        model.save(path)
-        loaded = CountModel.load(path)
-        assert loaded.alpha == model.alpha
-        assert loaded.segmenter == model.segmenter
-        prompt = "societyw00 societyw01 {mask}"
-        queries = ["societyw02", "naturew03", "unseen"]
-        assert loaded.score(prompt, queries) == model.score(prompt, queries)
-
-    def test_save_is_byte_stable(self, tmp_path):
-        model = self._model()
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        model.save(a)
-        CountModel.load(a).save(b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a model\n", encoding="utf-8")
-        with pytest.raises(DataError, match="not a count model"):
-            CountModel.load(path)
-
-    def test_non_utf8_file_names_file(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_bytes(b"#mremix-countmodel v1\nlex \"\xff\"\n")
-        with pytest.raises(DataError, match="model.txt: not valid UTF-8"):
-            CountModel.load(path)
-
-
-def test_setters_match():
-    table = CoocTable()
-    table.set_pair(3, 1, 7)
-    table.set_global(1, 2)
-    assert table.pair_count(1, 3) == 7
-    assert table.global_count(1) == 2
-    assert table.global_count(9) == 0

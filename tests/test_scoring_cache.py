@@ -3,7 +3,7 @@
 The co-occurrence table answers ``context_sums`` from a per-query-set index, the
 count model plans each word list once, the segmenter builds its lexicon set
 once and the verbalizer its word union once. Each must give exactly what
-the uncached computation gives, through count changes and alternating
+the uncached computation gives, through new texts and alternating
 word lists, down to the bytes ``run_kv`` writes.
 """
 
@@ -36,8 +36,20 @@ from synth import planted_splits
 IDS = st.integers(min_value=0, max_value=9)
 
 
-class NaiveCoocTable(CoocTable):
-    """The table with the original one-lookup-per-pair ``context_sums``."""
+class NaiveCoocTable:
+    """The reference table: a full pair dict and one lookup per (context, query) pair."""
+
+    def __init__(self):
+        self.pairs: dict[tuple[int, int], int] = {}
+
+    def observe(self, ids):
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                key = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
+                self.pairs[key] = self.pairs.get(key, 0) + 1
+
+    def pair_count(self, a, b):
+        return self.pairs.get((a, b) if a <= b else (b, a), 0)
 
     def context_sums(self, context_ids, query_ids):
         return [sum(self.pair_count(c, q) for c in context_ids) for q in query_ids]
@@ -45,11 +57,10 @@ class NaiveCoocTable(CoocTable):
 
 @st.composite
 def table_scripts(draw):
-    """Query-id lists (reused, with repeats) and a script of count changes and queries."""
+    """Query-id lists (reused, with repeats) and a script of observed texts and queries."""
     query_sets = draw(st.lists(st.lists(IDS, max_size=6), min_size=1, max_size=6))
     step = st.one_of(
         st.tuples(st.just("observe"), st.lists(IDS, max_size=8)),
-        st.tuples(st.just("set_pair"), IDS, IDS, st.integers(min_value=0, max_value=50)),
         st.tuples(st.just("query"), st.lists(IDS, max_size=8),
                   st.integers(min_value=0, max_value=len(query_sets) - 1)),
     )
@@ -60,35 +71,23 @@ def table_scripts(draw):
 @given(table_scripts())
 def test_context_sums_equals_pair_dict_reference(script):
     query_sets, steps = script
-    table = CoocTable()
-    pairs: dict[tuple[int, int], int] = {}
+    table, reference = CoocTable(), NaiveCoocTable()
     for step in steps:
         if step[0] == "observe":
-            ids = step[1]
-            table.observe(ids)
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    key = tuple(sorted((ids[i], ids[j])))
-                    pairs[key] = pairs.get(key, 0) + 1
-        elif step[0] == "set_pair":
-            _, a, b, count = step
-            table.set_pair(a, b, count)
-            pairs[tuple(sorted((a, b)))] = count
+            table.observe(step[1])
+            reference.observe(step[1])
         else:
             _, context, which = step
             queries = query_sets[which]
-            expected = [
-                sum(pairs.get(tuple(sorted((c, q))), 0) for c in context) for q in queries
-            ]
-            assert table.context_sums(context, queries) == expected
+            assert table.context_sums(context, queries) == reference.context_sums(context, queries)
 
 
 def test_context_sums_self_pair_and_repeats():
     table = CoocTable()
     table.observe([1, 1, 2])  # pairs (1,1)=1, (1,2)=2
     assert table.context_sums([1, 1, 2], [1, 2, 1]) == [4, 4, 4]
-    table.set_pair(1, 1, 5)  # drops the index built above
-    assert table.context_sums([1, 1, 2], [1, 2, 1]) == [12, 4, 12]
+    table.observe([1, 1, 1])  # (1,1) += 3; drops the index built above
+    assert table.context_sums([1, 1, 2], [1, 2, 1]) == [10, 4, 10]
 
 
 _CORPUS_WORDS = [f"w{i}" for i in range(8)]
