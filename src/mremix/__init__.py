@@ -35,16 +35,15 @@ from .formats import (
     FormattedExample,
     build_corpus,
     build_example,
-    serialize_pairs,
 )
 from .ingest import (
-    SamplingPlan,
     Split,
     few_shot_sample,
     load_split,
     repeated_test_sample,
     save_split,
 )
+from .pairs import serialize_pairs
 from .parsing import (
     ParsedPrediction,
     ParseFlag,
@@ -101,7 +100,6 @@ __all__ = [
     "build_corpus",
     "build_example",
     "serialize_pairs",
-    "SamplingPlan",
     "Split",
     "few_shot_sample",
     "load_split",

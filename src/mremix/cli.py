@@ -10,6 +10,7 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -46,16 +47,15 @@ def _descriptor(args) -> DatasetDescriptor:
     return DatasetDescriptor.builtin(args.family, args.language)
 
 
-def _config_from_args(args, _keys=(
-    "family", "language", "seed", "few_shot_k", "test_sample_size", "test_repeats",
-    "kv_words_per_label", "template", "aggregation", "kv_source", "provider",
-    "alpha", "record_format", "lenient", "train_path", "test_path", "external_kv_path",
-)) -> ExperimentConfig:
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+def _config_from_args(args) -> ExperimentConfig:
     """Defaults <- config file <- explicitly passed flags."""
     config = ExperimentConfig()
     if getattr(args, "config", None):
         config = ExperimentConfig.from_file(resolve_data_path(args.config))
-    overrides = {key: getattr(args, key, None) for key in _keys}
+    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     if overrides.get("lenient") is False:
         overrides["lenient"] = None  # store_true default; only True is an override
     return config.with_overrides(**overrides)
@@ -179,7 +179,10 @@ def cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
         data = read_json(resolve_data_path(path))
-        reports.append(report_from_dict(data))
+        try:
+            reports.append(report_from_dict(data))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     md, tsv = ablation_table(reports)
     out = Path(args.out)
     paths = [out / "ablation.md", out / "ablation.tsv"]

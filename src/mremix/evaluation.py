@@ -16,15 +16,17 @@ standard deviation as the spread.
 
 from __future__ import annotations
 
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import DatasetDescriptor, LabelEntityPair
+from .core import DatasetDescriptor, LabelEntityPair, _string
 from .errors import DataError
 from .formats import SEPARATOR, FormatTag, FormattedExample, target_level
-from .parsing import GenerationRow, ParseFlag, parse_pairs, parse_prediction
+from .pairs import parse_canonical
+from .parsing import GenerationRow, ParseFlag, parse_prediction
 
 
 @dataclass(frozen=True)
@@ -210,29 +212,38 @@ class EvalReport:
         }
 
 
+def _prf_from_dict(scores: dict) -> Prf:
+    prf = Prf(**scores)
+    for key, value in prf.to_dict().items():
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise DataError(f"{key!r} must be a finite number, got {value!r}")
+    return prf
+
+
 def report_from_dict(data: dict) -> EvalReport:
     """Rebuild an EvalReport from its JSON form (inverse of to_dict)."""
     try:
         draws = []
         for d in data["draws"]:
-            word = Prf(**d["word"]) if d.get("word") else None
-            text = Prf(**d["text"]) if d.get("text") else None
+            index = d["index"]
+            if type(index) is not int:
+                raise DataError(f"'index' must be an integer, got {index!r}")
             draws.append(
                 DrawScore(
-                    index=int(d["index"]),
-                    word=word,
-                    text=text,
+                    index=index,
+                    word=_prf_from_dict(d["word"]) if d.get("word") else None,
+                    text=_prf_from_dict(d["text"]) if d.get("text") else None,
                     parse_counts=dict(d.get("parse_counts", {})),
                 )
             )
         return EvalReport(
-            tag=FormatTag(data["tag"]),
-            family=str(data["family"]),
-            language=str(data["language"]),
+            tag=FormatTag(_string(data, "tag")),
+            family=_string(data, "family"),
+            language=_string(data, "language"),
             draws=tuple(draws),
             metadata=dict(data.get("metadata", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"not an evaluation report: {exc}") from exc
 
 
@@ -303,13 +314,13 @@ def evaluate_run(
                     gold_target = example.target
                 else:
                     _, gold_target = _split_joint_target(example.target)
-                parsed_gold = parse_pairs(gold_target)
-                if parsed_gold.flag is not ParseFlag.CLEAN:
+                parsed_gold = parse_canonical(gold_target)
+                if parsed_gold is None:
                     raise DataError(
                         f"draw {d}: record {example.record_id!r}: gold target is "
                         "not canonical; draw files must come from the format builder"
                     )
-                gold_pairs.append(parsed_gold.pairs)
+                gold_pairs.append(parsed_gold)
                 pred_pairs.append(prediction.pairs)
             if level in ("text", "joint"):
                 if level == "text":

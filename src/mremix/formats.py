@@ -4,15 +4,7 @@ Every format is bare concatenation. The input always starts with the raw
 record text; when level information is appended it follows after a single
 newline separator. No instruction or prompt words are ever added, so that
 format comparisons measure the appended information and nothing else.
-
-Word-level pairs are serialized in a small canonical grammar:
-
-    label: entity; label: entity
-
-with ``NONE`` for an empty pair list. Backslash escapes ``;`` and itself,
-which keeps the grammar lossless for arbitrary entity strings; a label
-containing the literal ``": "`` boundary cannot be represented and is
-rejected.
+Word-level pairs are written in the grammar of :mod:`mremix.pairs`.
 """
 
 from __future__ import annotations
@@ -22,12 +14,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import DatasetDescriptor, LabelEntityPair, MreRecord, _string, validate_record
+from .core import DatasetDescriptor, MreRecord, _string, validate_record
 from .errors import DataError, SerializationError
 from .jsonio import read_jsonl_numbered, write_jsonl
+from .pairs import serialize_pairs
 
 SEPARATOR = "\n"
-EMPTY_PAIRS_TOKEN = "NONE"
 
 
 class FormatTag(str, Enum):
@@ -94,24 +86,6 @@ class FormattedExample:
             tag=FormatTag(data["tag"]),
             record_id=_string(data, "record_id"),
         )
-
-
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace(";", "\\;")
-
-
-def serialize_pairs(pairs: Sequence[LabelEntityPair]) -> str:
-    """Render pairs in the canonical grammar; empty list becomes ``NONE``."""
-    if not pairs:
-        return EMPTY_PAIRS_TOKEN
-    parts = []
-    for pair in pairs:
-        if ": " in pair.label:
-            raise SerializationError(
-                f"label {pair.label!r} contains ': ' and cannot be serialized"
-            )
-        parts.append(f"{_escape(pair.label)}: {_escape(pair.entity)}")
-    return "; ".join(parts)
 
 
 def build_example(record: MreRecord, tag: FormatTag, desc: DatasetDescriptor) -> FormattedExample:

@@ -18,12 +18,11 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .core import DatasetDescriptor, MreRecord, validate_record
 from .errors import DataError
 from .jsonio import open_text, write_jsonl
-from .parsing import ParseFlag, parse_pairs
+from .pairs import parse_canonical
 from .rng import SplitMix64, derive_seed, derive_seed_token
 
 logger = logging.getLogger(__name__)
@@ -55,38 +54,6 @@ class Split:
         return [r.id for r in self.records]
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Bookkeeping for one sampling step of the protocol.
-
-    Exactly one of the two shapes is set: ``per_label_count`` for few-shot
-    training selection, or ``sample_size`` + ``repeat_count`` for the
-    repeated test protocol.
-    """
-
-    seed: int
-    per_label_count: Optional[int] = None
-    sample_size: Optional[int] = None
-    repeat_count: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise DataError("seed must be a non-negative integer")
-        few_shot = self.per_label_count is not None
-        repeated = self.sample_size is not None or self.repeat_count is not None
-        if few_shot == repeated:
-            raise DataError("plan must set per_label_count or (sample_size, repeat_count)")
-        if few_shot and self.per_label_count <= 0:
-            raise DataError("per_label_count must be positive")
-        if repeated:
-            if self.sample_size is None or self.repeat_count is None:
-                raise DataError("sample_size and repeat_count must be set together")
-            if self.sample_size <= 0:
-                raise DataError("sample_size must be positive")
-            if self.repeat_count < 1:
-                raise DataError("repeat_count must be at least 1")
-
-
 def _record_from_json(obj: object, lineno: int, path: str) -> MreRecord:
     if not isinstance(obj, dict):
         raise DataError(f"{path}: line {lineno}: record must be an object")
@@ -106,10 +73,10 @@ def _record_from_tsv(line: str, lineno: int, path: str) -> MreRecord:
     if len(cols) != 4:
         raise DataError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
     rid, text, text_label, pairs_col = cols
-    parsed = parse_pairs(pairs_col)
-    if parsed.flag is ParseFlag.UNPARSEABLE:
-        raise DataError(f"{path}: line {lineno}: pairs column is not parseable: {pairs_col!r}")
-    return MreRecord(id=rid, text=text, text_label=text_label, pairs=parsed.pairs)
+    pairs = parse_canonical(pairs_col)
+    if pairs is None:
+        raise DataError(f"{path}: line {lineno}: pairs column is not canonical: {pairs_col!r}")
+    return MreRecord(id=rid, text=text, text_label=text_label, pairs=pairs)
 
 
 def load_split(

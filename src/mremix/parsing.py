@@ -20,9 +20,10 @@ from pathlib import Path
 from typing import Optional
 
 from .core import LabelEntityPair, LabelSchema, _string
-from .errors import DataError, SerializationError
-from .formats import EMPTY_PAIRS_TOKEN, SEPARATOR, FormatTag, serialize_pairs, target_level
+from .errors import DataError
+from .formats import SEPARATOR, FormatTag, target_level
 from .jsonio import read_jsonl_numbered
+from .pairs import parse_canonical, parse_tolerant
 
 
 class ParseFlag(str, Enum):
@@ -63,108 +64,17 @@ class ParsedPrediction:
         return ParseFlag.UNPARSEABLE
 
 
-def _split_unescaped(s: str, require_space: bool) -> list[str]:
-    """Split on unescaped ';' ('; ' exactly when require_space), keeping escapes."""
-    segments: list[str] = []
-    buf: list[str] = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c == "\\" and i + 1 < n and s[i + 1] in "\\;":
-            buf.append(c)
-            buf.append(s[i + 1])
-            i += 2
-            continue
-        if c == ";":
-            if require_space:
-                if i + 1 < n and s[i + 1] == " ":
-                    segments.append("".join(buf))
-                    buf = []
-                    i += 2
-                    continue
-            else:
-                segments.append("".join(buf))
-                buf = []
-                i += 1
-                continue
-        buf.append(c)
-        i += 1
-    segments.append("".join(buf))
-    return segments
-
-
-def _unescape(s: str) -> str:
-    out: list[str] = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c == "\\" and i + 1 < n and s[i + 1] in "\\;":
-            out.append(s[i + 1])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def _parse_canonical(s: str) -> Optional[tuple[LabelEntityPair, ...]]:
-    pairs: list[LabelEntityPair] = []
-    for segment in _split_unescaped(s, require_space=True):
-        if ": " not in segment:
-            return None
-        label_raw, entity_raw = segment.split(": ", 1)
-        pairs.append(LabelEntityPair(_unescape(label_raw), _unescape(entity_raw)))
-    return tuple(pairs)
-
-
-def _parse_tolerant(s: str) -> Optional[tuple[LabelEntityPair, ...]]:
-    """Recovery path: returns pairs (possibly empty) or None when nothing is usable."""
-    pairs: list[LabelEntityPair] = []
-    saw_empty_marker = False
-    for segment in _split_unescaped(s, require_space=False):
-        segment = segment.strip()
-        if not segment:
-            continue
-        if segment == EMPTY_PAIRS_TOKEN:
-            saw_empty_marker = True
-            continue
-        # prefer the canonical ': ' boundary; fall back to a bare colon
-        boundary = segment.find(": ")
-        if boundary > 0:
-            label_raw, entity_raw = segment[:boundary], segment[boundary + 2 :]
-        else:
-            idx = segment.find(":")
-            if idx <= 0:
-                continue  # junk segment: no colon, or no label before it
-            label_raw, entity_raw = segment[:idx], segment[idx + 1 :]
-        label = _unescape(label_raw).strip()
-        entity = _unescape(entity_raw).strip()
-        if not label or not entity:
-            continue
-        pairs.append(LabelEntityPair(label, entity))
-    if pairs or saw_empty_marker:
-        return tuple(pairs)
-    return None
-
-
 def parse_pairs(s: str) -> ParsedPairs:
     """Inverse of serialize_pairs on canonical strings; tolerant otherwise.
 
     Never raises: malformation is reported through the flag.
     """
-    if s == EMPTY_PAIRS_TOKEN:
-        return ParsedPairs((), ParseFlag.CLEAN)
-    canonical = _parse_canonical(s)
-    if canonical is not None:
-        try:
-            clean = serialize_pairs(canonical) == s
-        except SerializationError:
-            clean = False
-        if clean:
-            return ParsedPairs(canonical, ParseFlag.CLEAN)
-    recovered = _parse_tolerant(s)
-    if recovered is not None:
-        return ParsedPairs(recovered, ParseFlag.RECOVERED)
+    pairs = parse_canonical(s)
+    if pairs is not None:
+        return ParsedPairs(pairs, ParseFlag.CLEAN)
+    pairs = parse_tolerant(s)
+    if pairs is not None:
+        return ParsedPairs(pairs, ParseFlag.RECOVERED)
     return ParsedPairs((), ParseFlag.UNPARSEABLE)
 
 

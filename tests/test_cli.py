@@ -86,6 +86,18 @@ class TestValidate:
         assert err.count("\n") == 1
         assert err.startswith(f"data error: {path}: not valid UTF-8")
 
+    def test_non_canonical_tsv_pairs_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tTanaka visited Tokyo.\tSociety\tpeople:Tanaka ;; junk\n",
+                        encoding="utf-8")
+        code = main(["validate", "--family", "SCNM", "--language", "en",
+                     "--record-format", "tsv", str(path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "OK" not in out
+        assert err == (f"data error: {path}: line 1: pairs column is not canonical: "
+                       "'people:Tanaka ;; junk'\n")
+
     def test_null_text_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "null.jsonl"
         write_jsonl(path, [{"id": "a", "text": None, "text_label": "Society", "pairs": []}])
@@ -378,6 +390,23 @@ class TestEvaluate:
         assert "must be a string" in err[0]
         assert not (tmp_path / "eval").exists()
 
+    def test_non_canonical_gold_target_is_data_error(self, tmp_path, capsys):
+        draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_WORD")
+        rows = [json.loads(line) for line in draw_paths[1].read_text(encoding="utf-8").splitlines()]
+        rows[0]["target"] = "people:Tanaka"
+        write_jsonl(draw_paths[1], rows)
+        capsys.readouterr()
+        code = main(["evaluate", "--family", "SCNM", "--language", "en",
+                     "--tag", "TRAD_WORD",
+                     "--draws", *map(str, draw_paths),
+                     "--generations", *map(str, gen_paths),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"draw 1: record {rows[0]['record_id']!r}: gold target is not canonical" in err[0]
+        assert not (tmp_path / "eval").exists()
+
     def test_macro_text_metric_recorded(self, tmp_path):
         draw_paths, gen_paths = _build_draws(tmp_path)
         out = tmp_path / "macro"
@@ -522,6 +551,33 @@ class TestReport:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "not valid JSON" in err
+        assert not (tmp_path / "grid").exists()
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("tag", 5), ("family", 5), ("language", ["en"]), ("index", "0"), ("index", True),
+        ("precision", "0.5"), ("recall", float("nan")), ("f1", float("inf")),
+    ])
+    def test_mistyped_report_field_is_data_error(self, tmp_path, capsys, field, value):
+        draw_paths, gen_paths = _build_draws(tmp_path)
+        main(["evaluate", "--family", "SCNM", "--language", "en", "--tag", "TRAD_TEXT",
+              "--draws", *map(str, draw_paths), "--generations", *map(str, gen_paths),
+              "--out", str(tmp_path / "eval")])
+        path = tmp_path / "eval" / "report.json"
+        report = read_json(path)
+        if field == "index":
+            report["draws"][0]["index"] = value
+        elif field in ("precision", "recall", "f1"):
+            report["draws"][1]["text"][field] = value
+        else:
+            report[field] = value
+        write_json(path, report)
+        capsys.readouterr()
+        code = main(["report", "--inputs", str(path), "--out", str(tmp_path / "grid")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"data error: {path}: '{field}' must be ")
         assert not (tmp_path / "grid").exists()
 
 

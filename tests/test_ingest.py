@@ -6,7 +6,7 @@ import pytest
 
 from mremix import LabelEntityPair, few_shot_sample, load_split, repeated_test_sample
 from mremix.errors import DataError
-from mremix.ingest import SamplingPlan, Split, save_split
+from mremix.ingest import Split, save_split
 from mremix.rng import SplitMix64, derive_seed
 
 from synth import planted_splits
@@ -119,22 +119,6 @@ class TestLoadSplit:
         save_split(path, train)
         loaded = load_split(path, scnm_en, "train")
         assert loaded.records == train.records
-
-
-class TestSamplingPlan:
-    def test_valid_plans(self):
-        SamplingPlan(seed=1, per_label_count=20)
-        SamplingPlan(seed=1, sample_size=1000, repeat_count=3)
-
-    def test_invalid_plans(self):
-        with pytest.raises(DataError):
-            SamplingPlan(seed=1)
-        with pytest.raises(DataError):
-            SamplingPlan(seed=1, per_label_count=20, sample_size=10, repeat_count=1)
-        with pytest.raises(DataError):
-            SamplingPlan(seed=1, sample_size=10)
-        with pytest.raises(DataError):
-            SamplingPlan(seed=1, sample_size=10, repeat_count=0)
 
 
 class TestFewShot:

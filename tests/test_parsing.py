@@ -5,7 +5,8 @@ import pytest
 from mremix import FormatTag, LabelEntityPair, parse_pairs, parse_prediction, parse_text_label
 from mremix.errors import DataError
 from mremix.formats import serialize_pairs
-from mremix.parsing import ParseFlag, _parse_tolerant, read_generations
+from mremix.pairs import parse_tolerant
+from mremix.parsing import ParseFlag, read_generations
 from mremix.jsonio import write_jsonl
 from mremix.rng import SplitMix64
 
@@ -79,7 +80,7 @@ class TestParsePairs:
             pairs = tuple(p for p in pairs if p.entity)
             s = serialize_pairs(pairs)
             assert parse_pairs(s).flag is ParseFlag.CLEAN
-            assert _parse_tolerant(s) == pairs or (not pairs and _parse_tolerant(s) is None)
+            assert parse_tolerant(s) == pairs or (not pairs and parse_tolerant(s) is None)
 
     def test_totality_never_raises(self):
         rng = SplitMix64(2718)
