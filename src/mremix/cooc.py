@@ -7,10 +7,11 @@ id occurring k times pairs with itself k*(k-1)/2 times.
 
 Scoring only reads counts between context ids and query ids, so
 ``context_sums`` builds one index restricted to its query set instead of
-counting every pair: for every id that co-occurs with a query, an
-``array`` row of (query position, count) pairs. An index is built from
-the kept texts on the first call with a query-id tuple and reused for
-later calls with the same tuple; ``observe`` drops every index.
+counting every pair: for every id that co-occurs with a query, a row of
+two equal-length tuples, the query positions and their nonzero pair
+counts, each row made by one ``Counter``. An index is built from the kept
+texts on the first call with a query-id tuple and reused for later calls
+with the same tuple; ``observe`` drops every index.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from typing import Sequence
 # drops the older indexes, so memory stays bounded whatever the caller asks.
 _MAX_INDEXES = 4
 
+# One index row: query positions and the pair counts at them.
+Row = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 class CoocTable:
     """Symmetric (context, candidate) co-occurrence counts over integer ids."""
@@ -32,7 +36,7 @@ class CoocTable:
 
     def __init__(self) -> None:
         self._texts: list[array] = []
-        self._indexes: dict[tuple[int, ...], dict[int, array]] = {}
+        self._indexes: dict[tuple[int, ...], dict[int, Row]] = {}
 
     def observe(self, ids: Sequence[int]) -> None:
         """Add one text: its ids count all unordered position pairs within it."""
@@ -49,41 +53,36 @@ class CoocTable:
         for c in context_ids:
             row = index.get(c)
             if row is not None:
-                it = iter(row)
-                for position, count in zip(it, it):
+                for position, count in zip(*row):
                     out[position] += count
         return out
 
-    def _index(self, query_ids: tuple[int, ...]) -> dict[int, array]:
-        """Map each id to a flat (query position, count, ...) row of its query pairs."""
+    def _index(self, query_ids: tuple[int, ...]) -> dict[int, Row]:
+        """Map each id to its (query positions, pair counts) row."""
         positions: dict[int, list[int]] = {}
         for position, q in enumerate(query_ids):
             positions.setdefault(q, []).append(position)
-        # A query id q occurring k_q times in a text lists that text k_q times,
-        # so counting the ids of q's texts gives, for every other id c, the sum
-        # over texts of k_q * k_c: their pair count. For q itself it gives the
-        # sum of k_q * k_q, and len(texts) is the sum of k_q, so the self-pair
-        # count, the sum of k_q * (k_q - 1) / 2, is half their difference.
-        texts_of: dict[int, list[array]] = {q: [] for q in positions}
+        # Each text is reduced to the query positions of its ids, and an id c
+        # occurring k_c times lists that text's hits k_c times, so counting
+        # c's lists gives at a position of q the sum over texts of k_c * k_q:
+        # their pair count. At c's own positions it gives the sum of k_c * k_c,
+        # and len(lists) is the sum of k_c, so the self-pair count, the sum of
+        # k_c * (k_c - 1) / 2, is half their difference.
+        hits_of: dict[int, list[list[int]]] = {}
         for ids in self._texts:
-            for w in ids:
-                found = texts_of.get(w)
-                if found is not None:
-                    found.append(ids)
-        index: dict[int, array] = {}
-        for q, texts in texts_of.items():
-            counts = Counter(chain.from_iterable(texts))
-            if q in counts:
-                counts[q] = (counts[q] - len(texts)) // 2
-            at = positions[q]
-            for c, count in counts.items():
-                if count:
-                    row = index.get(c)
-                    if row is None:
-                        row = index[c] = array("q")
-                    for position in at:
-                        row.append(position)
-                        row.append(count)
+            hits = [p for w in ids if w in positions for p in positions[w]]
+            if hits:
+                for c in ids:
+                    hits_of.setdefault(c, []).append(hits)
+        index: dict[int, Row] = {}
+        for c, lists in hits_of.items():
+            counts = Counter(chain.from_iterable(lists))
+            for position in positions.get(c, ()):
+                counts[position] = (counts[position] - len(lists)) // 2
+                if not counts[position]:
+                    del counts[position]
+            if counts:
+                index[c] = (tuple(counts), tuple(counts.values()))
         if len(self._indexes) >= _MAX_INDEXES:
             self._indexes.clear()
         self._indexes[query_ids] = index
@@ -91,4 +90,4 @@ class CoocTable:
 
     def num_pairs(self) -> int:
         """Entries held by the kept indexes: one per (id, query position) pair."""
-        return sum(len(row) // 2 for index in self._indexes.values() for row in index.values())
+        return sum(len(row[0]) for index in self._indexes.values() for row in index.values())

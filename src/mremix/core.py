@@ -76,9 +76,9 @@ class LabelEntityPair:
     label: str
     entity: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "label", self.label.strip())
-        object.__setattr__(self, "entity", self.entity.strip())
+    def __init__(self, label: str, entity: str) -> None:
+        object.__setattr__(self, "label", label.strip())
+        object.__setattr__(self, "entity", entity.strip())
 
     def to_dict(self) -> dict:
         return {"label": self.label, "entity": self.entity}

@@ -441,10 +441,13 @@ def ablation_table(reports: Sequence[EvalReport]) -> tuple[str, str]:
     """Render mean F1 for the four ablation rows across datasets.
 
     Returns (markdown, tsv). Columns are the distinct (family, language)
-    pairs present, in first-seen order.
+    pairs present, in first-seen order. Two reports that land in one cell
+    must agree on its mean F1; if they differ the table would depend on the
+    input order, so that is a ``DataError``.
     """
     columns: list[tuple[str, str]] = []
     cells: dict[tuple[str, tuple[str, str]], float] = {}
+    first_tag: dict[tuple[str, tuple[str, str]], FormatTag] = {}
     for report in reports:
         col = (report.family, report.language)
         if col not in columns:
@@ -452,7 +455,14 @@ def ablation_table(reports: Sequence[EvalReport]) -> tuple[str, str]:
         summary = report.summary()
         for row_name, tags, side in ABLATION_ROWS:
             if report.tag in tags and summary.get(side):
-                cells[(row_name, col)] = summary[side]["f1"]["mean"]
+                key, mean = (row_name, col), summary[side]["f1"]["mean"]
+                if cells.setdefault(key, mean) != mean:
+                    raise DataError(
+                        f"ablation cell {row_name!r} of {col[0]}/{col[1]} has two mean F1s: "
+                        f"{first_tag[key].name} gives {cells[key]!r}, "
+                        f"{report.tag.name} gives {mean!r}"
+                    )
+                first_tag.setdefault(key, report.tag)
 
     headers = [f"{family}/{language}" for family, language in columns]
     md = ["| format | " + " | ".join(headers) + " |", "|---" * (len(columns) + 1) + "|"]

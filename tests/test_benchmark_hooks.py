@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` rebinds layer functions by module attribute. A
 renamed or removed function would otherwise only show up as a failure of
-the benchmark's traced pass.
+the benchmark's traced pass. The benchmark's own self-test runs here too,
+so its exact counters are checked with every test run.
 """
 
 from __future__ import annotations
@@ -33,3 +34,11 @@ def test_tracer_installs_on_existing_names():
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", CHECK], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_selftest_passes():
+    # pins the counters a scoring change must keep, e.g. one refmlm.score call
+    # per prediction and one kernels.observe call per training text
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

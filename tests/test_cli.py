@@ -544,6 +544,30 @@ class TestReport:
         assert "w/o TLI" in md and "with WLI" in md
         assert md.count("100.00") == 4
 
+    def test_conflicting_cell_is_data_error_in_either_order(self, tmp_path, capsys):
+        draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_WORD")
+        main(["evaluate", "--family", "SCNM", "--language", "en", "--tag", "TRAD_WORD",
+              "--draws", *map(str, draw_paths), "--generations", *map(str, gen_paths),
+              "--out", str(tmp_path / "eval")])
+        first = tmp_path / "eval" / "report.json"
+        report = read_json(first)
+        report["tag"] = "WO_TLI_TO_WLI"  # lands in the same "w/o TLI" cell
+        alias = tmp_path / "alias.json"
+        write_json(alias, report)
+        code = main(["report", "--inputs", str(first), str(alias), "--out", str(tmp_path / "same")])
+        assert code == 0  # equal means, as byte-alias formats give
+        report["draws"][0]["word"]["f1"] = 0.5
+        write_json(alias, report)
+        for inputs in ((first, alias), (alias, first)):
+            capsys.readouterr()
+            code = main(["report", "--inputs", *map(str, inputs), "--out", str(tmp_path / "grid")])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("data error: ablation cell 'w/o TLI' of SCNM/en")
+            assert "TRAD_WORD" in err[0] and "WO_TLI_TO_WLI" in err[0]
+        assert not (tmp_path / "grid").exists()
+
     def test_malformed_report_json_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "report.json"
         bad.write_text('{"rows": [', encoding="utf-8")

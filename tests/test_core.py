@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from mremix import (
@@ -101,6 +103,13 @@ def test_pair_trims_surfaces():
     pair = LabelEntityPair("  people ", " Tanaka\n")
     assert pair.label == "people"
     assert pair.entity == "Tanaka"
+    for same in (LabelEntityPair(entity="Tanaka ", label=" people"),
+                 LabelEntityPair.from_dict({"label": "people\t", "entity": " Tanaka"}),
+                 dataclasses.replace(pair, entity="  Tanaka")):
+        assert same == pair and hash(same) == hash(pair)
+    assert repr(pair) == "LabelEntityPair(label='people', entity='Tanaka')"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.label = "x"
 
 
 def test_validate_accepts_valid_scnm_record(scnm_en, scnm_record):

@@ -25,6 +25,7 @@ from mremix import (
     save_split,
     shuffle_words,
 )
+from mremix.cli import main
 from mremix.cooc import CoocTable
 from mremix.ingest import Split
 from mremix.rng import SplitMix64
@@ -90,6 +91,31 @@ def test_context_sums_self_pair_and_repeats():
     assert table.context_sums([1, 1, 2], [1, 2, 1]) == [10, 4, 10]
 
 
+def test_index_rows_hold_only_nonzero_query_pairs():
+    texts = [
+        [5, 7, 5, 1],  # query id 5 twice: a self-pair and k = 2 against 7 and 1
+        [7, 2, 2],     # context id 7 is also a query id
+        [1, 2, 3],     # no query id: contributes to no row
+        [9],           # 9's only pair would be a self-pair with k = 1
+        [7, 7, 4],
+    ]
+    query = (5, 7, 5, 9)  # repeats 5
+    table, reference = CoocTable(), NaiveCoocTable()
+    for ids in texts:
+        table.observe(ids)
+        reference.observe(ids)
+    universe = range(11)
+    for c in universe:
+        assert table.context_sums([c], query) == reference.context_sums([c], query)
+    assert table.context_sums([7, 1, 7, 9, 10], query) == reference.context_sums([7, 1, 7, 9, 10], query)
+    index = table._indexes[query]
+    assert 9 not in index and 3 not in index
+    for positions, counts in index.values():
+        assert len(positions) == len(counts) and 0 not in counts
+    nonzero = sum(1 for c in universe for q in query if reference.pair_count(c, q))
+    assert table.num_pairs() == nonzero == 11
+
+
 _CORPUS_WORDS = [f"w{i}" for i in range(8)]
 
 
@@ -151,12 +177,16 @@ def _zh_splits():
     return desc, split("train", 10), split("test", 8)
 
 
+def _splits(language: str):
+    """(desc, train, test) of a planted SCNM split in ``language``."""
+    if language == "en":
+        return planted_splits(n_train_per_label=10, n_test_per_label=8)[:3]
+    return _zh_splits()
+
+
 @pytest.mark.parametrize("language", ["en", "zh"])
 def test_run_kv_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, language):
-    if language == "en":
-        desc, train, test, _ = planted_splits(n_train_per_label=10, n_test_per_label=8)
-    else:
-        desc, train, test = _zh_splits()
+    desc, train, test = _splits(language)
     save_split(tmp_path / "train.jsonl", train)
     save_split(tmp_path / "test.jsonl", test)
     save_kv(shuffle_words(build_from_wli(train, desc, k=10), seed=99), tmp_path / "origin.txt")
@@ -172,4 +202,24 @@ def test_run_kv_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, langu
         run_kv(config, out_dir=out)
         trees[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert len(trees["indexed"]) == 10
+    assert trees["indexed"] == trees["naive"]
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+def test_score_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, language):
+    # score trains on the whole train split, so its index covers every training text
+    desc, train, test = _splits(language)
+    save_split(tmp_path / "train.jsonl", train)
+    save_split(tmp_path / "test.jsonl", test)
+    save_kv(build_from_wli(train, desc, k=10), tmp_path / "kv.txt")
+    trees = {}
+    for name, table in (("indexed", CoocTable), ("naive", NaiveCoocTable)):
+        monkeypatch.setattr(refmlm, "CoocTable", table)
+        out = tmp_path / name
+        code = main(["score", "--family", "SCNM", "--language", language,
+                     "--kv", str(tmp_path / "kv.txt"), "--input", str(tmp_path / "test.jsonl"),
+                     "--train", str(tmp_path / "train.jsonl"), "--out", str(out / "preds.jsonl")])
+        assert code == 0
+        trees[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(trees["indexed"]) == ["preds.jsonl", "preds.jsonl.config.json"]
     assert trees["indexed"] == trees["naive"]
