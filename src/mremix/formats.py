@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import DatasetDescriptor, MreRecord, _string, validate_record
 from .errors import DataError, SerializationError
@@ -88,6 +88,49 @@ class FormattedExample:
         )
 
 
+class RenderedRecord(NamedTuple):
+    """A validated record with its pairs in the canonical grammar: all a format reads."""
+
+    id: str
+    text: str
+    text_label: str
+    pairs: str
+
+
+def render_record(record: MreRecord, desc: DatasetDescriptor) -> RenderedRecord:
+    """Validate ``record`` against ``desc`` and serialize its pairs."""
+    violations = validate_record(record, desc)
+    if violations:
+        raise DataError(
+            f"record {record.id!r}: " + "; ".join(str(v) for v in violations)
+        )
+    return RenderedRecord(record.id, record.text, record.text_label, serialize_pairs(record.pairs))
+
+
+def _example(row: RenderedRecord, tag: FormatTag) -> FormattedExample:
+    """The example of ``tag`` built from a rendered record."""
+    wli, tli = row.pairs, row.text_label
+    if tag is FormatTag.JOINT_MRE and SEPARATOR in tli:
+        raise SerializationError(
+            f"record {row.id!r}: text label contains the separator and "
+            "cannot appear in a joint target"
+        )
+
+    if tag in (FormatTag.TRAD_WORD, FormatTag.WO_TLI_TO_WLI):
+        inp, target = row.text, wli
+    elif tag in (FormatTag.TRAD_TEXT, FormatTag.WO_WLI_TO_TLI):
+        inp, target = row.text, tli
+    elif tag is FormatTag.JOINT_MRE:
+        inp, target = row.text, tli + SEPARATOR + wli
+    elif tag is FormatTag.WITH_TLI_TO_WLI:
+        inp, target = row.text + SEPARATOR + tli, wli
+    elif tag is FormatTag.WITH_WLI_TO_TLI:
+        inp, target = row.text + SEPARATOR + wli, tli
+    else:  # pragma: no cover - enum is closed
+        raise ValueError(f"unhandled format tag: {tag}")
+    return FormattedExample(input=inp, target=target, tag=tag, record_id=row.id)
+
+
 def build_example(record: MreRecord, tag: FormatTag, desc: DatasetDescriptor) -> FormattedExample:
     """Construct one training example for the given format.
 
@@ -95,39 +138,31 @@ def build_example(record: MreRecord, tag: FormatTag, desc: DatasetDescriptor) ->
     the other level's information; the target is the remaining level (or
     both, for the joint format).
     """
-    violations = validate_record(record, desc)
-    if violations:
-        raise DataError(
-            f"record {record.id!r}: " + "; ".join(str(v) for v in violations)
-        )
-    wli = serialize_pairs(record.pairs)
-    tli = record.text_label
-    if tag is FormatTag.JOINT_MRE and SEPARATOR in tli:
-        raise SerializationError(
-            f"record {record.id!r}: text label contains the separator and "
-            "cannot appear in a joint target"
-        )
-
-    if tag in (FormatTag.TRAD_WORD, FormatTag.WO_TLI_TO_WLI):
-        inp, target = record.text, wli
-    elif tag in (FormatTag.TRAD_TEXT, FormatTag.WO_WLI_TO_TLI):
-        inp, target = record.text, tli
-    elif tag is FormatTag.JOINT_MRE:
-        inp, target = record.text, tli + SEPARATOR + wli
-    elif tag is FormatTag.WITH_TLI_TO_WLI:
-        inp, target = record.text + SEPARATOR + tli, wli
-    elif tag is FormatTag.WITH_WLI_TO_TLI:
-        inp, target = record.text + SEPARATOR + wli, tli
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled format tag: {tag}")
-    return FormattedExample(input=inp, target=target, tag=tag, record_id=record.id)
+    return _example(render_record(record, desc), tag)
 
 
 def build_corpus(
-    records: Iterable[MreRecord], tag: FormatTag, desc: DatasetDescriptor
+    records: Iterable[MreRecord],
+    tag: FormatTag,
+    desc: DatasetDescriptor,
+    rendered: Optional[dict[str, RenderedRecord]] = None,
 ) -> list[FormattedExample]:
-    """Map build_example over the records, preserving order."""
-    return [build_example(record, tag, desc) for record in records]
+    """Map build_example over the records, preserving order.
+
+    ``rendered`` keeps each record's rendering by record id, so that calls
+    over records of one split (whose ids are unique) validate and serialize
+    each record once. A record is rendered on first use, so the first error
+    is the one ``build_example`` would raise.
+    """
+    if rendered is None:
+        rendered = {}
+    examples = []
+    for record in records:
+        row = rendered.get(record.id)
+        if row is None:
+            row = rendered[record.id] = render_record(record, desc)
+        examples.append(_example(row, tag))
+    return examples
 
 
 def corpus_manifest(examples: Sequence[FormattedExample]) -> dict:

@@ -21,8 +21,12 @@ from typing import Any, Iterable, Iterator, TextIO
 from .errors import DataError
 
 
+# One encoder for every line: ``json.dumps`` with these options builds one per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def json_line(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return _encode_line(obj)
 
 
 @contextmanager

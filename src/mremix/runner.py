@@ -205,9 +205,10 @@ def build_format_files(
 
     planned: list[tuple[Path, list]] = []
     manifest: dict = {"role": role, "config": config.to_dict(), "files": []}
+    rendered: dict = {}  # every draw is a subset of the one split
     for tag in tags:
         for draw_index, source in sources:
-            examples = build_corpus(source.records, tag, desc)
+            examples = build_corpus(source.records, tag, desc, rendered)
             name = corpus_filename(desc, tag, role)
             if draw_index is not None:
                 name = name.replace(f".{role}.jsonl", f".{role}.draw{draw_index}.jsonl")

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from mremix import build_from_wli, save_kv, save_split, shuffle_words
+from mremix import build_from_wli, runner, save_kv, save_split, shuffle_words
 from mremix.cli import main
-from mremix.formats import read_examples
+from mremix.formats import build_example, read_examples
 from mremix.jsonio import read_json, write_json, write_jsonl
 
 from synth import planted_splits
@@ -177,6 +177,53 @@ class TestBuildFormats:
                      "--input", str(tmp_path / "train.jsonl"),
                      "--tags", "NOT_A_TAG", "--out", str(tmp_path / "x")])
         assert code == 3
+
+    def test_lenient_invalid_record_is_data_error(self, tmp_path, capsys):
+        _, train, _ = _setup_dataset(tmp_path)
+        rows = [r.to_dict() for r in train.records]
+        rows.insert(3, {"id": "bad", "text": "t", "text_label": "Bogus", "pairs": []})
+        write_jsonl(tmp_path / "mixed.jsonl", rows)
+        code = main(["build-formats", "--family", "SCNM", "--language", "en", "--lenient",
+                     "--input", str(tmp_path / "mixed.jsonl"), "--tags", "all",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "data error: record 'bad': text_label: 'Bogus' is not in the text-level schema")
+        assert not (tmp_path / "out").exists()
+
+    def test_separator_error_comes_before_a_later_invalid_record(self, tmp_path, capsys):
+        # each record is checked on first use, so the joint format's separator
+        # check on the first record runs before the second record is validated
+        rows = [
+            {"id": "sep", "text": "a b", "text_label": "x\ny", "pairs": []},
+            {"id": "empty", "text": " ", "text_label": "x", "pairs": []},
+        ]
+        write_jsonl(tmp_path / "open.jsonl", rows)
+        code = main(["build-formats", "--family", "TCONER", "--language", "en", "--lenient",
+                     "--input", str(tmp_path / "open.jsonl"), "--tags", "JOINT_MRE,TRAD_TEXT",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: record 'sep': text label contains the separator and "
+            "cannot appear in a joint target")
+
+    def test_outputs_equal_per_example_builds(self, tmp_path, monkeypatch):
+        _setup_dataset(tmp_path)
+        args = ["build-formats", "--family", "SCNM", "--language", "en",
+                "--input", str(tmp_path / "test.jsonl"), "--role", "test",
+                "--tags", "TRAD_WORD,JOINT_MRE,WITH_WLI_TO_TLI,WO_WLI_TO_TLI",
+                "--test-n", "12", "--repeats", "3", "--seed", "5"]
+        assert main(args + ["--out", str(tmp_path / "shared")]) == 0
+
+        def per_example(records, tag, desc, *_):
+            return [build_example(record, tag, desc) for record in records]
+
+        monkeypatch.setattr(runner, "build_corpus", per_example)
+        assert main(args + ["--out", str(tmp_path / "per-example")]) == 0
+        trees = [{p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+                 for name in ("shared", "per-example")]
+        assert len(trees[0]) == 4 * 3 + 1
+        assert trees[0] == trees[1]
 
 
 class TestBuildKv:

@@ -9,6 +9,8 @@ word lists, down to the bytes ``run_kv`` writes.
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from mremix import (
     LabelEntityPair,
     MreRecord,
     build_from_wli,
+    cooc,
     make_segmenter,
     refmlm,
     save_kv,
@@ -27,6 +30,7 @@ from mremix import (
 )
 from mremix.cli import main
 from mremix.cooc import CoocTable
+from mremix.errors import DataError
 from mremix.ingest import Split
 from mremix.rng import SplitMix64
 from mremix.runner import ExperimentConfig, run_kv
@@ -57,20 +61,23 @@ class NaiveCoocTable:
 
 
 @st.composite
-def table_scripts(draw):
-    """Query-id lists (reused, with repeats) and a script of observed texts and queries."""
+def table_scripts(draw, repeats=st.just(1)):
+    """Query-id lists (reused, with repeats) and a script of observed texts and queries.
+
+    Each observed text and each context is a drawn id list repeated ``repeats`` times.
+    """
     query_sets = draw(st.lists(st.lists(IDS, max_size=6), min_size=1, max_size=6))
+    ids = st.builds(operator.mul, st.lists(IDS, max_size=8), repeats)
     step = st.one_of(
-        st.tuples(st.just("observe"), st.lists(IDS, max_size=8)),
-        st.tuples(st.just("query"), st.lists(IDS, max_size=8),
+        st.tuples(st.just("observe"), ids),
+        st.tuples(st.just("query"), ids,
                   st.integers(min_value=0, max_value=len(query_sets) - 1)),
     )
     return query_sets, draw(st.lists(step, max_size=40))
 
 
-@settings(max_examples=300, deadline=None)
-@given(table_scripts())
-def test_context_sums_equals_pair_dict_reference(script):
+def _replay(script):
+    """Run a table script on the table and the reference; every query must agree."""
     query_sets, steps = script
     table, reference = CoocTable(), NaiveCoocTable()
     for step in steps:
@@ -81,6 +88,44 @@ def test_context_sums_equals_pair_dict_reference(script):
             _, context, which = step
             queries = query_sets[which]
             assert table.context_sums(context, queries) == reference.context_sums(context, queries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_scripts())
+def test_context_sums_equals_pair_dict_reference(script):
+    _replay(script)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_scripts(repeats=st.integers(min_value=1, max_value=40)))
+def test_long_texts_and_contexts_equal_pair_dict_reference(script):
+    # texts of up to 320 ids push the bound past 2**16 (32-bit fields), and
+    # contexts of up to 320 ids span several chunks while fields are 16 bits
+    _replay(script)
+
+
+def test_field_width_is_the_narrowest_above_the_bound():
+    bounds = (0, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1)
+    assert [cooc._field_width(b) for b in bounds] == [16, 16, 32, 32, 64, 64]
+    with pytest.raises(DataError, match="64 bits"):
+        cooc._field_width(2**64)
+    table = CoocTable()
+    table.observe([1] * 256)  # bound 256**2 = 2**16
+    table.context_sums([1], [1])
+    assert table._indexes[(1,)].width == 32
+
+
+def test_context_sums_chunks_contexts_so_no_field_carries():
+    table, reference = CoocTable(), NaiveCoocTable()
+    text = [0] * 90 + [1] * 10  # bound 100**2: 16-bit fields, chunks of 6 ids
+    table.observe(text)
+    reference.observe(text)
+    query = (0, 1, 2)
+    context = [0] * 20 + [1] * 5 + [2]  # query 0 sums to 84,600, past 2**16
+    assert table.context_sums(context, query) == reference.context_sums(context, query)
+    assert table.context_sums(context, query) == [84600, 18225, 0]
+    index = table._indexes[query]
+    assert (index.width, index.chunk) == (16, 6)
 
 
 def test_context_sums_self_pair_and_repeats():
@@ -108,10 +153,9 @@ def test_index_rows_hold_only_nonzero_query_pairs():
     for c in universe:
         assert table.context_sums([c], query) == reference.context_sums([c], query)
     assert table.context_sums([7, 1, 7, 9, 10], query) == reference.context_sums([7, 1, 7, 9, 10], query)
-    index = table._indexes[query]
-    assert 9 not in index and 3 not in index
-    for positions, counts in index.values():
-        assert len(positions) == len(counts) and 0 not in counts
+    rows = table._indexes[query].rows
+    assert 9 not in rows and 3 not in rows
+    assert 0 not in rows.values()
     nonzero = sum(1 for c in universe for q in query if reference.pair_count(c, q))
     assert table.num_pairs() == nonzero == 11
 
