@@ -55,12 +55,12 @@ class _Index(NamedTuple):
     chunk: int  # most rows whose sum no field can overflow
 
 
-def _fields(packed: int, count: int, width: int) -> array:
+def _fields(packed: int, count: int, width: int) -> list[int]:
     """The ``count`` fields of ``packed``, lowest first."""
     fields = array(_TYPECODES[width], packed.to_bytes(count * width // 8, "little"))
     if sys.byteorder == "big":
         fields.byteswap()
-    return fields
+    return fields.tolist()
 
 
 class CoocTable:
@@ -86,11 +86,12 @@ class CoocTable:
         if index is None:
             index = self._index(query_ids)
         rows, width, chunk = index
-        out = [0] * len(query_ids)
-        for start in range(0, len(context_ids), chunk):
+        n = len(query_ids)
+        sums = _fields(sum(map(rows.get, context_ids[:chunk], repeat(0))), n, width)
+        for start in range(chunk, len(context_ids), chunk):
             total = sum(map(rows.get, context_ids[start:start + chunk], repeat(0)))
-            out = list(map(add, out, _fields(total, len(query_ids), width)))
-        return out
+            sums = list(map(add, sums, _fields(total, n, width)))
+        return sums
 
     def _index(self, query_ids: tuple[int, ...]) -> _Index:
         """Pack each id's pair counts against ``query_ids`` into one row."""

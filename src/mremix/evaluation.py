@@ -20,6 +20,8 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 from .core import DatasetDescriptor, LabelEntityPair, _string
@@ -140,8 +142,7 @@ def text_macro_f1(gold: Sequence[str], pred: Sequence[Optional[str]]) -> Prf:
         precisions.append(precision)
         recalls.append(recall)
         f1s.append(_f1(precision, recall))
-    n = len(labels)
-    return Prf(sum(precisions) / n, sum(recalls) / n, sum(f1s) / n)
+    return Prf(mean(precisions), mean(recalls), mean(f1s))
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,16 @@ class DrawScore:
         }
 
 
+def mean(values: Sequence[float]) -> float:
+    """The left-to-right sum over the count (``sum()`` of floats is compensated
+    since Python 3.12, so it would round differently across versions)."""
+    return reduce(add, values, 0) / len(values)
+
+
 def mean_std(values: Sequence[float]) -> dict:
     """Arithmetic mean and sample standard deviation (None below two values)."""
-    mean = sum(values) / len(values)
     std = statistics.stdev(values) if len(values) >= 2 else None
-    return {"mean": mean, "std": std}
+    return {"mean": mean(values), "std": std}
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ Scoring: for a prompt with one mask slot and a set of query words,
 
     P(w)  proportional to  alpha + sum over context tokens c of count(c, w)
 
-normalized over the query set. Context tokens are all non-mask words of
-the prompt; counts come from symmetric within-text co-occurrence over the
-training corpus.
+normalized over the distinct query words. Context tokens are all non-mask
+words of the prompt; counts come from symmetric within-text co-occurrence
+over the training corpus. The total is the left-to-right sum of the
+weights ``alpha + sum`` as floats; the weights are also returned, in query
+order like the probabilities, as exact fractions worked out on demand.
 
 Segmentation is whitespace for English. For Chinese and Japanese it is a
 greedy longest-match against a caller-supplied lexicon (typically the
@@ -23,8 +25,13 @@ verbalizer queries.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from operator import add, truediv
+from typing import Iterable, Optional
 
 from .cooc import CoocTable
 from .errors import DataError
@@ -104,6 +111,36 @@ class _QueryPlan:
     known_positions: tuple[int, ...]  # positions in ``queries`` of in-vocabulary words
     known_ids: tuple[int, ...]  # their vocabulary ids, in the same order
     covered: frozenset[str]
+    floor: tuple  # alpha at every position of ``queries``: the weights before any count
+    spread: Optional[tuple[int, ...]]  # each word's position in ``queries``, if a word repeats
+
+
+class _ExactWeights(Sequence):
+    """``alpha + sum`` of each query word as an exact ``Fraction``: the
+    unnormalized masses. They are worked out on first read, which only a
+    near tie between labels makes, from the sums that scoring already has."""
+
+    __slots__ = ("_alpha", "_plan", "_sums", "_values")
+
+    def __init__(self, alpha: float, plan: _QueryPlan, sums: Sequence[int]) -> None:
+        self._alpha, self._plan, self._sums = alpha, plan, sums
+        self._values: Optional[list[Fraction]] = None
+
+    def _exact(self) -> list[Fraction]:
+        if self._values is None:
+            floor = Fraction(self._alpha)
+            values = [floor] * len(self._plan.queries)
+            for i, s in zip(self._plan.known_positions, self._sums):
+                values[i] = floor + s
+            spread = self._plan.spread
+            self._values = values if spread is None else [values[i] for i in spread]
+        return self._values
+
+    def __len__(self) -> int:
+        return len(self._exact())
+
+    def __getitem__(self, index):
+        return self._exact()[index]
 
 
 class CountModel:
@@ -138,41 +175,49 @@ class CountModel:
     # -- the provider contract --
 
     def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
-        """Mask-position distribution over the query words.
+        """Mask-position distribution over the query words, in query order.
 
         Query words outside the training vocabulary keep the smoothing
-        floor but are flagged uncovered. Duplicate query words collapse.
+        floor but are flagged uncovered. A repeated query word is counted
+        once in the total and gets the same mass at each of its positions.
         The word-list-only part of the work is planned once per distinct
         word list (see ``_plan``).
         """
         key = tuple(words)
         plan = self._plans.get(key) or self._plan(key)
         if not plan.queries:
-            return MaskDistribution(probs={}, covered=frozenset())
+            return MaskDistribution(probs=[], covered=frozenset(), weights=[])
 
         context_text = prompt.replace(MASK_PLACEHOLDER, " ")
         vocab = self._vocab
         context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
-        sums = [0] * len(plan.queries)
+        weights = list(plan.floor)
+        sums = ()
         if plan.known_ids and context_ids:
-            raw = self._table.context_sums(context_ids, plan.known_ids)
-            for i, value in zip(plan.known_positions, raw):
-                sums[i] = value
+            alpha = self.alpha
+            sums = self._table.context_sums(context_ids, plan.known_ids)
+            for i, s in zip(plan.known_positions, sums):
+                weights[i] = alpha + s
 
-        weights = [self.alpha + s for s in sums]
-        total = sum(weights)
-        probs = {word: weight / total for word, weight in zip(plan.queries, weights)}
-        return MaskDistribution(probs=probs, covered=plan.covered)
+        total = reduce(add, weights)  # sequential, unlike sum() of floats since Python 3.12
+        probs = list(map(truediv, weights, repeat(total)))
+        if plan.spread is not None:
+            probs = [probs[i] for i in plan.spread]
+        return MaskDistribution(probs=probs, covered=plan.covered,
+                                weights=_ExactWeights(self.alpha, plan, sums))
 
     def _plan(self, words: tuple[str, ...]) -> "_QueryPlan":
         """Deduplicate ``words`` and resolve them against the vocabulary, and keep the result."""
-        queries = tuple(dict.fromkeys(words))
+        position = {word: i for i, word in enumerate(dict.fromkeys(words))}
+        queries = tuple(position)
         known = [(i, self._vocab[w]) for i, w in enumerate(queries) if w in self._vocab]
         plan = _QueryPlan(
             queries=queries,
             known_positions=tuple(i for i, _ in known),
             known_ids=tuple(wid for _, wid in known),
             covered=frozenset(queries[i] for i, _ in known),
+            floor=(self.alpha,) * len(queries),
+            spread=None if len(queries) == len(words) else tuple(map(position.get, words)),
         )
         if len(self._plans) >= _MAX_PLANS:
             self._plans.clear()

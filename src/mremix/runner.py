@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .core import DatasetDescriptor
 from .errors import ConfigError, DataError
-from .evaluation import Prf, mean_std, text_f1
+from .evaluation import Prf, mean, mean_std, text_f1
 from .formats import (
     FormatTag,
     build_corpus,
@@ -30,6 +30,7 @@ from .jsonio import read_json, write_json, write_jsonl, write_text
 from .refmlm import CountModel, lexicon_from_split, make_segmenter
 from .verbalizer import (
     AGGREGATION_STRATEGIES,
+    MASK_PLACEHOLDER,
     FileDistributionProvider,
     ProbabilityProvider,
     Verbalizer,
@@ -247,7 +248,7 @@ class KvRow:
         }
 
     def mean_f1(self) -> float:
-        return sum(d.f1 for d in self.draws) / len(self.draws)
+        return mean([d.f1 for d in self.draws])
 
 
 @dataclass(frozen=True)
@@ -311,6 +312,12 @@ def classify(
     rows = []
     for record in split.records:
         prompt = apply_template(record.text, config.template)
+        slots = prompt.count(MASK_PLACEHOLDER)
+        if slots != 1:
+            raise DataError(
+                f"record {record.id!r}: the prompt built from its text has {slots} "
+                f"{MASK_PLACEHOLDER} slots; it must have exactly one"
+            )
         try:
             prediction = predict(prompt, kv, provider, strategy=config.aggregation)
         except DataError as exc:

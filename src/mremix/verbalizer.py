@@ -2,8 +2,13 @@
 
 A verbalizer maps each text-level label to a ranked list of words. To
 classify a text, a probability provider scores every verbalizer word at
-the mask position of a prompt; the per-label scores are the (weighted) sum
-of the word probabilities, and the label with the highest score wins.
+the mask position of a prompt, returning one mass per queried word in
+query order. The query is the union of the labels' words, and each label
+knows its words' positions in it, so a label's score is a fold of the
+masses at its positions: the (weighted) sum, in label-word order, or
+that sum over the label's word count. The label with the highest score
+wins; a tie, decided on the provider's exact unnormalized weights rather
+than on the rounded scores, goes to the earliest label.
 
 Verbalizers come from two sources: frequency statistics over a training
 split's word-level entities (``build_from_wli``), or an external word-list
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
@@ -34,30 +40,58 @@ DEFAULT_WORDS_PER_LABEL = 100
 
 @dataclass(frozen=True)
 class MaskDistribution:
-    """Probability mass per queried word at the mask position.
+    """Probability mass of each queried word at the mask position.
 
-    ``covered`` holds the queried words the provider could actually score;
-    uncovered words may still carry a smoothing floor, depending on the
-    provider. No completeness over any vocabulary is implied.
+    ``probs[i]`` is the mass of the i-th queried word, so ``probs`` is as
+    long as the query and in its order; a word the provider does not know
+    still has an entry (its smoothing floor, or 0.0). ``weights``, when
+    given, are the exact unnormalized masses that ``probs`` are proportional
+    to (same length and order, any exact numbers; None means ``probs`` are
+    their own weights); they settle ties exactly and take no part in
+    equality. ``covered`` holds the queried words the provider could
+    actually score. No completeness over any vocabulary is implied.
     """
 
-    probs: Mapping[str, float]
+    probs: Sequence[float]
     covered: frozenset[str] = field(default_factory=frozenset)
+    weights: Optional[Sequence] = field(default=None, compare=False)
 
 
 class ProbabilityProvider(Protocol):
     """Deterministic source of mask-position word probabilities."""
 
-    def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution: ...
+    def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
+        """One mass per word of ``words``, in the same order."""
+        ...
+
+
+# A float label score of n words is its exact value times (1 + e), with
+# |e| below about (n + 3) * 2**-53: one rounding for each word's float
+# weight (such as alpha + count), its mass (weight over total) and the
+# product with the word's label weight, the n - 1 additions of the fold
+# and the mean's division. Two scores further apart than twice that,
+# relative to their sum, are ordered as their exact values are; the factor
+# two also covers the rounding of the comparison itself.
+_ROUNDING_PER_STEP = 2.0 ** -52
+# Absolute slack: more than all the subnormal rounding error of a fold.
+_ROUNDING_FLOOR = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
 class Verbalizer:
-    """Ranked (word, weight) lists per text-level label, at most k per label."""
+    """Ranked (word, weight) lists per text-level label, at most k per label.
+
+    Construction also fixes the query, ``_all_words``: the labels' words,
+    first-seen order, once each. ``_folds`` holds, per label, the positions
+    of its words in the query and their weights (None when all are 1.0).
+    """
 
     label_words: Mapping[str, tuple[tuple[str, float], ...]]
     k: int
     _all_words: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
+    _folds: tuple[tuple[str, tuple[int, ...], Optional[tuple[float, ...]]], ...] = field(
+        init=False, repr=False, compare=False, default=())
+    _tolerance: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -74,7 +108,16 @@ class Verbalizer:
             if any(weight < 0 for _, weight in words):
                 raise DataError(f"label {label!r} has a negative word weight")
         union = (word for words in self.label_words.values() for word, _ in words)
-        object.__setattr__(self, "_all_words", tuple(dict.fromkeys(union)))
+        position = {word: i for i, word in enumerate(dict.fromkeys(union))}
+        folds = []
+        for label, words in self.label_words.items():
+            weights = tuple(weight for _, weight in words)
+            unit = all(weight == 1.0 for weight in weights)
+            folds.append((label, tuple(position[w] for w, _ in words), None if unit else weights))
+        longest = max((len(words) for words in self.label_words.values()), default=0)
+        object.__setattr__(self, "_all_words", tuple(position))
+        object.__setattr__(self, "_folds", tuple(folds))
+        object.__setattr__(self, "_tolerance", (longest + 3) * _ROUNDING_PER_STEP)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.label_words)
@@ -191,21 +234,74 @@ def aggregate(
 ) -> dict[str, float]:
     """Per-label scores: weighted sum of word probabilities (or per-label mean).
 
-    Words absent from the distribution contribute zero. A word listed under
+    ``dist`` answers the query ``verbalizer.all_words()``, one mass per
+    word in that order. Each label's score is the sequential fold
+    ``0.0 + w1*p1 + w2*p2 + ...`` over its words in label order (the
+    product is skipped for unit weights, which leaves every value as it
+    is), divided by the word count for ``mean``. A word listed under
     several labels contributes its mass to each of them.
     """
     if strategy not in AGGREGATION_STRATEGIES:
         raise ValueError(f"unknown aggregation strategy: {strategy!r}")
+    probs = dist.probs
+    if len(probs) != len(verbalizer._all_words):
+        raise ValueError(
+            f"distribution has {len(probs)} masses for {len(verbalizer._all_words)} query words"
+        )
+    mean = strategy == "mean"
     scores: dict[str, float] = {}
-    for label in verbalizer.labels():
-        words = verbalizer.words_for(label)
+    for label, positions, weights in verbalizer._folds:
         total = 0.0
-        for word, weight in words:
-            total += weight * dist.probs.get(word, 0.0)
-        if strategy == "mean" and words:
-            total /= len(words)
+        if weights is None:
+            for i in positions:
+                total += probs[i]
+        else:
+            for i, weight in zip(positions, weights):
+                total += weight * probs[i]
+        if mean and positions:
+            total /= len(positions)
         scores[label] = total
     return scores
+
+
+# Every finite float is a multiple of 2**-1074, the smallest positive one.
+_EXACT_SHIFT = 1074
+
+
+def _scaled(value: float) -> int:
+    """``value * 2**1074`` as an exact integer (``value`` is a float, an int or
+    a ``Fraction`` made of them, so its denominator is a power of two)."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (_EXACT_SHIFT + 1 - denominator.bit_length())
+
+
+_EXACT_ONE = _scaled(1.0)
+
+
+def _exact_argmax(
+    candidates: set[str], dist: MaskDistribution, verbalizer: Verbalizer, strategy: str
+) -> str:
+    """The earliest of ``candidates`` with the largest exact score.
+
+    The masses are proportional to the provider's weights, by one factor
+    for all words, so comparing the labels' sums of label weight times
+    provider weight, in exact integers, compares their true scores. For
+    ``mean`` the sums are cross-multiplied by the word counts.
+    """
+    masses = dist.probs if dist.weights is None else dist.weights
+    best, best_sum, best_count = "", -1, 1
+    for label, positions, weights in verbalizer._folds:
+        if label not in candidates:
+            continue
+        scaled = [_scaled(masses[i]) for i in positions]
+        if weights is None:
+            exact = sum(scaled) * _EXACT_ONE
+        else:
+            exact = sum(map(mul, map(_scaled, weights), scaled))
+        count = len(positions) if strategy == "mean" and positions else 1
+        if exact * best_count > best_sum * count:
+            best, best_sum, best_count = label, exact, count
+    return best
 
 
 @dataclass(frozen=True)
@@ -226,24 +322,34 @@ def predict(
     """Classify one prompt: query the provider once, aggregate, take the argmax.
 
     Ties (including the all-zero degenerate case) resolve to the earliest
-    label in the verbalizer's schema order.
+    label in the verbalizer's schema order. A tie is one of exact scores:
+    when another label's float score lies within the rounding bound of the
+    best one, the candidates are compared on the provider's unnormalized
+    weights in exact arithmetic (see ``_exact_argmax``), so rounding never
+    decides the label.
     """
     slots = prompt.count(MASK_PLACEHOLDER)
     if slots != 1:
         raise ValueError(f"prompt must contain exactly one {MASK_PLACEHOLDER} slot, found {slots}")
-    words = verbalizer.all_words()
+    words = verbalizer._all_words
     dist = provider.score(prompt, words)
     scores = aggregate(dist, verbalizer, strategy=strategy)
 
     best_label: Optional[str] = None
     best_score = float("-inf")
-    for label in verbalizer.labels():
-        if scores[label] > best_score:
+    for label, score in scores.items():
+        if score > best_score:
             best_label = label
-            best_score = scores[label]
+            best_score = score
     assert best_label is not None  # verbalizers are never empty
 
-    covered_any = any(word in dist.covered for word in words)
+    tolerance = verbalizer._tolerance
+    near = {label for label, score in scores.items()
+            if best_score - score <= tolerance * (best_score + score) + _ROUNDING_FLOOR}
+    if len(near) > 1:
+        best_label = _exact_argmax(near, dist, verbalizer, strategy)
+
+    covered_any = not dist.covered.isdisjoint(words)
     all_zero = all(score == 0.0 for score in scores.values())
     return Prediction(label=best_label, scores=scores, no_coverage=not covered_any or all_zero)
 
@@ -329,9 +435,10 @@ class FileDistributionProvider:
             self._table[prompt] = ({w: float(p) for w, p in probs.items()}, frozenset(covered))
 
     def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
+        """The file's probability of each word (0.0 when it has none), in query order."""
         entry = self._table.get(prompt)
         if entry is None:
             raise DataError(f"{self._path}: no precomputed distribution for prompt {prompt!r}")
         probs, covered = entry
-        queried = {word: probs.get(word, 0.0) for word in words}
-        return MaskDistribution(probs=queried, covered=frozenset(w for w in words if w in covered))
+        queried = [probs.get(word, 0.0) for word in words]
+        return MaskDistribution(probs=queried, covered=covered.intersection(words))

@@ -148,7 +148,8 @@ def _random_verbalizer_and_dist(rng: SplitMix64):
         mapping[f"L{li}"] = tuple((w, 1.0) for w in words)
     kv = Verbalizer(label_words=mapping, k=8)
     probs = {w: (rng.randbelow(10_000) + 1) / 10_000 for w in rng.sample(vocab, 14)}
-    return kv, MaskDistribution(probs=probs, covered=frozenset(probs))
+    masses = [probs.get(w, 0.0) for w in kv.all_words()]
+    return kv, MaskDistribution(probs=masses, covered=frozenset(probs))
 
 
 @pytest.mark.criterion(3, "aggregation matches a brute-force double loop on 1,000 instances")
@@ -160,7 +161,7 @@ def test_aggregation_oracle():
         for label in kv.labels():
             brute = 0.0
             for word, weight in kv.words_for(label):
-                for dword, dprob in dist.probs.items():
+                for dword, dprob in zip(kv.all_words(), dist.probs):
                     if dword == word:
                         brute += weight * dprob
             assert abs(scores[label] - brute) <= 1e-12
@@ -184,7 +185,7 @@ def test_argmax_scale_invariance():
         for _ in range(10):
             c = (rng.randbelow(100_000) + 1) / 1_000.0  # c in (0, 100]
             scaled = MaskDistribution(
-                probs={w: c * p for w, p in dist.probs.items()}, covered=dist.covered
+                probs=[c * p for p in dist.probs], covered=dist.covered
             )
             assert predict(prompt, kv, _FixedProvider(scaled)).label == base.label
 

@@ -46,6 +46,15 @@ def _run_kv_args(tmp_path, out, **extra):
     return args
 
 
+def _put_mask_in_text(path, record_id):
+    """Rewrite one record of a JSONL record file so that its text holds a mask slot."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        if row["id"] == record_id:
+            row["text"] += " {mask}"
+    write_jsonl(path, rows)
+
+
 class TestValidate:
     def test_valid_file_exits_zero(self, tmp_path, capsys):
         _setup_dataset(tmp_path)
@@ -305,6 +314,20 @@ class TestScore:
         assert "provider failed" in err
         assert test.records[0].id in err
 
+    def test_mask_slot_in_record_text_is_data_error_naming_record(self, tmp_path, capsys):
+        _, _, test = _setup_dataset(tmp_path)
+        bad = test.records[2]
+        _put_mask_in_text(tmp_path / "test.jsonl", bad.id)
+        code = main(["score", "--family", "SCNM", "--language", "en",
+                     "--kv", str(tmp_path / "origin_kv.txt"),
+                     "--input", str(tmp_path / "test.jsonl"),
+                     "--train", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: record {bad.id!r}: ") and "2 {mask} slots" in err
+        assert not (tmp_path / "p.jsonl").exists()
+
     @pytest.mark.parametrize("row", [
         {"prompt": "p {mask}", "probs": [0.5, 0.5]},
         {"prompt": "p {mask}", "probs": {"x": "high"}},
@@ -483,6 +506,18 @@ class TestRunKv:
         assert config["few_shot_k"] == 5
         assert (out / "wli_kv.txt").exists()
         assert (out / "predictions_wli.draw0.jsonl").exists()
+
+    def test_mask_slot_in_record_text_is_data_error_naming_record(self, tmp_path, capsys):
+        _, _, test = _setup_dataset(tmp_path, n_test=4)
+        bad = test.records[-1]
+        _put_mask_in_text(tmp_path / "test.jsonl", bad.id)
+        out = tmp_path / "run"
+        code = main(_run_kv_args(tmp_path, out, **{"--test-n": str(len(test))}))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: record {bad.id!r}: ") and "2 {mask} slots" in err
+        assert not out.exists()
 
     def test_tconer_refused(self, tmp_path, capsys):
         _setup_dataset(tmp_path)

@@ -17,6 +17,7 @@ from mremix import (
 from mremix.errors import DataError
 from mremix.evaluation import (
     ablation_table,
+    mean_std,
     report_from_dict,
     report_markdown,
     report_tsv,
@@ -149,6 +150,20 @@ class TestTextF1:
         score = text_macro_f1(["a", "a"], ["a", "c"])
         # labels a and c both contribute; c has P=0 (one false positive)
         assert score.f1 == pytest.approx((2 / 3 + 0.0) / 2)
+
+
+class TestLeftToRightMeans:
+    """Means add left to right, so they round alike on every Python version
+    (``sum()`` of floats compensates since Python 3.12)."""
+
+    def test_mean_std_adds_left_to_right(self):
+        assert mean_std([1e16, 1.0, -1e16])["mean"] == 0.0
+        assert mean_std([0.1, 0.2, 0.3])["mean"] == (0.1 + 0.2 + 0.3) / 3 == 0.20000000000000004
+
+    def test_macro_f1_adds_left_to_right(self):
+        # per-label precision a 1/2, b 0, c 2/3, d 0, e 1/3
+        score = text_macro_f1(list("bacdaceabe"), list("eccbecdaae"))
+        assert score.precision == (0.5 + 0.0 + 2 / 3 + 0.0 + 1 / 3) / 5 == 0.29999999999999993
 
 
 class TestMicro:

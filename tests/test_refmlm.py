@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,11 @@ from mremix.rng import SplitMix64
 from mremix.verbalizer import MASK_PLACEHOLDER
 
 from synth import planted_splits
+
+
+def _masses(model, prompt, queries):
+    """The model's mass of each query word, by word."""
+    return dict(zip(queries, model.score(prompt, queries).probs))
 
 
 class TestSegmenters:
@@ -92,13 +98,21 @@ class TestScore:
         corpus = ["a b", "a b", "a b", "a c"]
         model = CountModel.train(corpus, make_segmenter("en"), alpha=1.0)
         dist = model.score(f"a {MASK_PLACEHOLDER}", ["b", "c"])
-        assert dist.probs["b"] == pytest.approx(4 / 6)
-        assert dist.probs["c"] == pytest.approx(2 / 6)
+        assert dist.probs == pytest.approx([4 / 6, 2 / 6])
+        assert list(dist.weights) == [4, 2]
 
     def test_no_context_overlap_gives_uniform(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
         dist = model.score(f"zzz {MASK_PLACEHOLDER}", ["a", "b"])
-        assert dist.probs == {"a": 0.5, "b": 0.5}
+        assert dist.probs == [0.5, 0.5]
+
+    def test_total_adds_left_to_right(self):
+        # ten floors of 0.1 add up to 0.9999999999999999 left to right (a
+        # compensated sum gives 1.0), so each mass is 0.10000000000000002
+        model = CountModel.train(["a b"], make_segmenter("en"), alpha=0.1)
+        dist = model.score(f"a {MASK_PLACEHOLDER}", [f"oov{i}" for i in range(10)])
+        assert list(dist.weights) == [Fraction(0.1)] * 10
+        assert dist.probs == [0.10000000000000002] * 10
 
     def test_distribution_sums_to_one(self):
         desc, train, _, _ = planted_splits(n_train_per_label=6)
@@ -106,20 +120,22 @@ class TestScore:
         model = CountModel.train([r.text for r in train.records], seg)
         queries = [f"societyw{i:02d}" for i in range(12)] + ["unseen1", "unseen2"]
         dist = model.score(train.records[0].text + f" {MASK_PLACEHOLDER}", queries)
-        assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
+        assert len(dist.probs) == len(queries)
+        assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_query_gets_floor_but_not_coverage(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
         dist = model.score(f"a {MASK_PLACEHOLDER}", ["b", "zzz"])
         assert "zzz" not in dist.covered
         assert "b" in dist.covered
-        assert dist.probs["zzz"] > 0.0
+        assert dist.probs[1] > 0.0
 
     def test_duplicate_queries_collapse(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
         dist = model.score(f"a {MASK_PLACEHOLDER}", ["b", "b", "c"])
-        assert set(dist.probs) == {"b", "c"}
-        assert sum(dist.probs.values()) == pytest.approx(1.0)
+        assert dist.probs[0] == dist.probs[1] and list(dist.weights) == [2, 2, 1]
+        assert dist.probs[1] + dist.probs[2] == pytest.approx(1.0)
+        assert dist.probs[1:] == model.score(f"a {MASK_PLACEHOLDER}", ["b", "c"]).probs
 
     def test_determinism(self):
         _, train, _, _ = planted_splits(n_train_per_label=4)
@@ -158,13 +174,13 @@ class TestScore:
                     raw.append(1.0 + sum(pairs[frozenset((c, q))] for c in ctx_tokens))
                 expected = [value / sum(raw) for value in raw]
                 dist = model.score(prompt, queries)
-                for q, e in zip(queries, expected):
-                    assert dist.probs[q] == pytest.approx(e, abs=1e-12)
+                for p, e in zip(dist.probs, expected):
+                    assert p == pytest.approx(e, abs=1e-12)
 
-            base_dist = base.score(prompt, queries)
-            scaled_dist = scaled.score(prompt, queries)
-            base_order = sorted(queries, key=lambda w: (-base_dist.probs[w], w))
-            scaled_order = sorted(queries, key=lambda w: (-scaled_dist.probs[w], w))
+            base_masses = _masses(base, prompt, queries)
+            scaled_masses = _masses(scaled, prompt, queries)
+            base_order = sorted(queries, key=lambda w: (-base_masses[w], w))
+            scaled_order = sorted(queries, key=lambda w: (-scaled_masses[w], w))
             assert base_order == scaled_order
 
     def test_monotonicity_bump_never_decreases(self):
@@ -180,6 +196,6 @@ class TestScore:
             after = CountModel.train(corpus + [f"{target_c} {target_w}"], make_segmenter("en"))
             prompt = f"{target_c} {MASK_PLACEHOLDER}"
             queries = [target_w, "m2", "m3"]
-            p_before = before.score(prompt, queries).probs[target_w]
-            p_after = after.score(prompt, queries).probs[target_w]
+            p_before = _masses(before, prompt, queries)[target_w]
+            p_after = _masses(after, prompt, queries)[target_w]
             assert p_after >= p_before

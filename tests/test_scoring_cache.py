@@ -181,7 +181,8 @@ def test_alternating_word_lists_match_a_fresh_model(corpus, lists, contexts):
             fresh = CountModel.train(texts, make_segmenter("en")).score(prompt, words)
             got = model.score(prompt, list(words))
             assert got == fresh
-            assert list(got.probs.items()) == list(fresh.probs.items())
+            assert list(got.probs) == list(fresh.probs) and len(got.probs) == len(words)
+            assert list(got.weights) == list(fresh.weights)
 
 
 def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():

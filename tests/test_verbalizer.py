@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mremix import (
+    CountModel,
     MaskDistribution,
     Verbalizer,
     aggregate,
@@ -12,6 +16,7 @@ from mremix import (
     build_from_wli,
     few_shot_sample,
     load_external_kv,
+    make_segmenter,
     predict,
     save_kv,
     shuffle_words,
@@ -24,28 +29,27 @@ from synth import planted_splits
 
 
 class StubProvider:
-    """Returns a fixed distribution regardless of the prompt."""
+    """Answers every prompt from one fixed word -> mass table (0.0 for other words)."""
 
     def __init__(self, probs, covered=None):
-        self._dist = MaskDistribution(
-            probs=dict(probs),
-            covered=frozenset(probs if covered is None else covered),
-        )
+        self._probs = dict(probs)
+        self._covered = frozenset(probs if covered is None else covered)
         self.calls = 0
 
     def score(self, prompt, words):
         self.calls += 1
-        return self._dist
+        return MaskDistribution(probs=[self._probs.get(w, 0.0) for w in words],
+                                covered=self._covered)
 
 
 class PresenceOracleProvider:
     """Mass proportional to each query word's presence in the prompt."""
 
     def score(self, prompt, words):
-        hits = {w: (1.0 if w in prompt else 0.0) for w in words}
-        total = sum(hits.values())
+        hits = [1.0 if w in prompt else 0.0 for w in words]
+        total = sum(hits)
         if total:
-            hits = {w: v / total for w, v in hits.items()}
+            hits = [v / total for v in hits]
         return MaskDistribution(probs=hits, covered=frozenset(w for w in words if w in prompt))
 
 
@@ -54,6 +58,11 @@ def _kv(mapping, k=10):
         label_words={label: tuple((w, 1.0) for w in words) for label, words in mapping.items()},
         k=k,
     )
+
+
+def _dist(kv, probs):
+    """The distribution answering ``kv``'s query from a word -> mass table."""
+    return MaskDistribution(probs=[probs.get(w, 0.0) for w in kv.all_words()])
 
 
 class TestBuildFromWli:
@@ -184,24 +193,29 @@ class TestExternalKv:
 class TestAggregate:
     def test_worked_example(self):
         kv = _kv({"A": ["good", "great"], "B": ["bad"]})
-        dist = MaskDistribution(probs={"good": 0.3, "great": 0.2, "bad": 0.4})
+        dist = _dist(kv, {"good": 0.3, "great": 0.2, "bad": 0.4})
         scores = aggregate(dist, kv)
         assert scores == {"A": 0.5, "B": 0.4}
 
     def test_all_zero(self):
         kv = _kv({"A": ["x"], "B": ["y"]})
-        scores = aggregate(MaskDistribution(probs={}), kv)
+        scores = aggregate(_dist(kv, {}), kv)
         assert scores == {"A": 0.0, "B": 0.0}
 
     def test_shared_word_contributes_to_both(self):
         kv = _kv({"A": ["shared"], "B": ["shared"]})
-        scores = aggregate(MaskDistribution(probs={"shared": 0.2}), kv)
+        scores = aggregate(_dist(kv, {"shared": 0.2}), kv)
         assert scores["A"] == pytest.approx(0.2)
         assert scores["B"] == pytest.approx(0.2)
 
+    def test_masses_must_answer_the_whole_query(self):
+        kv = _kv({"A": ["x"], "B": ["y"]})
+        with pytest.raises(ValueError, match="1 masses for 2 query words"):
+            aggregate(MaskDistribution(probs=[0.5]), kv)
+
     def test_mean_strategy_divides_by_word_count(self):
         kv = _kv({"A": ["a1", "a2"], "B": ["b1"]})
-        dist = MaskDistribution(probs={"a1": 0.4, "a2": 0.0, "b1": 0.3})
+        dist = _dist(kv, {"a1": 0.4, "a2": 0.0, "b1": 0.3})
         scores = aggregate(dist, kv, strategy="mean")
         assert scores["A"] == pytest.approx(0.2)
         assert scores["B"] == pytest.approx(0.3)
@@ -217,14 +231,12 @@ class TestAggregate:
                 words = rng.sample(vocab, count)
                 mapping[f"L{li}"] = tuple((w, rng.randbelow(3) / 2) for w in words)
             kv = Verbalizer(label_words=mapping, k=10)
-            dist = MaskDistribution(
-                probs={w: rng.randbelow(1000) / 1000 for w in rng.sample(vocab, 12)}
-            )
-            scores = aggregate(dist, kv)
+            probs = {w: rng.randbelow(1000) / 1000 for w in rng.sample(vocab, 12)}
+            scores = aggregate(_dist(kv, probs), kv)
             for label, words in mapping.items():
                 brute = 0.0
                 for word, weight in words:
-                    for dword, dprob in dist.probs.items():
+                    for dword, dprob in probs.items():
                         if dword == word:
                             brute += weight * dprob
                 assert abs(scores[label] - brute) <= 1e-12
@@ -264,6 +276,151 @@ class TestPredict:
             predict("no mask here", kv, provider)
         with pytest.raises(ValueError, match="exactly one"):
             predict(f"{MASK_PLACEHOLDER} and {MASK_PLACEHOLDER}", kv, provider)
+
+
+def _reference_aggregate(probs, verbalizer, strategy):
+    """The dict-lookup aggregation that the positional folds replace."""
+    scores = {}
+    for label in verbalizer.labels():
+        words = verbalizer.words_for(label)
+        total = 0.0
+        for word, weight in words:
+            total += weight * probs.get(word, 0.0)
+        if strategy == "mean" and words:
+            total /= len(words)
+        scores[label] = total
+    return scores
+
+
+def _fraction_argmax(exact_scores):
+    """The earliest label with the largest exact score."""
+    best = None
+    for label, score in exact_scores.items():
+        if best is None or score > exact_scores[best]:
+            best = label
+    return best
+
+
+class TableProvider:
+    """Masses from a word -> unnormalized weight table; words it lacks get 0.0.
+
+    With ``normalize``, probabilities are the weights over their sequential
+    total and the weights are returned too; without, the weights are the
+    probabilities.
+    """
+
+    def __init__(self, weights, normalize):
+        self._weights = weights
+        self._normalize = normalize
+
+    def score(self, prompt, words):
+        weights = [self._weights.get(w, 0.0) for w in words]
+        if not self._normalize:
+            return MaskDistribution(probs=weights, covered=frozenset(self._weights))
+        total = 0.0
+        for weight in weights:
+            total += weight
+        return MaskDistribution(probs=[w / total if total else 0.0 for w in weights],
+                                covered=frozenset(self._weights), weights=weights)
+
+
+_WORDS = [f"w{i}" for i in range(8)]
+_MASSES = st.sampled_from([1, 2, 3, 5, 0.1, 0.2, 0.3, 0.7, 1.5, 1e-300])
+_LABEL_WEIGHTS = st.sampled_from([1.0, 0.5, 2.0, 0.1, 3.0, 0.0])
+
+
+@st.composite
+def _verbalizers(draw):
+    label_words = {}
+    for i in range(draw(st.integers(1, 5))):
+        words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6, unique=True))
+        unit = draw(st.booleans())
+        label_words[f"L{i}"] = tuple(
+            (w, 1.0 if unit else draw(_LABEL_WEIGHTS)) for w in words)
+    return Verbalizer(label_words=label_words, k=6)
+
+
+class TestPositionalScoring:
+    """Positional folds against the dict-lookup reference, labels against exact fractions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kv=_verbalizers(),
+        known=st.dictionaries(st.sampled_from(_WORDS), _MASSES, max_size=8),
+        normalize=st.booleans(),
+        strategy=st.sampled_from(["sum", "mean"]),
+    )
+    def test_scores_equal_reference_and_labels_equal_exact_argmax(
+        self, kv, known, normalize, strategy
+    ):
+        prompt = f"t {MASK_PLACEHOLDER}"
+        provider = TableProvider(known, normalize)
+        dist = provider.score(prompt, kv.all_words())
+        by_word = {w: p for w, p in zip(kv.all_words(), dist.probs) if w in known}
+        reference = _reference_aggregate(by_word, kv, strategy)
+
+        result = predict(prompt, kv, provider, strategy=strategy)
+        assert result.scores == reference
+        assert list(result.scores) == list(reference)
+        assert aggregate(dist, kv, strategy) == reference
+
+        exact = {}
+        for label in kv.labels():
+            words = kv.words_for(label)
+            total = sum(Fraction(weight) * Fraction(known.get(w, 0)) for w, weight in words)
+            exact[label] = total / len(words) if strategy == "mean" else total
+        assert result.label == _fraction_argmax(exact)
+
+    def test_planted_tie_goes_to_the_earliest_label(self):
+        # Weights (alpha 1 + count): x 5, y1..y5 1 each, z 1, so X and Y both
+        # sum to 5 of 11. As floats 5/11 = 0.45454545454545453 while five
+        # additions of 1/11 give 0.4545454545454546: rounding alone puts Y ahead.
+        model = CountModel.train(["c x"] * 4, make_segmenter("en"))
+        kv = _kv({"X": ["x"], "Y": [f"y{i}" for i in range(1, 6)], "Z": ["z"]})
+        result = predict(f"c {MASK_PLACEHOLDER}", kv, model)
+        assert result.scores["Y"] > result.scores["X"]
+        assert result.label == "X"
+        mean = predict(f"c {MASK_PLACEHOLDER}", _kv({"Y": ["y1"], "X": ["x"]}), model,
+                       strategy="mean")
+        assert mean.label == "X"
+
+    def test_planted_tie_with_fractional_alpha_goes_to_the_earliest_label(self):
+        # Counts a1 0, a2 2 and b1 1, b2 1: both labels weigh 2 * alpha + 2
+        # exactly, but the rounded floats 0.3 + 2.3 fall below 1.3 + 1.3.
+        model = CountModel.train(["c a2", "c a2", "c b1", "c b2", "a1"], make_segmenter("en"),
+                                 alpha=0.3)
+        kv = _kv({"A": ["a1", "a2"], "B": ["b1", "b2"]})
+        assert predict(f"c {MASK_PLACEHOLDER}", kv, model).label == "A"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from(_WORDS[:5]), min_size=1, max_size=5),
+                        min_size=1, max_size=6),
+        context=st.lists(st.sampled_from(_WORDS[:5] + ["oov"]), max_size=4),
+        kv=_verbalizers(),
+        strategy=st.sampled_from(["sum", "mean"]),
+        alpha=st.sampled_from([1.0, 2, 0.3, 0.1]),
+    )
+    def test_count_model_labels_equal_integer_oracle(self, corpus, context, kv, strategy, alpha):
+        kv = Verbalizer({label: tuple((w, 1.0) for w, _ in words)
+                         for label, words in kv.label_words.items()}, k=kv.k)
+        model = CountModel.train([" ".join(text) for text in corpus], make_segmenter("en"),
+                                 alpha=alpha)
+        pairs = Counter()
+        for text in corpus:
+            for i in range(len(text)):
+                for j in range(i + 1, len(text)):
+                    pairs[frozenset((text[i], text[j]))] += 1
+        # alpha enters at its exact value as a float
+        weight = {w: Fraction(alpha) + sum(pairs[frozenset((c, w))] for c in context)
+                  for w in _WORDS}
+        exact = {}
+        for label in kv.labels():
+            words = kv.words_for(label)
+            total = sum(weight[w] for w, _ in words)
+            exact[label] = total / len(words) if strategy == "mean" else total
+        prompt = " ".join(context) + f" {MASK_PLACEHOLDER}"
+        assert predict(prompt, kv, model, strategy=strategy).label == _fraction_argmax(exact)
 
 
 class TestApplyTemplate:
