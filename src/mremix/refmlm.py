@@ -13,7 +13,7 @@ normalized over the distinct query words. Context tokens are all non-mask
 words of the prompt; counts come from symmetric within-text co-occurrence
 over the training corpus. The total is the left-to-right sum of the
 weights ``alpha + sum`` as floats; the weights are also returned, in query
-order like the probabilities, as exact fractions worked out on demand.
+order like the probabilities. They are exact for an integer ``alpha``.
 
 Segmentation is whitespace for English. For Chinese and Japanese it is a
 greedy longest-match against a caller-supplied lexicon (typically the
@@ -25,13 +25,11 @@ verbalizer queries.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import add, truediv
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .cooc import CoocTable
 from .errors import DataError
@@ -111,36 +109,10 @@ class _QueryPlan:
     known_positions: tuple[int, ...]  # positions in ``queries`` of in-vocabulary words
     known_ids: tuple[int, ...]  # their vocabulary ids, in the same order
     covered: frozenset[str]
-    floor: tuple  # alpha at every position of ``queries``: the weights before any count
-    spread: Optional[tuple[int, ...]]  # each word's position in ``queries``, if a word repeats
-
-
-class _ExactWeights(Sequence):
-    """``alpha + sum`` of each query word as an exact ``Fraction``: the
-    unnormalized masses. They are worked out on first read, which only a
-    near tie between labels makes, from the sums that scoring already has."""
-
-    __slots__ = ("_alpha", "_plan", "_sums", "_values")
-
-    def __init__(self, alpha: float, plan: _QueryPlan, sums: Sequence[int]) -> None:
-        self._alpha, self._plan, self._sums = alpha, plan, sums
-        self._values: Optional[list[Fraction]] = None
-
-    def _exact(self) -> list[Fraction]:
-        if self._values is None:
-            floor = Fraction(self._alpha)
-            values = [floor] * len(self._plan.queries)
-            for i, s in zip(self._plan.known_positions, self._sums):
-                values[i] = floor + s
-            spread = self._plan.spread
-            self._values = values if spread is None else [values[i] for i in spread]
-        return self._values
-
-    def __len__(self) -> int:
-        return len(self._exact())
-
-    def __getitem__(self, index):
-        return self._exact()[index]
+    # Each word's position in ``queries`` when a word repeats: the provider
+    # contract takes any word list and answers every entry, and a repeated
+    # word counts once in the total.
+    spread: Optional[tuple[int, ...]]
 
 
 class CountModel:
@@ -191,10 +163,9 @@ class CountModel:
         context_text = prompt.replace(MASK_PLACEHOLDER, " ")
         vocab = self._vocab
         context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
-        weights = list(plan.floor)
-        sums = ()
+        alpha = self.alpha
+        weights = [alpha] * len(plan.queries)
         if plan.known_ids and context_ids:
-            alpha = self.alpha
             sums = self._table.context_sums(context_ids, plan.known_ids)
             for i, s in zip(plan.known_positions, sums):
                 weights[i] = alpha + s
@@ -203,8 +174,8 @@ class CountModel:
         probs = list(map(truediv, weights, repeat(total)))
         if plan.spread is not None:
             probs = [probs[i] for i in plan.spread]
-        return MaskDistribution(probs=probs, covered=plan.covered,
-                                weights=_ExactWeights(self.alpha, plan, sums))
+            weights = [weights[i] for i in plan.spread]
+        return MaskDistribution(probs=probs, covered=plan.covered, weights=weights)
 
     def _plan(self, words: tuple[str, ...]) -> "_QueryPlan":
         """Deduplicate ``words`` and resolve them against the vocabulary, and keep the result."""
@@ -216,7 +187,6 @@ class CountModel:
             known_positions=tuple(i for i, _ in known),
             known_ids=tuple(wid for _, wid in known),
             covered=frozenset(queries[i] for i, _ in known),
-            floor=(self.alpha,) * len(queries),
             spread=None if len(queries) == len(words) else tuple(map(position.get, words)),
         )
         if len(self._plans) >= _MAX_PLANS:

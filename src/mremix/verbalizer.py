@@ -7,8 +7,8 @@ query order. The query is the union of the labels' words, and each label
 knows its words' positions in it, so a label's score is a fold of the
 masses at its positions: the (weighted) sum, in label-word order, or
 that sum over the label's word count. The label with the highest score
-wins; a tie, decided on the provider's exact unnormalized weights rather
-than on the rounded scores, goes to the earliest label.
+wins; a tie, decided exactly on the provider's unnormalized weights
+rather than on the rounded scores, goes to the earliest label.
 
 Verbalizers come from two sources: frequency statistics over a training
 split's word-level entities (``build_from_wli``), or an external word-list
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
@@ -46,8 +45,9 @@ class MaskDistribution:
     long as the query and in its order; a word the provider does not know
     still has an entry (its smoothing floor, or 0.0). ``weights``, when
     given, are the exact unnormalized masses that ``probs`` are proportional
-    to (same length and order, any exact numbers; None means ``probs`` are
-    their own weights); they settle ties exactly and take no part in
+    to (same length and order, numbers with an exact ``as_integer_ratio()``
+    such as ints, floats, ``Fraction`` or ``Decimal``; None means ``probs``
+    are their own weights); they settle ties exactly and take no part in
     equality. ``covered`` holds the queried words the provider could
     actually score. No completeness over any vocabulary is implied.
     """
@@ -83,13 +83,13 @@ class Verbalizer:
 
     Construction also fixes the query, ``_all_words``: the labels' words,
     first-seen order, once each. ``_folds`` holds, per label, the positions
-    of its words in the query and their weights (None when all are 1.0).
+    of its words in the query and their weights.
     """
 
     label_words: Mapping[str, tuple[tuple[str, float], ...]]
     k: int
     _all_words: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
-    _folds: tuple[tuple[str, tuple[int, ...], Optional[tuple[float, ...]]], ...] = field(
+    _folds: tuple[tuple[str, tuple[int, ...], tuple[float, ...]], ...] = field(
         init=False, repr=False, compare=False, default=())
     _tolerance: float = field(init=False, repr=False, compare=False, default=0.0)
 
@@ -109,14 +109,13 @@ class Verbalizer:
                 raise DataError(f"label {label!r} has a negative word weight")
         union = (word for words in self.label_words.values() for word, _ in words)
         position = {word: i for i, word in enumerate(dict.fromkeys(union))}
-        folds = []
-        for label, words in self.label_words.items():
-            weights = tuple(weight for _, weight in words)
-            unit = all(weight == 1.0 for weight in weights)
-            folds.append((label, tuple(position[w] for w, _ in words), None if unit else weights))
+        folds = tuple(
+            (label, tuple(position[w] for w, _ in words), tuple(weight for _, weight in words))
+            for label, words in self.label_words.items()
+        )
         longest = max((len(words) for words in self.label_words.values()), default=0)
         object.__setattr__(self, "_all_words", tuple(position))
-        object.__setattr__(self, "_folds", tuple(folds))
+        object.__setattr__(self, "_folds", folds)
         object.__setattr__(self, "_tolerance", (longest + 3) * _ROUNDING_PER_STEP)
 
     def labels(self) -> tuple[str, ...]:
@@ -236,10 +235,9 @@ def aggregate(
 
     ``dist`` answers the query ``verbalizer.all_words()``, one mass per
     word in that order. Each label's score is the sequential fold
-    ``0.0 + w1*p1 + w2*p2 + ...`` over its words in label order (the
-    product is skipped for unit weights, which leaves every value as it
-    is), divided by the word count for ``mean``. A word listed under
-    several labels contributes its mass to each of them.
+    ``0.0 + w1*p1 + w2*p2 + ...`` over its words in label order, divided
+    by the word count for ``mean``. A word listed under several labels
+    contributes its mass to each of them.
     """
     if strategy not in AGGREGATION_STRATEGIES:
         raise ValueError(f"unknown aggregation strategy: {strategy!r}")
@@ -252,30 +250,12 @@ def aggregate(
     scores: dict[str, float] = {}
     for label, positions, weights in verbalizer._folds:
         total = 0.0
-        if weights is None:
-            for i in positions:
-                total += probs[i]
-        else:
-            for i, weight in zip(positions, weights):
-                total += weight * probs[i]
+        for i, weight in zip(positions, weights):
+            total += weight * probs[i]
         if mean and positions:
             total /= len(positions)
         scores[label] = total
     return scores
-
-
-# Every finite float is a multiple of 2**-1074, the smallest positive one.
-_EXACT_SHIFT = 1074
-
-
-def _scaled(value: float) -> int:
-    """``value * 2**1074`` as an exact integer (``value`` is a float, an int or
-    a ``Fraction`` made of them, so its denominator is a power of two)."""
-    numerator, denominator = value.as_integer_ratio()
-    return numerator << (_EXACT_SHIFT + 1 - denominator.bit_length())
-
-
-_EXACT_ONE = _scaled(1.0)
 
 
 def _exact_argmax(
@@ -285,20 +265,22 @@ def _exact_argmax(
 
     The masses are proportional to the provider's weights, by one factor
     for all words, so comparing the labels' sums of label weight times
-    provider weight, in exact integers, compares their true scores. For
-    ``mean`` the sums are cross-multiplied by the word counts.
+    provider weight compares their true scores. Each product is an exact
+    ratio of integers, and every sum is taken over the least common
+    denominator of all of them. For ``mean`` the sums are cross-multiplied
+    by the word counts.
     """
     masses = dist.probs if dist.weights is None else dist.weights
+    terms = {
+        label: [(weight.as_integer_ratio(), masses[i].as_integer_ratio())
+                for i, weight in zip(positions, weights)]
+        for label, positions, weights in verbalizer._folds if label in candidates
+    }
+    scale = math.lcm(*(d * e for pairs in terms.values() for (_, d), (_, e) in pairs))
     best, best_sum, best_count = "", -1, 1
-    for label, positions, weights in verbalizer._folds:
-        if label not in candidates:
-            continue
-        scaled = [_scaled(masses[i]) for i in positions]
-        if weights is None:
-            exact = sum(scaled) * _EXACT_ONE
-        else:
-            exact = sum(map(mul, map(_scaled, weights), scaled))
-        count = len(positions) if strategy == "mean" and positions else 1
+    for label, pairs in terms.items():
+        exact = sum(n * m * (scale // (d * e)) for (n, d), (m, e) in pairs)
+        count = len(pairs) if strategy == "mean" and pairs else 1
         if exact * best_count > best_sum * count:
             best, best_sum, best_count = label, exact, count
     return best

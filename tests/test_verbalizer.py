@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -384,13 +385,23 @@ class TestPositionalScoring:
                        strategy="mean")
         assert mean.label == "X"
 
-    def test_planted_tie_with_fractional_alpha_goes_to_the_earliest_label(self):
-        # Counts a1 0, a2 2 and b1 1, b2 1: both labels weigh 2 * alpha + 2
-        # exactly, but the rounded floats 0.3 + 2.3 fall below 1.3 + 1.3.
-        model = CountModel.train(["c a2", "c a2", "c b1", "c b2", "a1"], make_segmenter("en"),
-                                 alpha=0.3)
-        kv = _kv({"A": ["a1", "a2"], "B": ["b1", "b2"]})
-        assert predict(f"c {MASK_PLACEHOLDER}", kv, model).label == "A"
+    @pytest.mark.parametrize("single, part", [
+        (Fraction(1), Fraction(1, 3)),
+        (Decimal("0.3"), Decimal("0.1")),
+    ], ids=["thirds", "decimal-tenths"])
+    def test_tie_on_rational_weights_goes_to_the_earliest_label(self, single, part):
+        # Exact weights: b is worth three parts, and A has three words of one part.
+        weight = {"b": single, "a1": part, "a2": part, "a3": part}
+
+        class RationalProvider:
+            def score(self, prompt, words):
+                weights = [weight[w] for w in words]
+                total = 2 * single
+                return MaskDistribution(probs=[float(w / total) for w in weights],
+                                        covered=frozenset(weight), weights=weights)
+
+        kv = _kv({"B": ["b"], "A": ["a1", "a2", "a3"]})
+        assert predict(f"t {MASK_PLACEHOLDER}", kv, RationalProvider()).label == "B"
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -399,7 +410,7 @@ class TestPositionalScoring:
         context=st.lists(st.sampled_from(_WORDS[:5] + ["oov"]), max_size=4),
         kv=_verbalizers(),
         strategy=st.sampled_from(["sum", "mean"]),
-        alpha=st.sampled_from([1.0, 2, 0.3, 0.1]),
+        alpha=st.sampled_from([1.0, 2, 3]),
     )
     def test_count_model_labels_equal_integer_oracle(self, corpus, context, kv, strategy, alpha):
         kv = Verbalizer({label: tuple((w, 1.0) for w, _ in words)
@@ -411,8 +422,8 @@ class TestPositionalScoring:
             for i in range(len(text)):
                 for j in range(i + 1, len(text)):
                     pairs[frozenset((text[i], text[j]))] += 1
-        # alpha enters at its exact value as a float
-        weight = {w: Fraction(alpha) + sum(pairs[frozenset((c, w))] for c in context)
+        # with an integer alpha every weight is an exact integer
+        weight = {w: alpha + sum(pairs[frozenset((c, w))] for c in context)
                   for w in _WORDS}
         exact = {}
         for label in kv.labels():
