@@ -80,11 +80,6 @@ def read_jsonl_numbered(path: str | Path) -> list[tuple[int, Any]]:
     return out
 
 
-def read_jsonl(path: str | Path) -> list[Any]:
-    """Read one JSON document per line; blank lines are skipped."""
-    return [doc for _, doc in read_jsonl_numbered(path)]
-
-
 def write_json(path: str | Path, obj: Any) -> None:
     write_text(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 

@@ -9,11 +9,11 @@ Scoring: for a prompt with one mask slot and a set of query words,
 
     P(w)  proportional to  alpha + sum over context tokens c of count(c, w)
 
-normalized over the distinct query words. Context tokens are all non-mask
-words of the prompt; counts come from symmetric within-text co-occurrence
-over the training corpus. The total is the left-to-right sum of the
-weights ``alpha + sum`` as floats; the weights are also returned, in query
-order like the probabilities. They are exact for an integer ``alpha``.
+normalized over the query words, which must be distinct. Context tokens
+are all non-mask words of the prompt; counts come from symmetric
+within-text co-occurrence over the training corpus. With ``alpha`` as the
+exact ratio A/D, each word's weight is the integer ``A + D * sum`` and the
+total is their sum, so every mass is exact.
 
 Segmentation is whitespace for English. For Chinese and Japanese it is a
 greedy longest-match against a caller-supplied lexicon (typically the
@@ -26,10 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import repeat
-from operator import add, truediv
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .cooc import CoocTable
 from .errors import DataError
@@ -103,16 +100,11 @@ _MAX_PLANS = 16
 
 @dataclass(frozen=True)
 class _QueryPlan:
-    """The word-list-only part of scoring: distinct queries and their vocabulary ids."""
+    """The word-list-only part of scoring: the query words' vocabulary ids."""
 
-    queries: tuple[str, ...]  # first-seen order
-    known_positions: tuple[int, ...]  # positions in ``queries`` of in-vocabulary words
+    known_positions: tuple[int, ...]  # positions in the query of in-vocabulary words
     known_ids: tuple[int, ...]  # their vocabulary ids, in the same order
     covered: frozenset[str]
-    # Each word's position in ``queries`` when a word repeats: the provider
-    # contract takes any word list and answers every entry, and a repeated
-    # word counts once in the total.
-    spread: Optional[tuple[int, ...]]
 
 
 class CountModel:
@@ -126,6 +118,7 @@ class CountModel:
         self._vocab = vocab
         self.segmenter = segmenter
         self.alpha = alpha
+        self._alpha_ratio = alpha.as_integer_ratio()
         self._plans: dict[tuple[str, ...], _QueryPlan] = {}
 
     @classmethod
@@ -150,44 +143,32 @@ class CountModel:
         """Mask-position distribution over the query words, in query order.
 
         Query words outside the training vocabulary keep the smoothing
-        floor but are flagged uncovered. A repeated query word is counted
-        once in the total and gets the same mass at each of its positions.
-        The word-list-only part of the work is planned once per distinct
-        word list (see ``_plan``).
+        floor but are flagged uncovered; a repeated query word is a
+        ``ValueError``. The word-list-only part of the work is planned once
+        per distinct word list (see ``_plan``).
         """
         key = tuple(words)
         plan = self._plans.get(key) or self._plan(key)
-        if not plan.queries:
-            return MaskDistribution(probs=[], covered=frozenset(), weights=[])
-
         context_text = prompt.replace(MASK_PLACEHOLDER, " ")
         vocab = self._vocab
         context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
-        alpha = self.alpha
-        weights = [alpha] * len(plan.queries)
+        floor, scale = self._alpha_ratio
+        weights = [floor] * len(key)
         if plan.known_ids and context_ids:
             sums = self._table.context_sums(context_ids, plan.known_ids)
             for i, s in zip(plan.known_positions, sums):
-                weights[i] = alpha + s
-
-        total = reduce(add, weights)  # sequential, unlike sum() of floats since Python 3.12
-        probs = list(map(truediv, weights, repeat(total)))
-        if plan.spread is not None:
-            probs = [probs[i] for i in plan.spread]
-            weights = [weights[i] for i in plan.spread]
-        return MaskDistribution(probs=probs, covered=plan.covered, weights=weights)
+                weights[i] = floor + scale * s
+        return MaskDistribution(weights=weights, total=sum(weights), covered=plan.covered)
 
     def _plan(self, words: tuple[str, ...]) -> "_QueryPlan":
-        """Deduplicate ``words`` and resolve them against the vocabulary, and keep the result."""
-        position = {word: i for i, word in enumerate(dict.fromkeys(words))}
-        queries = tuple(position)
-        known = [(i, self._vocab[w]) for i, w in enumerate(queries) if w in self._vocab]
+        """Resolve the distinct ``words`` against the vocabulary, and keep the result."""
+        if len(set(words)) != len(words):
+            raise ValueError("query words must be distinct")
+        known = [(i, self._vocab[w]) for i, w in enumerate(words) if w in self._vocab]
         plan = _QueryPlan(
-            queries=queries,
             known_positions=tuple(i for i, _ in known),
             known_ids=tuple(wid for _, wid in known),
-            covered=frozenset(queries[i] for i, _ in known),
-            spread=None if len(queries) == len(words) else tuple(map(position.get, words)),
+            covered=frozenset(words[i] for i, _ in known),
         )
         if len(self._plans) >= _MAX_PLANS:
             self._plans.clear()

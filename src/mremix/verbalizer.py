@@ -2,13 +2,14 @@
 
 A verbalizer maps each text-level label to a ranked list of words. To
 classify a text, a probability provider scores every verbalizer word at
-the mask position of a prompt, returning one mass per queried word in
-query order. The query is the union of the labels' words, and each label
-knows its words' positions in it, so a label's score is a fold of the
-masses at its positions: the (weighted) sum, in label-word order, or
-that sum over the label's word count. The label with the highest score
-wins; a tie, decided exactly on the provider's unnormalized weights
-rather than on the rounded scores, goes to the earliest label.
+the mask position of a prompt, returning one non-negative integer weight
+per queried word in query order and one integer total: a word's mass is
+its weight over the total. The query is the union of the labels' words,
+and each label knows its words' positions in it, so a label's score is
+the integer sum of the weights at its positions over the total (over the
+total times the label's word count for ``mean``), rounded once. The
+label with the highest exact score wins; a tie goes to the earliest
+label.
 
 Verbalizers come from two sources: frequency statistics over a training
 split's word-level entities (``build_from_wli``), or an external word-list
@@ -18,7 +19,7 @@ datasets are excluded.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
@@ -36,62 +37,54 @@ AGGREGATION_STRATEGIES = ("sum", "mean")
 
 DEFAULT_WORDS_PER_LABEL = 100
 
+_FLOAT_MAX = int(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class MaskDistribution:
-    """Probability mass of each queried word at the mask position.
+    """Integer weights of the queried words at the mask position.
 
-    ``probs[i]`` is the mass of the i-th queried word, so ``probs`` is as
-    long as the query and in its order; a word the provider does not know
-    still has an entry (its smoothing floor, or 0.0). ``weights``, when
-    given, are the exact unnormalized masses that ``probs`` are proportional
-    to (same length and order, numbers with an exact ``as_integer_ratio()``
-    such as ints, floats, ``Fraction`` or ``Decimal``; None means ``probs``
-    are their own weights); they settle ties exactly and take no part in
-    equality. ``covered`` holds the queried words the provider could
-    actually score. No completeness over any vocabulary is implied.
+    ``weights[i]`` is the non-negative integer weight of the i-th queried
+    word, so ``weights`` is as long as the query and in its order; a word
+    the provider does not know still has an entry (its smoothing floor, or
+    0). Its mass is ``weights[i] / total``, with ``total`` a positive
+    integer (0 only for an empty query); ``probs`` derives those masses.
+    ``covered`` holds the queried words the provider could actually score.
+    No completeness over any vocabulary is implied.
     """
 
-    probs: Sequence[float]
+    weights: Sequence[int]
+    total: int
     covered: frozenset[str] = field(default_factory=frozenset)
-    weights: Optional[Sequence] = field(default=None, compare=False)
+
+    @property
+    def probs(self) -> list[float]:
+        total = self.total
+        return [weight / total for weight in self.weights]
 
 
 class ProbabilityProvider(Protocol):
-    """Deterministic source of mask-position word probabilities."""
+    """Deterministic source of mask-position word weights."""
 
     def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
-        """One mass per word of ``words``, in the same order."""
+        """One weight per word of ``words``, in the same order; the words are distinct."""
         ...
-
-
-# A float label score of n words is its exact value times (1 + e), with
-# |e| below about (n + 3) * 2**-53: one rounding for each word's float
-# weight (such as alpha + count), its mass (weight over total) and the
-# product with the word's label weight, the n - 1 additions of the fold
-# and the mean's division. Two scores further apart than twice that,
-# relative to their sum, are ordered as their exact values are; the factor
-# two also covers the rounding of the comparison itself.
-_ROUNDING_PER_STEP = 2.0 ** -52
-# Absolute slack: more than all the subnormal rounding error of a fold.
-_ROUNDING_FLOOR = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
 class Verbalizer:
-    """Ranked (word, weight) lists per text-level label, at most k per label.
+    """Ranked words per text-level label, at most k per label.
 
     Construction also fixes the query, ``_all_words``: the labels' words,
     first-seen order, once each. ``_folds`` holds, per label, the positions
-    of its words in the query and their weights.
+    of its words in the query.
     """
 
-    label_words: Mapping[str, tuple[tuple[str, float], ...]]
+    label_words: Mapping[str, tuple[str, ...]]
     k: int
     _all_words: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
-    _folds: tuple[tuple[str, tuple[int, ...], tuple[float, ...]], ...] = field(
+    _folds: tuple[tuple[str, tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False, default=())
-    _tolerance: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -102,26 +95,19 @@ class Verbalizer:
         for label, words in self.label_words.items():
             if len(words) > self.k:
                 raise DataError(f"label {label!r} has more than k={self.k} words")
-            surfaces = [w for w, _ in words]
-            if len(set(surfaces)) != len(surfaces):
+            if len(set(words)) != len(words):
                 raise DataError(f"label {label!r} lists a word more than once")
-            if any(weight < 0 for _, weight in words):
-                raise DataError(f"label {label!r} has a negative word weight")
-        union = (word for words in self.label_words.values() for word, _ in words)
+        union = (word for words in self.label_words.values() for word in words)
         position = {word: i for i, word in enumerate(dict.fromkeys(union))}
-        folds = tuple(
-            (label, tuple(position[w] for w, _ in words), tuple(weight for _, weight in words))
-            for label, words in self.label_words.items()
-        )
-        longest = max((len(words) for words in self.label_words.values()), default=0)
+        folds = tuple((label, tuple(map(position.__getitem__, words)))
+                      for label, words in self.label_words.items())
         object.__setattr__(self, "_all_words", tuple(position))
         object.__setattr__(self, "_folds", folds)
-        object.__setattr__(self, "_tolerance", (longest + 3) * _ROUNDING_PER_STEP)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.label_words)
 
-    def words_for(self, label: str) -> tuple[tuple[str, float], ...]:
+    def words_for(self, label: str) -> tuple[str, ...]:
         return self.label_words[label]
 
     def all_words(self) -> list[str]:
@@ -142,7 +128,7 @@ def build_from_wli(train: Split, desc, k: int = DEFAULT_WORDS_PER_LABEL) -> Verb
 
     For each text-level label, entity surface strings of records carrying
     that label are counted; the k most frequent are kept (ties broken by
-    code-point order) with unit weight.
+    code-point order).
     """
     _require_fixed_schema(desc.schema)
     if train.role != "train":
@@ -158,13 +144,13 @@ def build_from_wli(train: Split, desc, k: int = DEFAULT_WORDS_PER_LABEL) -> Verb
         for pair in record.pairs:
             table[pair.entity] = table.get(pair.entity, 0) + 1
 
-    label_words: dict[str, tuple[tuple[str, float], ...]] = {}
+    label_words: dict[str, tuple[str, ...]] = {}
     for label in desc.schema.text_labels:
         table = counts[label]
         if not table:
             raise DataError(f"label {label!r} has no word-level entities in the training split")
         ranked = sorted(table.items(), key=lambda item: (-item[1], item[0]))[:k]
-        label_words[label] = tuple((word, 1.0) for word, _ in ranked)
+        label_words[label] = tuple(word for word, _ in ranked)
     return Verbalizer(label_words=label_words, k=k)
 
 
@@ -176,7 +162,7 @@ def load_external_kv(
     File format: per-label blocks, a ``[label]`` header line followed by
     one word per line; '#' starts a comment. Every schema label must have a
     non-empty block; words are deduplicated keeping first occurrence and
-    truncated to k, with unit weight.
+    truncated to k.
     """
     _require_fixed_schema(schema)
     path = Path(path)
@@ -201,7 +187,7 @@ def load_external_kv(
                 raise DataError(f"{path}: line {lineno}: word before any [label] header")
             blocks[current].append(line)
 
-    label_words: dict[str, tuple[tuple[str, float], ...]] = {}
+    label_words: dict[str, tuple[str, ...]] = {}
     for label in schema.text_labels:
         words = blocks.get(label)
         if words is None:
@@ -214,7 +200,7 @@ def load_external_kv(
                 deduped.append(word)
         if not deduped:
             raise DataError(f"{path}: label {label!r} has an empty word list")
-        label_words[label] = tuple((word, 1.0) for word in deduped[:k])
+        label_words[label] = tuple(deduped[:k])
     return Verbalizer(label_words=label_words, k=k)
 
 
@@ -223,67 +209,42 @@ def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
     lines: list[str] = []
     for label in verbalizer.labels():
         lines.append(f"[{label}]")
-        lines.extend(word for word, _ in verbalizer.words_for(label))
+        lines.extend(verbalizer.words_for(label))
         lines.append("")
     write_text(path, "\n".join(lines))
+
+
+def _label_sums(
+    dist: MaskDistribution, verbalizer: Verbalizer, strategy: str
+) -> list[tuple[str, int, int]]:
+    """(label, sum of its words' weights, divisor) per label; the divisor is
+    the label's word count for ``mean`` and 1 for ``sum``."""
+    if strategy not in AGGREGATION_STRATEGIES:
+        raise ValueError(f"unknown aggregation strategy: {strategy!r}")
+    weights = dist.weights
+    if len(weights) != len(verbalizer._all_words):
+        raise ValueError(
+            f"distribution has {len(weights)} weights for {len(verbalizer._all_words)} query words"
+        )
+    mean = strategy == "mean"
+    at = weights.__getitem__
+    return [(label, sum(map(at, positions)), (len(positions) or 1) if mean else 1)
+            for label, positions in verbalizer._folds]
 
 
 def aggregate(
     dist: MaskDistribution, verbalizer: Verbalizer, strategy: str = "sum"
 ) -> dict[str, float]:
-    """Per-label scores: weighted sum of word probabilities (or per-label mean).
+    """Per-label scores: the sum of the label's word masses (or their mean).
 
-    ``dist`` answers the query ``verbalizer.all_words()``, one mass per
-    word in that order. Each label's score is the sequential fold
-    ``0.0 + w1*p1 + w2*p2 + ...`` over its words in label order, divided
-    by the word count for ``mean``. A word listed under several labels
-    contributes its mass to each of them.
+    ``dist`` answers the query ``verbalizer.all_words()``, one weight per
+    word in that order. Each label's score is the integer sum of its
+    words' weights over ``dist.total`` (times the word count for
+    ``mean``): one correctly rounded division. A word listed under several
+    labels contributes its mass to each of them.
     """
-    if strategy not in AGGREGATION_STRATEGIES:
-        raise ValueError(f"unknown aggregation strategy: {strategy!r}")
-    probs = dist.probs
-    if len(probs) != len(verbalizer._all_words):
-        raise ValueError(
-            f"distribution has {len(probs)} masses for {len(verbalizer._all_words)} query words"
-        )
-    mean = strategy == "mean"
-    scores: dict[str, float] = {}
-    for label, positions, weights in verbalizer._folds:
-        total = 0.0
-        for i, weight in zip(positions, weights):
-            total += weight * probs[i]
-        if mean and positions:
-            total /= len(positions)
-        scores[label] = total
-    return scores
-
-
-def _exact_argmax(
-    candidates: set[str], dist: MaskDistribution, verbalizer: Verbalizer, strategy: str
-) -> str:
-    """The earliest of ``candidates`` with the largest exact score.
-
-    The masses are proportional to the provider's weights, by one factor
-    for all words, so comparing the labels' sums of label weight times
-    provider weight compares their true scores. Each product is an exact
-    ratio of integers, and every sum is taken over the least common
-    denominator of all of them. For ``mean`` the sums are cross-multiplied
-    by the word counts.
-    """
-    masses = dist.probs if dist.weights is None else dist.weights
-    terms = {
-        label: [(weight.as_integer_ratio(), masses[i].as_integer_ratio())
-                for i, weight in zip(positions, weights)]
-        for label, positions, weights in verbalizer._folds if label in candidates
-    }
-    scale = math.lcm(*(d * e for pairs in terms.values() for (_, d), (_, e) in pairs))
-    best, best_sum, best_count = "", -1, 1
-    for label, pairs in terms.items():
-        exact = sum(n * m * (scale // (d * e)) for (n, d), (m, e) in pairs)
-        count = len(pairs) if strategy == "mean" and pairs else 1
-        if exact * best_count > best_sum * count:
-            best, best_sum, best_count = label, exact, count
-    return best
+    total = dist.total
+    return {label: s / (total * n) for label, s, n in _label_sums(dist, verbalizer, strategy)}
 
 
 @dataclass(frozen=True)
@@ -303,37 +264,27 @@ def predict(
 ) -> Prediction:
     """Classify one prompt: query the provider once, aggregate, take the argmax.
 
-    Ties (including the all-zero degenerate case) resolve to the earliest
-    label in the verbalizer's schema order. A tie is one of exact scores:
-    when another label's float score lies within the rounding bound of the
-    best one, the candidates are compared on the provider's unnormalized
-    weights in exact arithmetic (see ``_exact_argmax``), so rounding never
-    decides the label.
+    The argmax compares the labels' exact scores: their integer weight
+    sums, cross-multiplied by the word counts for ``mean``. Ties
+    (including the all-zero degenerate case) resolve to the earliest label
+    in the verbalizer's schema order.
     """
     slots = prompt.count(MASK_PLACEHOLDER)
     if slots != 1:
         raise ValueError(f"prompt must contain exactly one {MASK_PLACEHOLDER} slot, found {slots}")
     words = verbalizer._all_words
     dist = provider.score(prompt, words)
-    scores = aggregate(dist, verbalizer, strategy=strategy)
+    sums = _label_sums(dist, verbalizer, strategy)
 
-    best_label: Optional[str] = None
-    best_score = float("-inf")
-    for label, score in scores.items():
-        if score > best_score:
-            best_label = label
-            best_score = score
-    assert best_label is not None  # verbalizers are never empty
+    best_label, best_sum, best_n = sums[0]  # verbalizers are never empty
+    for label, s, n in sums:
+        if s * best_n > best_sum * n:
+            best_label, best_sum, best_n = label, s, n
 
-    tolerance = verbalizer._tolerance
-    near = {label for label, score in scores.items()
-            if best_score - score <= tolerance * (best_score + score) + _ROUNDING_FLOOR}
-    if len(near) > 1:
-        best_label = _exact_argmax(near, dist, verbalizer, strategy)
-
-    covered_any = not dist.covered.isdisjoint(words)
-    all_zero = all(score == 0.0 for score in scores.values())
-    return Prediction(label=best_label, scores=scores, no_coverage=not covered_any or all_zero)
+    total = dist.total
+    scores = {label: s / (total * n) for label, s, n in sums}
+    no_coverage = best_sum == 0 or dist.covered.isdisjoint(words)
+    return Prediction(label=best_label, scores=scores, no_coverage=no_coverage)
 
 
 def apply_template(text: str, template: str) -> str:
@@ -352,28 +303,28 @@ def apply_template(text: str, template: str) -> str:
 def shuffle_words(verbalizer: Verbalizer, seed: int) -> Verbalizer:
     """Reassign the pooled words across labels at random (a control baseline).
 
-    Per-label word counts and weights are preserved; only the
+    Per-label word counts are preserved; only the
     word-to-label assignment changes. Deterministic for a given seed.
     """
-    flat: list[tuple[str, float]] = []
+    flat: list[str] = []
     for label in verbalizer.labels():
         flat.extend(verbalizer.words_for(label))
     rng = SplitMix64(derive_seed_token(seed, "kv-shuffle"))
     rng.shuffle(flat)
 
-    label_words: dict[str, tuple[tuple[str, float], ...]] = {}
+    label_words: dict[str, tuple[str, ...]] = {}
     remaining = flat
     for label in verbalizer.labels():
         need = len(verbalizer.words_for(label))
-        taken: list[tuple[str, float]] = []
+        taken: list[str] = []
         used: set[str] = set()
-        rest: list[tuple[str, float]] = []
-        for item in remaining:
-            if len(taken) < need and item[0] not in used:
-                taken.append(item)
-                used.add(item[0])
+        rest: list[str] = []
+        for word in remaining:
+            if len(taken) < need and word not in used:
+                taken.append(word)
+                used.add(word)
             else:
-                rest.append(item)
+                rest.append(word)
         if len(taken) < need:
             raise MremixError(
                 "cannot shuffle verbalizer: duplicate words across labels leave "
@@ -393,11 +344,15 @@ class FileDistributionProvider:
     a prompt absent from the file is an error, and so is a row of the wrong
     shape: a non-string prompt, ``probs`` that is not an object of finite,
     non-negative numbers, or ``covered`` that is not a list of strings.
+
+    Each row's probabilities, as floats, become integer weights over their
+    common denominator once, at load, so ``weights[i] / total`` is the
+    file's float exactly.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._path = str(path)
-        self._table: dict[str, tuple[dict[str, float], frozenset[str]]] = {}
+        self._table: dict[str, tuple[dict[str, int], int, frozenset[str]]] = {}
         for i, row in read_jsonl_numbered(path):
             if not isinstance(row, dict) or "prompt" not in row or "probs" not in row:
                 raise DataError(f"{path}: line {i}: expected 'prompt' and 'probs' fields")
@@ -409,18 +364,25 @@ class FileDistributionProvider:
             )
             if not numbers:
                 raise DataError(f"{path}: line {i}: 'probs' must map words to numbers")
-            if not all(0 <= p < math.inf for p in probs.values()):
+            # an exact comparison, so an integer beyond the float range fails too
+            if not all(0 <= p <= _FLOAT_MAX for p in probs.values()):
                 raise DataError(f"{path}: line {i}: 'probs' must be finite and non-negative")
             covered = row.get("covered", list(probs))
             if not isinstance(covered, list) or not all(isinstance(w, str) for w in covered):
                 raise DataError(f"{path}: line {i}: 'covered' must be a list of words")
-            self._table[prompt] = ({w: float(p) for w, p in probs.items()}, frozenset(covered))
+            ratios = [float(p).as_integer_ratio() for p in probs.values()]
+            # float denominators are powers of two, so the largest is their common one
+            total = max((d for _, d in ratios), default=1)
+            weights = {w: n * (total // d) for w, (n, d) in zip(probs, ratios)}
+            if sum(weights.values()) > _FLOAT_MAX * total:  # a label's mass could overflow
+                raise DataError(f"{path}: line {i}: 'probs' must have a finite sum")
+            self._table[prompt] = (weights, total, frozenset(covered))
 
     def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
-        """The file's probability of each word (0.0 when it has none), in query order."""
+        """The file's weight of each word (0 when it has none), in query order."""
         entry = self._table.get(prompt)
         if entry is None:
             raise DataError(f"{self._path}: no precomputed distribution for prompt {prompt!r}")
-        probs, covered = entry
-        queried = [probs.get(word, 0.0) for word in words]
-        return MaskDistribution(probs=queried, covered=covered.intersection(words))
+        weights, total, covered = entry
+        return MaskDistribution(weights=[weights.get(word, 0) for word in words], total=total,
+                                covered=covered.intersection(words))

@@ -145,11 +145,11 @@ def _random_verbalizer_and_dist(rng: SplitMix64):
     mapping = {}
     for li in range(2 + rng.randbelow(4)):
         words = rng.sample(vocab, 1 + rng.randbelow(6))
-        mapping[f"L{li}"] = tuple((w, 1.0) for w in words)
+        mapping[f"L{li}"] = tuple(words)
     kv = Verbalizer(label_words=mapping, k=8)
-    probs = {w: (rng.randbelow(10_000) + 1) / 10_000 for w in rng.sample(vocab, 14)}
-    masses = [probs.get(w, 0.0) for w in kv.all_words()]
-    return kv, MaskDistribution(probs=masses, covered=frozenset(probs))
+    weights = {w: rng.randbelow(10_000) + 1 for w in rng.sample(vocab, 14)}
+    return kv, MaskDistribution(weights=[weights.get(w, 0) for w in kv.all_words()],
+                                total=10_000, covered=frozenset(weights))
 
 
 @pytest.mark.criterion(3, "aggregation matches a brute-force double loop on 1,000 instances")
@@ -160,10 +160,10 @@ def test_aggregation_oracle():
         scores = aggregate(dist, kv)
         for label in kv.labels():
             brute = 0.0
-            for word, weight in kv.words_for(label):
+            for word in kv.words_for(label):
                 for dword, dprob in zip(kv.all_words(), dist.probs):
                     if dword == word:
-                        brute += weight * dprob
+                        brute += dprob
             assert abs(scores[label] - brute) <= 1e-12
 
 
@@ -183,9 +183,10 @@ def test_argmax_scale_invariance():
         kv, dist = _random_verbalizer_and_dist(rng)
         base = predict(prompt, kv, _FixedProvider(dist))
         for _ in range(10):
-            c = (rng.randbelow(100_000) + 1) / 1_000.0  # c in (0, 100]
+            c = rng.randbelow(100_000) + 1  # masses times c / 1,000, in (0, 100]
             scaled = MaskDistribution(
-                probs=[c * p for p in dist.probs], covered=dist.covered
+                weights=[c * w for w in dist.weights], total=1_000 * dist.total,
+                covered=dist.covered,
             )
             assert predict(prompt, kv, _FixedProvider(scaled)).label == base.label
 

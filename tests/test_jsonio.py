@@ -38,7 +38,7 @@ def test_writers_emit_canonical_bytes(tmp_path):
     assert (tmp_path / "sub" / "a.md").read_bytes() == b"| x |\n"
 
 
-@pytest.mark.parametrize("reader", [jsonio.read_json, jsonio.read_jsonl])
+@pytest.mark.parametrize("reader", [jsonio.read_json, jsonio.read_jsonl_numbered])
 def test_readers_name_a_non_utf8_file(tmp_path, reader):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"a": "\xe9"}\n')

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -97,21 +98,22 @@ class TestScore:
         corpus = ["a b", "a b", "a b", "a c"]
         model = CountModel.train(corpus, make_segmenter("en"), alpha=1.0)
         dist = model.score(f"a {MASK_PLACEHOLDER}", ["b", "c"])
-        assert dist.probs == pytest.approx([4 / 6, 2 / 6])
-        assert list(dist.weights) == [4, 2]
+        assert dist.probs == [4 / 6, 2 / 6]
+        assert (list(dist.weights), dist.total) == ([4, 2], 6)
 
     def test_no_context_overlap_gives_uniform(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
         dist = model.score(f"zzz {MASK_PLACEHOLDER}", ["a", "b"])
         assert dist.probs == [0.5, 0.5]
 
-    def test_total_adds_left_to_right(self):
-        # ten floors of 0.1 add up to 0.9999999999999999 left to right (a
-        # compensated sum gives 1.0), so each mass is 0.10000000000000002
-        model = CountModel.train(["a b"], make_segmenter("en"), alpha=0.1)
-        dist = model.score(f"a {MASK_PLACEHOLDER}", [f"oov{i}" for i in range(10)])
-        assert dist.weights == [0.1] * 10
-        assert dist.probs == [0.10000000000000002] * 10
+    def test_fractional_alpha_weights_are_exact(self):
+        # alpha 0.1 is the binary ratio A/D: weights A + D * count, their sum the total
+        a, d = (0.1).as_integer_ratio()
+        model = CountModel.train(["a b", "a b"], make_segmenter("en"), alpha=0.1)
+        dist = model.score(f"a {MASK_PLACEHOLDER}", [f"oov{i}" for i in range(9)] + ["b"])
+        assert dist.weights == [a] * 9 + [a + 2 * d]
+        assert dist.total == 10 * a + 2 * d
+        assert dist.probs[0] == float(Fraction(a, 10 * a + 2 * d))
 
     def test_distribution_sums_to_one(self):
         desc, train, _, _ = planted_splits(n_train_per_label=6)
@@ -129,12 +131,14 @@ class TestScore:
         assert "b" in dist.covered
         assert dist.probs[1] > 0.0
 
-    def test_duplicate_queries_collapse(self):
+    def test_duplicate_queries_rejected(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
-        dist = model.score(f"a {MASK_PLACEHOLDER}", ["b", "b", "c"])
-        assert dist.probs[0] == dist.probs[1] and list(dist.weights) == [2, 2, 1]
-        assert dist.probs[1] + dist.probs[2] == pytest.approx(1.0)
-        assert dist.probs[1:] == model.score(f"a {MASK_PLACEHOLDER}", ["b", "c"]).probs
+        with pytest.raises(ValueError, match="query words must be distinct"):
+            model.score(f"a {MASK_PLACEHOLDER}", ["b", "b", "c"])
+        # the refused list leaves no plan behind, so a second try fails the same way
+        with pytest.raises(ValueError, match="query words must be distinct"):
+            model.score(f"a {MASK_PLACEHOLDER}", ["b", "b", "c"])
+        assert model.score(f"a {MASK_PLACEHOLDER}", ["b", "c"]).weights == [2, 1]
 
     def test_determinism(self):
         _, train, _, _ = planted_splits(n_train_per_label=4)

@@ -167,7 +167,8 @@ _CORPUS_WORDS = [f"w{i}" for i in range(8)]
 @given(
     corpus=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=6),
                     min_size=1, max_size=8),
-    lists=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov1", "oov2"]), max_size=7),
+    lists=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov1", "oov2"]), max_size=7,
+                            unique=True),
                    min_size=2, max_size=2),
     contexts=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov3"]), max_size=6),
                       min_size=1, max_size=4),
@@ -194,7 +195,7 @@ def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():
 
 
 def test_all_words_returns_a_fresh_list():
-    kv = Verbalizer({"a": (("x", 1.0), ("y", 1.0)), "b": (("y", 1.0), ("z", 1.0))}, k=2)
+    kv = Verbalizer({"a": ("x", "y"), "b": ("y", "z")}, k=2)
     words = kv.all_words()
     words.append("mutated")
     assert kv.all_words() == ["x", "y", "z"]

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
+import math
+import tempfile
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,46 +28,43 @@ from mremix import (
 )
 from mremix.errors import DataError, SchemaError
 from mremix.rng import SplitMix64
-from mremix.verbalizer import MASK_PLACEHOLDER
+from mremix.verbalizer import MASK_PLACEHOLDER, FileDistributionProvider
 
 from synth import planted_splits
 
 
 class StubProvider:
-    """Answers every prompt from one fixed word -> mass table (0.0 for other words)."""
+    """Answers every prompt from one fixed word -> weight table over one total
+    (0 for other words)."""
 
-    def __init__(self, probs, covered=None):
-        self._probs = dict(probs)
-        self._covered = frozenset(probs if covered is None else covered)
+    def __init__(self, weights, total=10, covered=None):
+        self._weights = dict(weights)
+        self._total = total
+        self._covered = frozenset(weights if covered is None else covered)
         self.calls = 0
 
     def score(self, prompt, words):
         self.calls += 1
-        return MaskDistribution(probs=[self._probs.get(w, 0.0) for w in words],
-                                covered=self._covered)
+        return MaskDistribution(weights=[self._weights.get(w, 0) for w in words],
+                                total=self._total, covered=self._covered)
 
 
 class PresenceOracleProvider:
     """Mass proportional to each query word's presence in the prompt."""
 
     def score(self, prompt, words):
-        hits = [1.0 if w in prompt else 0.0 for w in words]
-        total = sum(hits)
-        if total:
-            hits = [v / total for v in hits]
-        return MaskDistribution(probs=hits, covered=frozenset(w for w in words if w in prompt))
+        hits = [int(w in prompt) for w in words]
+        return MaskDistribution(weights=hits, total=max(sum(hits), 1),
+                                covered=frozenset(w for w in words if w in prompt))
 
 
 def _kv(mapping, k=10):
-    return Verbalizer(
-        label_words={label: tuple((w, 1.0) for w in words) for label, words in mapping.items()},
-        k=k,
-    )
+    return Verbalizer(label_words=mapping, k=k)
 
 
-def _dist(kv, probs):
-    """The distribution answering ``kv``'s query from a word -> mass table."""
-    return MaskDistribution(probs=[probs.get(w, 0.0) for w in kv.all_words()])
+def _dist(kv, weights, total=10):
+    """The distribution answering ``kv``'s query from a word -> weight table."""
+    return MaskDistribution(weights=[weights.get(w, 0) for w in kv.all_words()], total=total)
 
 
 class TestBuildFromWli:
@@ -76,8 +77,8 @@ class TestBuildFromWli:
             make_record("c", label="negative", pairs=[("negative", "bad")]),
         )
         kv = build_from_wli(Split(records, "train"), scpos_adj_en, k=2)
-        assert [w for w, _ in kv.words_for("positive")] == ["fun", "nice"]
-        assert [w for w, _ in kv.words_for("negative")] == ["bad"]
+        assert list(kv.words_for("positive")) == ["fun", "nice"]
+        assert list(kv.words_for("negative")) == ["bad"]
 
     def test_tie_breaks_lexicographically(self, scpos_adj_en, make_record):
         from mremix.ingest import Split
@@ -87,7 +88,7 @@ class TestBuildFromWli:
             make_record("b", label="negative", pairs=[("negative", "bad")]),
         )
         kv = build_from_wli(Split(records, "train"), scpos_adj_en, k=1)
-        assert [w for w, _ in kv.words_for("positive")] == ["alpha"]
+        assert list(kv.words_for("positive")) == ["alpha"]
 
     def test_five_labels_k100_bounds_total(self):
         desc, train, _, _ = planted_splits(n_train_per_label=10, pool_size=12)
@@ -127,7 +128,7 @@ class TestBuildFromWli:
                     for pair in record.pairs:
                         counts[pair.entity] += 1
             oracle = sorted(counts, key=lambda w: (-counts[w], w))[:k]
-            assert [w for w, _ in kv.words_for(label)] == oracle
+            assert list(kv.words_for(label)) == oracle
 
 
 class TestExternalKv:
@@ -171,13 +172,13 @@ class TestExternalKv:
         )
         kv = load_external_kv(path, scpos_adj_en.schema, k=100)
         assert len(kv.words_for("positive")) == 100
-        assert [w for w, _ in kv.words_for("positive")][:3] == ["w0", "w1", "w2"]
+        assert list(kv.words_for("positive"))[:3] == ["w0", "w1", "w2"]
 
     def test_dedupe_keeps_first(self, tmp_path, scpos_adj_en):
         path = tmp_path / "kv.txt"
         self._write(path, {"positive": ["fun", "fun", "nice"], "negative": ["bad"]})
         kv = load_external_kv(path, scpos_adj_en.schema, k=10)
-        assert [w for w, _ in kv.words_for("positive")] == ["fun", "nice"]
+        assert list(kv.words_for("positive")) == ["fun", "nice"]
 
     def test_save_reload_roundtrip_and_stability(self, tmp_path, scnm_en):
         desc, train, _, _ = planted_splits(n_train_per_label=5)
@@ -194,7 +195,7 @@ class TestExternalKv:
 class TestAggregate:
     def test_worked_example(self):
         kv = _kv({"A": ["good", "great"], "B": ["bad"]})
-        dist = _dist(kv, {"good": 0.3, "great": 0.2, "bad": 0.4})
+        dist = _dist(kv, {"good": 3, "great": 2, "bad": 4})
         scores = aggregate(dist, kv)
         assert scores == {"A": 0.5, "B": 0.4}
 
@@ -205,21 +206,19 @@ class TestAggregate:
 
     def test_shared_word_contributes_to_both(self):
         kv = _kv({"A": ["shared"], "B": ["shared"]})
-        scores = aggregate(_dist(kv, {"shared": 0.2}), kv)
-        assert scores["A"] == pytest.approx(0.2)
-        assert scores["B"] == pytest.approx(0.2)
+        scores = aggregate(_dist(kv, {"shared": 2}), kv)
+        assert scores == {"A": 0.2, "B": 0.2}
 
     def test_masses_must_answer_the_whole_query(self):
         kv = _kv({"A": ["x"], "B": ["y"]})
-        with pytest.raises(ValueError, match="1 masses for 2 query words"):
-            aggregate(MaskDistribution(probs=[0.5]), kv)
+        with pytest.raises(ValueError, match="1 weights for 2 query words"):
+            aggregate(MaskDistribution(weights=[5], total=10), kv)
 
     def test_mean_strategy_divides_by_word_count(self):
         kv = _kv({"A": ["a1", "a2"], "B": ["b1"]})
-        dist = _dist(kv, {"a1": 0.4, "a2": 0.0, "b1": 0.3})
+        dist = _dist(kv, {"a1": 4, "a2": 0, "b1": 3})
         scores = aggregate(dist, kv, strategy="mean")
-        assert scores["A"] == pytest.approx(0.2)
-        assert scores["B"] == pytest.approx(0.3)
+        assert scores == {"A": 0.2, "B": 0.3}
 
     def test_matches_brute_force_double_loop(self):
         rng = SplitMix64(404)
@@ -229,24 +228,23 @@ class TestAggregate:
             mapping = {}
             for li in range(n_labels):
                 count = 1 + rng.randbelow(6)
-                words = rng.sample(vocab, count)
-                mapping[f"L{li}"] = tuple((w, rng.randbelow(3) / 2) for w in words)
+                mapping[f"L{li}"] = tuple(rng.sample(vocab, count))
             kv = Verbalizer(label_words=mapping, k=10)
-            probs = {w: rng.randbelow(1000) / 1000 for w in rng.sample(vocab, 12)}
-            scores = aggregate(_dist(kv, probs), kv)
+            weights = {w: rng.randbelow(1000) for w in rng.sample(vocab, 12)}
+            scores = aggregate(_dist(kv, weights, total=1000), kv)
             for label, words in mapping.items():
-                brute = 0.0
-                for word, weight in words:
-                    for dword, dprob in probs.items():
+                brute = 0
+                for word in words:
+                    for dword, dweight in weights.items():
                         if dword == word:
-                            brute += weight * dprob
-                assert abs(scores[label] - brute) <= 1e-12
+                            brute += dweight
+                assert scores[label] == brute / 1000
 
 
 class TestPredict:
     def test_argmax(self):
         kv = _kv({"A": ["good", "great"], "B": ["bad"]})
-        provider = StubProvider({"good": 0.3, "great": 0.2, "bad": 0.4})
+        provider = StubProvider({"good": 3, "great": 2, "bad": 4})
         result = predict(f"text {MASK_PLACEHOLDER}", kv, provider)
         assert result.label == "A"
         assert result.scores == {"A": 0.5, "B": 0.4}
@@ -254,43 +252,39 @@ class TestPredict:
 
     def test_tie_breaks_to_first_label(self):
         kv = _kv({"A": ["x"], "B": ["y"]})
-        provider = StubProvider({"x": 0.5, "y": 0.5})
+        provider = StubProvider({"x": 5, "y": 5})
         assert predict(f"t {MASK_PLACEHOLDER}", kv, provider).label == "A"
 
     def test_no_coverage_warning(self):
         kv = _kv({"A": ["x"], "B": ["y"]})
-        provider = StubProvider({"x": 0.0, "y": 0.0}, covered=())
+        provider = StubProvider({"x": 0, "y": 0}, covered=())
         result = predict(f"t {MASK_PLACEHOLDER}", kv, provider)
         assert result.label == "A"
         assert result.no_coverage
 
     def test_single_provider_call(self):
         kv = _kv({"A": ["x"], "B": ["y"]})
-        provider = StubProvider({"x": 1.0, "y": 0.0})
+        provider = StubProvider({"x": 10, "y": 0})
         predict(f"t {MASK_PLACEHOLDER}", kv, provider)
         assert provider.calls == 1
 
     def test_mask_slot_count_enforced(self):
         kv = _kv({"A": ["x"]})
-        provider = StubProvider({"x": 1.0})
+        provider = StubProvider({"x": 10})
         with pytest.raises(ValueError, match="exactly one"):
             predict("no mask here", kv, provider)
         with pytest.raises(ValueError, match="exactly one"):
             predict(f"{MASK_PLACEHOLDER} and {MASK_PLACEHOLDER}", kv, provider)
 
 
-def _reference_aggregate(probs, verbalizer, strategy):
-    """The dict-lookup aggregation that the positional folds replace."""
-    scores = {}
+def _exact_scores(weight, total, verbalizer, strategy):
+    """Each label's exact score from a word -> weight table over ``total``."""
+    exact = {}
     for label in verbalizer.labels():
         words = verbalizer.words_for(label)
-        total = 0.0
-        for word, weight in words:
-            total += weight * probs.get(word, 0.0)
-        if strategy == "mean" and words:
-            total /= len(words)
-        scores[label] = total
-    return scores
+        score = Fraction(sum(weight.get(w, 0) for w in words), total)
+        exact[label] = score / len(words) if strategy == "mean" else score
+    return exact
 
 
 def _fraction_argmax(exact_scores):
@@ -303,83 +297,68 @@ def _fraction_argmax(exact_scores):
 
 
 class TableProvider:
-    """Masses from a word -> unnormalized weight table; words it lacks get 0.0.
+    """Weights from a word -> integer weight table (0 for words it lacks), over
+    their sum plus ``spare`` (at least 1)."""
 
-    With ``normalize``, probabilities are the weights over their sequential
-    total and the weights are returned too; without, the weights are the
-    probabilities.
-    """
-
-    def __init__(self, weights, normalize):
+    def __init__(self, weights, spare):
         self._weights = weights
-        self._normalize = normalize
+        self._spare = spare
 
     def score(self, prompt, words):
-        weights = [self._weights.get(w, 0.0) for w in words]
-        if not self._normalize:
-            return MaskDistribution(probs=weights, covered=frozenset(self._weights))
-        total = 0.0
-        for weight in weights:
-            total += weight
-        return MaskDistribution(probs=[w / total if total else 0.0 for w in weights],
-                                covered=frozenset(self._weights), weights=weights)
+        weights = [self._weights.get(w, 0) for w in words]
+        return MaskDistribution(weights=weights, total=max(sum(weights) + self._spare, 1),
+                                covered=frozenset(self._weights))
 
 
 _WORDS = [f"w{i}" for i in range(8)]
-_MASSES = st.sampled_from([1, 2, 3, 5, 0.1, 0.2, 0.3, 0.7, 1.5, 1e-300])
-_LABEL_WEIGHTS = st.sampled_from([1.0, 0.5, 2.0, 0.1, 3.0, 0.0])
+# small weights tie often; large ones are not exact as floats, nor are their sums
+_WEIGHTS = st.one_of(st.integers(0, 6), st.integers(2**53 - 4, 2**53 + 4),
+                     st.integers(0, 2**1100))
 
 
 @st.composite
 def _verbalizers(draw):
     label_words = {}
     for i in range(draw(st.integers(1, 5))):
-        words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6, unique=True))
-        unit = draw(st.booleans())
         label_words[f"L{i}"] = tuple(
-            (w, 1.0 if unit else draw(_LABEL_WEIGHTS)) for w in words)
+            draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6, unique=True)))
     return Verbalizer(label_words=label_words, k=6)
 
 
 class TestPositionalScoring:
-    """Positional folds against the dict-lookup reference, labels against exact fractions."""
+    """Integer label sums against exact fractions: scores rounded once, labels by the earliest argmax."""
 
     @settings(max_examples=400, deadline=None)
     @given(
         kv=_verbalizers(),
-        known=st.dictionaries(st.sampled_from(_WORDS), _MASSES, max_size=8),
-        normalize=st.booleans(),
+        known=st.dictionaries(st.sampled_from(_WORDS), _WEIGHTS, max_size=8),
+        spare=st.one_of(st.just(0), st.integers(0, 2**1100)),
         strategy=st.sampled_from(["sum", "mean"]),
     )
     def test_scores_equal_reference_and_labels_equal_exact_argmax(
-        self, kv, known, normalize, strategy
+        self, kv, known, spare, strategy
     ):
         prompt = f"t {MASK_PLACEHOLDER}"
-        provider = TableProvider(known, normalize)
+        provider = TableProvider(known, spare)
         dist = provider.score(prompt, kv.all_words())
-        by_word = {w: p for w, p in zip(kv.all_words(), dist.probs) if w in known}
-        reference = _reference_aggregate(by_word, kv, strategy)
+        exact = _exact_scores(dict(zip(kv.all_words(), dist.weights)), dist.total, kv, strategy)
+        reference = {label: float(score) for label, score in exact.items()}
 
         result = predict(prompt, kv, provider, strategy=strategy)
         assert result.scores == reference
         assert list(result.scores) == list(reference)
         assert aggregate(dist, kv, strategy) == reference
-
-        exact = {}
-        for label in kv.labels():
-            words = kv.words_for(label)
-            total = sum(Fraction(weight) * Fraction(known.get(w, 0)) for w, weight in words)
-            exact[label] = total / len(words) if strategy == "mean" else total
         assert result.label == _fraction_argmax(exact)
+        assert result.no_coverage == (not known or max(exact.values()) == 0)
 
     def test_planted_tie_goes_to_the_earliest_label(self):
         # Weights (alpha 1 + count): x 5, y1..y5 1 each, z 1, so X and Y both
-        # sum to 5 of 11. As floats 5/11 = 0.45454545454545453 while five
-        # additions of 1/11 give 0.4545454545454546: rounding alone puts Y ahead.
+        # sum to 5 of 11. Adding five float masses of 1/11 would give
+        # 0.4545454545454546, above X's 5/11 = 0.45454545454545453.
         model = CountModel.train(["c x"] * 4, make_segmenter("en"))
         kv = _kv({"X": ["x"], "Y": [f"y{i}" for i in range(1, 6)], "Z": ["z"]})
         result = predict(f"c {MASK_PLACEHOLDER}", kv, model)
-        assert result.scores["Y"] > result.scores["X"]
+        assert result.scores["Y"] == result.scores["X"] == 5 / 11
         assert result.label == "X"
         mean = predict(f"c {MASK_PLACEHOLDER}", _kv({"Y": ["y1"], "X": ["x"]}), model,
                        strategy="mean")
@@ -390,15 +369,17 @@ class TestPositionalScoring:
         (Decimal("0.3"), Decimal("0.1")),
     ], ids=["thirds", "decimal-tenths"])
     def test_tie_on_rational_weights_goes_to_the_earliest_label(self, single, part):
-        # Exact weights: b is worth three parts, and A has three words of one part.
-        weight = {"b": single, "a1": part, "a2": part, "a3": part}
+        # Exact weights: b is worth three parts, and A has three words of one
+        # part. The provider states them as integers over their common denominator.
+        weight = {w: Fraction(v) for w, v in {"b": single, "a1": part, "a2": part,
+                                              "a3": part}.items()}
+        scale = math.lcm(*(v.denominator for v in weight.values()))
 
         class RationalProvider:
             def score(self, prompt, words):
-                weights = [weight[w] for w in words]
-                total = 2 * single
-                return MaskDistribution(probs=[float(w / total) for w in weights],
-                                        covered=frozenset(weight), weights=weights)
+                return MaskDistribution(weights=[int(weight[w] * scale) for w in words],
+                                        total=int(2 * Fraction(single) * scale),
+                                        covered=frozenset(weight))
 
         kv = _kv({"B": ["b"], "A": ["a1", "a2", "a3"]})
         assert predict(f"t {MASK_PLACEHOLDER}", kv, RationalProvider()).label == "B"
@@ -410,11 +391,9 @@ class TestPositionalScoring:
         context=st.lists(st.sampled_from(_WORDS[:5] + ["oov"]), max_size=4),
         kv=_verbalizers(),
         strategy=st.sampled_from(["sum", "mean"]),
-        alpha=st.sampled_from([1.0, 2, 3]),
+        alpha=st.sampled_from([1.0, 2, 3, 0.3]),
     )
     def test_count_model_labels_equal_integer_oracle(self, corpus, context, kv, strategy, alpha):
-        kv = Verbalizer({label: tuple((w, 1.0) for w, _ in words)
-                         for label, words in kv.label_words.items()}, k=kv.k)
         model = CountModel.train([" ".join(text) for text in corpus], make_segmenter("en"),
                                  alpha=alpha)
         pairs = Counter()
@@ -422,16 +401,14 @@ class TestPositionalScoring:
             for i in range(len(text)):
                 for j in range(i + 1, len(text)):
                     pairs[frozenset((text[i], text[j]))] += 1
-        # with an integer alpha every weight is an exact integer
-        weight = {w: alpha + sum(pairs[frozenset((c, w))] for c in context)
-                  for w in _WORDS}
-        exact = {}
-        for label in kv.labels():
-            words = kv.words_for(label)
-            total = sum(weight[w] for w, _ in words)
-            exact[label] = total / len(words) if strategy == "mean" else total
+        # exact weights: the binary value of alpha plus an integer count
+        weight = {w: Fraction(alpha) + sum(pairs[frozenset((c, w))] for c in context)
+                  for w in kv.all_words()}
+        exact = _exact_scores(weight, sum(weight.values()), kv, strategy)
         prompt = " ".join(context) + f" {MASK_PLACEHOLDER}"
-        assert predict(prompt, kv, model, strategy=strategy).label == _fraction_argmax(exact)
+        result = predict(prompt, kv, model, strategy=strategy)
+        assert result.label == _fraction_argmax(exact)
+        assert result.scores == {label: float(score) for label, score in exact.items()}
 
 
 class TestApplyTemplate:
@@ -456,8 +433,8 @@ class TestShuffleWords:
         assert shuffled.labels() == kv.labels()
         for label in kv.labels():
             assert len(shuffled.words_for(label)) == len(kv.words_for(label))
-        pool = sorted(w for l in kv.labels() for w, _ in kv.words_for(l))
-        shuffled_pool = sorted(w for l in shuffled.labels() for w, _ in shuffled.words_for(l))
+        pool = sorted(w for l in kv.labels() for w in kv.words_for(l))
+        shuffled_pool = sorted(w for l in shuffled.labels() for w in shuffled.words_for(l))
         assert pool == shuffled_pool
 
     def test_deterministic_and_seed_sensitive(self):
@@ -485,3 +462,83 @@ def test_few_shot_then_build(scnm_en):
     subset = few_shot_sample(train, desc, 10, seed=1)
     kv = build_from_wli(subset, desc, k=5)
     assert kv.labels() == desc.schema.text_labels
+
+
+_FILE_WORDS = st.text(alphabet="abcxyz東", min_size=1, max_size=4)
+# up to 1e300, so that the few values of a row keep a finite sum
+_FILE_PROBS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.5e-310, 0.1, 1e300]),
+    st.integers(0, 2**80),
+)
+
+
+@st.composite
+def _prob_rows(draw):
+    probs = draw(st.dictionaries(_FILE_WORDS, _FILE_PROBS, max_size=6))
+    row = {"prompt": draw(st.text(max_size=8)) + MASK_PLACEHOLDER, "probs": probs}
+    if draw(st.booleans()):
+        row["covered"] = draw(st.lists(_FILE_WORDS, max_size=4))
+    return row
+
+
+def _spoil(draw, row):
+    """``row`` with one defect the reader must refuse."""
+    kind = draw(st.sampled_from(["prompt", "probs", "value", "sum", "covered", "missing",
+                                 "shape"]))
+    row = dict(row, probs=dict(row["probs"]))
+    if kind == "prompt":
+        row["prompt"] = draw(st.sampled_from([7, None, ["p"], 1.5, True]))
+    elif kind == "probs":
+        row["probs"] = draw(st.sampled_from([[0.5, 0.5], "x", 3, None, True]))
+    elif kind == "value":
+        bad = draw(st.sampled_from([True, False, "0.5", -1, -0.5, -5e-324, math.nan, math.inf,
+                                    -math.inf, 2**1024, None, [0.1], {"p": 0.1}]))
+        row["probs"][draw(_FILE_WORDS)] = bad
+    elif kind == "sum":  # each value finite, their sum not
+        row["probs"].update({"big1": 1e308, "big2": 1e308})
+    elif kind == "covered":
+        row["covered"] = draw(st.sampled_from(["x", 3, None, {"x": 1}, ["x", 2], [None]]))
+    elif kind == "missing":
+        del row[draw(st.sampled_from(["prompt", "probs"]))]
+    else:
+        return draw(st.sampled_from([[row], "row", 5, None]))
+    return row
+
+
+def _probs_file(directory, lines):
+    path = Path(directory) / "probs.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestFileProvider:
+    """The precomputed-probability reader: exact integer weights, or a one-line error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_prob_rows(), max_size=5, unique_by=lambda row: row["prompt"]))
+    def test_valid_rows_give_the_files_floats_exactly(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            provider = FileDistributionProvider(
+                _probs_file(tmp, [json.dumps(row) for row in rows]))
+        for row in rows:
+            probs = row["probs"]
+            words = [*probs, "absent"] if "absent" not in probs else list(probs)
+            dist = provider.score(row["prompt"], words)
+            assert all(type(w) is int and w >= 0 for w in dist.weights) and dist.total > 0
+            for word, weight in zip(words, dist.weights):
+                assert weight / dist.total == float(probs.get(word, 0))
+            assert dist.covered == frozenset(row.get("covered", probs)).intersection(words)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), good=_prob_rows(), blanks=st.integers(0, 2))
+    def test_malformed_row_is_a_one_line_error_naming_its_line(self, data, good, blanks):
+        bad = _spoil(data.draw, data.draw(_prob_rows()))
+        lines = [json.dumps(good)] + [""] * blanks + [json.dumps(bad)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _probs_file(tmp, lines)
+            with pytest.raises(DataError) as caught:
+                FileDistributionProvider(path)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert message.startswith(f"{path}: line {2 + blanks}: ")
