@@ -56,8 +56,6 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         config = ExperimentConfig.from_file(resolve_data_path(args.config))
     overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    if overrides.get("lenient") is False:
-        overrides["lenient"] = None  # store_true default; only True is an override
     return config.with_overrides(**overrides)
 
 
@@ -214,7 +212,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--provider", dest="provider")
     p.add_argument("--alpha", type=float, dest="alpha")
     p.add_argument("--record-format", choices=("jsonl", "tsv"), dest="record_format")
-    p.add_argument("--lenient", action="store_true", dest="lenient")
+    p.add_argument("--lenient", action="store_true", dest="lenient", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 from .errors import DataError, SchemaError
 from .jsonio import open_text
@@ -57,11 +57,18 @@ def normalize_family(name: str) -> str:
     raise SchemaError(f"unknown dataset family: {name!r}")
 
 
-def _string(data: Mapping, key: str) -> str:
-    """``data[key]``, which must be a string (no coercion of null, numbers or lists)."""
-    value = data[key]
-    if not isinstance(value, str):
-        raise DataError(f"{key!r} must be a string, got {value!r}")
+_KINDS = {str: "a string", list: "a list"}
+
+
+def _field(data: Mapping, key: str, kind: type = str) -> Any:
+    """``data[key]``, which must be present and of JSON type ``kind`` (no
+    coercion of null, numbers or lists)."""
+    try:
+        value = data[key]
+    except KeyError:
+        raise DataError(f"missing field {key!r}") from None
+    if not isinstance(value, kind):
+        raise DataError(f"{key!r} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -84,8 +91,10 @@ class LabelEntityPair:
         return {"label": self.label, "entity": self.entity}
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "LabelEntityPair":
-        return cls(label=_string(data, "label"), entity=_string(data, "entity"))
+    def from_dict(cls, data: object) -> "LabelEntityPair":
+        if not isinstance(data, dict):
+            raise DataError(f"must be an object, got {data!r}")
+        return cls(_field(data, "label"), _field(data, "entity"))
 
 
 @dataclass(frozen=True)
@@ -114,14 +123,19 @@ class MreRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "MreRecord":
-        pairs = tuple(LabelEntityPair.from_dict(p) for p in data["pairs"])
-        return cls(
-            id=_string(data, "id"),
-            text=_string(data, "text"),
-            text_label=_string(data, "text_label"),
-            pairs=pairs,
-        )
+    def from_dict(cls, data: object) -> "MreRecord":
+        """The record of a JSON document. Any shape error (a missing field, a
+        field of the wrong JSON type) is a DataError naming the field."""
+        if not isinstance(data, dict):
+            raise DataError(f"expected an object, got {data!r}")
+        rid, text, text_label = _field(data, "id"), _field(data, "text"), _field(data, "text_label")
+        pairs = []
+        for i, pair in enumerate(_field(data, "pairs", list)):
+            try:
+                pairs.append(LabelEntityPair.from_dict(pair))
+            except DataError as exc:
+                raise DataError(f"pairs[{i}]: {exc}") from exc
+        return cls(rid, text, text_label, pairs)
 
 
 @dataclass(frozen=True)

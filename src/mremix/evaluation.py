@@ -24,7 +24,7 @@ from functools import reduce
 from operator import add
 from typing import Optional, Sequence
 
-from .core import DatasetDescriptor, LabelEntityPair, _string
+from .core import FAMILIES, LANGUAGES, DatasetDescriptor, LabelEntityPair, _field
 from .errors import DataError
 from .formats import SEPARATOR, FormatTag, FormattedExample, target_level
 from .pairs import parse_canonical
@@ -226,11 +226,31 @@ def _prf_from_dict(scores: dict) -> Prf:
     return prf
 
 
+_FLAG_NAMES = tuple(flag.value for flag in ParseFlag)
+
+
+def _parse_counts(draw: dict) -> dict[str, int]:
+    """A draw's parse counts: non-negative integers keyed by parse flag."""
+    counts = draw.get("parse_counts", {})
+    if not isinstance(counts, dict) or not all(
+        key in _FLAG_NAMES and type(n) is int and n >= 0 for key, n in counts.items()
+    ):
+        raise DataError(f"'parse_counts' must be counts keyed by parse flag, got {counts!r}")
+    return dict(counts)
+
+
+def _one_of(data: dict, key: str, allowed: tuple[str, ...]) -> str:
+    value = _field(data, key)
+    if value not in allowed:
+        raise DataError(f"{key!r} must be one of {allowed}, got {value!r}")
+    return value
+
+
 def report_from_dict(data: dict) -> EvalReport:
     """Rebuild an EvalReport from its JSON form (inverse of to_dict)."""
     try:
         draws = []
-        for d in data["draws"]:
+        for d in _field(data, "draws", list):
             index = d["index"]
             if type(index) is not int:
                 raise DataError(f"'index' must be an integer, got {index!r}")
@@ -239,13 +259,15 @@ def report_from_dict(data: dict) -> EvalReport:
                     index=index,
                     word=_prf_from_dict(d["word"]) if d.get("word") else None,
                     text=_prf_from_dict(d["text"]) if d.get("text") else None,
-                    parse_counts=dict(d.get("parse_counts", {})),
+                    parse_counts=_parse_counts(d),
                 )
             )
+        if not draws:
+            raise DataError("'draws' must not be empty")
         return EvalReport(
-            tag=FormatTag(_string(data, "tag")),
-            family=_string(data, "family"),
-            language=_string(data, "language"),
+            tag=FormatTag(_field(data, "tag")),
+            family=_one_of(data, "family", FAMILIES),
+            language=_one_of(data, "language", LANGUAGES),
             draws=tuple(draws),
             metadata=dict(data.get("metadata", {})),
         )
@@ -287,6 +309,8 @@ def evaluate_run(
     micro-F1 (the default, = accuracy) or macro-F1 for the text level and
     is recorded in the report metadata.
     """
+    if not draws:
+        raise DataError("no draws to evaluate")
     if len(draws) != len(generations):
         raise DataError(f"expected {len(draws)} generation files, got {len(generations)}")
     if text_metric not in ("micro", "macro"):
@@ -296,6 +320,8 @@ def evaluate_run(
     level = target_level(tag)
     draw_scores: list[DrawScore] = []
     for d, (gold_examples, gen_rows) in enumerate(zip(draws, generations)):
+        if not gold_examples:
+            raise DataError(f"draw {d}: no examples")
         if len(gold_examples) != len(gen_rows):
             raise DataError(
                 f"draw {d}: expected {len(gold_examples)} generations, got {len(gen_rows)}"
@@ -365,6 +391,15 @@ def _fmt(value: Optional[float]) -> str:
     return "-" if value is None else f"{100.0 * value:.2f}"
 
 
+_PRF = ("precision", "recall", "f1")
+
+
+def _draw_cells(draw: DrawScore) -> list[str]:
+    """A draw's index, then its word and text precision, recall and F1."""
+    return [str(draw.index)] + [_fmt(getattr(prf, metric) if prf else None)
+                                for prf in (draw.word, draw.text) for metric in _PRF]
+
+
 def report_markdown(report: EvalReport) -> str:
     lines = [
         f"# Evaluation: {report.family} / {report.language} / {report.tag}",
@@ -373,23 +408,8 @@ def report_markdown(report: EvalReport) -> str:
         "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for draw in report.draws:
-        w = draw.word
-        t = draw.text
-        pc = draw.parse_counts
-        lines.append(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |".format(
-                draw.index,
-                _fmt(w.precision if w else None),
-                _fmt(w.recall if w else None),
-                _fmt(w.f1 if w else None),
-                _fmt(t.precision if t else None),
-                _fmt(t.recall if t else None),
-                _fmt(t.f1 if t else None),
-                pc.get("CLEAN", 0),
-                pc.get("RECOVERED", 0),
-                pc.get("UNPARSEABLE", 0),
-            )
-        )
+        counts = [str(draw.parse_counts.get(flag, 0)) for flag in _FLAG_NAMES]
+        lines.append("| " + " | ".join(_draw_cells(draw) + counts) + " |")
     summary = report.summary()
     lines.append("")
     for side in ("word", "text"):
@@ -405,31 +425,12 @@ def report_markdown(report: EvalReport) -> str:
 
 def report_tsv(report: EvalReport) -> str:
     rows = ["draw\tword_p\tword_r\tword_f1\ttext_p\ttext_r\ttext_f1"]
-    for draw in report.draws:
-        w, t = draw.word, draw.text
-        rows.append(
-            "\t".join(
-                [
-                    str(draw.index),
-                    _fmt(w.precision if w else None),
-                    _fmt(w.recall if w else None),
-                    _fmt(w.f1 if w else None),
-                    _fmt(t.precision if t else None),
-                    _fmt(t.recall if t else None),
-                    _fmt(t.f1 if t else None),
-                ]
-            )
-        )
+    rows += ["\t".join(_draw_cells(draw)) for draw in report.draws]
     summary = report.summary()
-    mean_row = ["mean"]
-    for side in ("word", "text"):
-        if summary.get(side) is None:
-            mean_row.extend(["-", "-", "-"])
-        else:
-            mean_row.extend(
-                _fmt(summary[side][metric]["mean"]) for metric in ("precision", "recall", "f1")
-            )
-    rows.append("\t".join(mean_row))
+    rows.append("\t".join(["mean"] + [
+        _fmt(summary[side][metric]["mean"] if summary.get(side) else None)
+        for side in ("word", "text") for metric in _PRF
+    ]))
     return "\n".join(rows) + "\n"
 
 
@@ -474,12 +475,7 @@ def ablation_table(reports: Sequence[EvalReport]) -> tuple[str, str]:
     md = ["| format | " + " | ".join(headers) + " |", "|---" * (len(columns) + 1) + "|"]
     tsv = ["format\t" + "\t".join(headers)]
     for row_name, _, _ in ABLATION_ROWS:
-        md_cells = []
-        tsv_cells = []
-        for col in columns:
-            value = cells.get((row_name, col))
-            md_cells.append(_fmt(value))
-            tsv_cells.append(_fmt(value))
-        md.append(f"| {row_name} | " + " | ".join(md_cells) + " |")
-        tsv.append(row_name + "\t" + "\t".join(tsv_cells))
+        row = [_fmt(cells.get((row_name, col))) for col in columns]
+        md.append(f"| {row_name} | " + " | ".join(row) + " |")
+        tsv.append(row_name + "\t" + "\t".join(row))
     return "\n".join(md) + "\n", "\n".join(tsv) + "\n"

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import DatasetDescriptor, MreRecord, _string, validate_record
+from .core import DatasetDescriptor, MreRecord, _field, validate_record
 from .errors import DataError, SerializationError
 from .jsonio import read_jsonl_numbered, write_jsonl
 from .pairs import serialize_pairs
@@ -81,10 +81,10 @@ class FormattedExample:
     @classmethod
     def from_dict(cls, data: dict) -> "FormattedExample":
         return cls(
-            input=_string(data, "input"),
-            target=_string(data, "target"),
+            input=_field(data, "input"),
+            target=_field(data, "target"),
             tag=FormatTag(data["tag"]),
-            record_id=_string(data, "record_id"),
+            record_id=_field(data, "record_id"),
         )
 
 

@@ -4,7 +4,9 @@ Record files are JSONL, one object per line with fields ``id``, ``text``,
 ``text_label``, and ``pairs`` (a list of ``{"label", "entity"}`` objects).
 A legacy tab-separated layout is also accepted: four columns
 ``id<TAB>text<TAB>text_label<TAB>pairs`` where the pairs column uses the
-canonical pair grammar (``NONE`` for no pairs).
+canonical pair grammar (``NONE`` for no pairs). Both layouts are read in
+one streaming pass; a record's JSON shape is checked by
+``MreRecord.from_dict`` and its labels by ``validate_record``.
 
 Sampling is deterministic: few-shot selection draws one SplitMix64 stream
 per text label (keyed by the label string), and each repeated test draw
@@ -14,14 +16,13 @@ bytes, on any platform.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import DatasetDescriptor, MreRecord, validate_record
 from .errors import DataError
-from .jsonio import open_text, write_jsonl
+from .jsonio import read_jsonl_numbered, read_lines_numbered, write_jsonl
 from .pairs import parse_canonical
 from .rng import SplitMix64, derive_seed, derive_seed_token
 
@@ -54,28 +55,14 @@ class Split:
         return [r.id for r in self.records]
 
 
-def _record_from_json(obj: object, lineno: int, path: str) -> MreRecord:
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: line {lineno}: record must be an object")
-    missing = [k for k in ("id", "text", "text_label", "pairs") if k not in obj]
-    if missing:
-        raise DataError(f"{path}: line {lineno}: missing field(s) {', '.join(missing)}")
-    if not isinstance(obj["pairs"], list):
-        raise DataError(f"{path}: line {lineno}: 'pairs' must be a list")
-    try:
-        return MreRecord.from_dict(obj)
-    except (KeyError, TypeError, DataError) as exc:
-        raise DataError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-
-
-def _record_from_tsv(line: str, lineno: int, path: str) -> MreRecord:
+def _record_from_tsv(line: str) -> MreRecord:
     cols = line.rstrip("\n").split("\t")
     if len(cols) != 4:
-        raise DataError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
+        raise DataError(f"expected 4 tab-separated columns, got {len(cols)}")
     rid, text, text_label, pairs_col = cols
     pairs = parse_canonical(pairs_col)
     if pairs is None:
-        raise DataError(f"{path}: line {lineno}: pairs column is not canonical: {pairs_col!r}")
+        raise DataError(f"pairs column is not canonical: {pairs_col!r}")
     return MreRecord(id=rid, text=text, text_label=text_label, pairs=pairs)
 
 
@@ -87,44 +74,36 @@ def load_split(
     fmt: str = "jsonl",
     strict: bool = True,
 ) -> Split:
-    """Load and validate a record file.
+    """Load and validate a record file in one pass.
 
-    In strict mode any record with schema violations aborts the load with a
-    diagnostic naming the line; the lenient flag downgrades violations to
-    warnings and keeps the records.
+    Each line is read, built into a record and checked against the schema
+    before the next is read, so the first bad line in file order is the one
+    reported. A line that cannot become a record is always an error naming
+    the line and the field; in strict mode a schema violation is one too,
+    while the lenient flag downgrades violations to warnings and keeps the
+    records.
     """
     path = Path(path)
-    numbered: list[tuple[int, MreRecord]] = []
     if fmt == "jsonl":
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(
-                        f"{path}: line {lineno}: not valid JSON ({exc.msg})"
-                    ) from exc
-                numbered.append((lineno, _record_from_json(obj, lineno, str(path))))
+        rows, build = read_jsonl_numbered(path), MreRecord.from_dict
     elif fmt == "tsv":
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                numbered.append((lineno, _record_from_tsv(line, lineno, str(path))))
+        rows, build = read_lines_numbered(path), _record_from_tsv
     else:
         raise DataError(f"unknown record file format: {fmt!r}")
 
-    for lineno, record in numbered:
+    records: list[MreRecord] = []
+    for lineno, row in rows:
+        try:
+            record = build(row)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: malformed record ({exc})") from exc
         violations = validate_record(record, desc)
-        if not violations:
-            continue
-        detail = "; ".join(str(v) for v in violations)
-        if strict:
-            raise DataError(f"{path}: line {lineno}: record {record.id!r}: {detail}")
-        logger.warning("%s: line %d: record %r: %s", path, lineno, record.id, detail)
-    records = [record for _, record in numbered]
+        if violations:
+            detail = "; ".join(str(v) for v in violations)
+            if strict:
+                raise DataError(f"{path}: line {lineno}: record {record.id!r}: {detail}")
+            logger.warning("%s: line %d: record %r: %s", path, lineno, record.id, detail)
+        records.append(record)
 
     if not records:
         logger.warning("%s: file contains no records", path)

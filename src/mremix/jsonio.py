@@ -7,7 +7,10 @@ replaces the target only once it is complete, so an interrupted run never
 leaves a half-written artifact behind.
 
 Every input file is read through ``open_text``, so bytes that are not
-UTF-8 give a ``DataError`` naming the file.
+UTF-8 give a ``DataError`` naming the file. The line readers are
+generators: they yield each non-blank line (or its JSON document) with its
+line number as they read, so a caller builds its objects in the same pass
+and the first bad line in file order is the one reported.
 """
 
 from __future__ import annotations
@@ -66,18 +69,22 @@ def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
             fh.write("\n")
 
 
-def read_jsonl_numbered(path: str | Path) -> list[tuple[int, Any]]:
-    """(line number, document) for each line; blank lines are skipped but counted."""
-    out: list[tuple[int, Any]] = []
+def read_lines_numbered(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line, as read; blank lines are counted."""
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from exc
-    return out
+            if line.strip():
+                yield lineno, line
+
+
+def read_jsonl_numbered(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(line number, document) for each non-blank line, as read."""
+    for lineno, line in read_lines_numbered(path):
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from exc
+        yield lineno, doc
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .core import LabelEntityPair, LabelSchema, _string
+from .core import LabelEntityPair, LabelSchema, _field
 from .errors import DataError
 from .formats import SEPARATOR, FormatTag, target_level
 from .jsonio import read_jsonl_numbered
@@ -53,15 +53,7 @@ class ParsedPrediction:
 
     text_label: Optional[str]
     pairs: tuple[LabelEntityPair, ...]
-    parse_flags: frozenset[ParseFlag]
-
-    @property
-    def flag(self) -> ParseFlag:
-        """The single effective flag (the sets are singletons by construction)."""
-        for flag in (ParseFlag.UNPARSEABLE, ParseFlag.RECOVERED, ParseFlag.CLEAN):
-            if flag in self.parse_flags:
-                return flag
-        return ParseFlag.UNPARSEABLE
+    flag: ParseFlag
 
 
 def parse_pairs(s: str) -> ParsedPairs:
@@ -122,10 +114,10 @@ def parse_prediction(s: str, tag: FormatTag, schema: LabelSchema) -> ParsedPredi
     level = target_level(tag)
     if level == "word":
         parsed = parse_pairs(s)
-        return ParsedPrediction(None, parsed.pairs, frozenset({parsed.flag}))
+        return ParsedPrediction(None, parsed.pairs, parsed.flag)
     if level == "text":
         parsed_label = parse_text_label(s, schema)
-        return ParsedPrediction(parsed_label.label, (), frozenset({parsed_label.flag}))
+        return ParsedPrediction(parsed_label.label, (), parsed_label.flag)
 
     # joint: the canonical target is "<text label>SEPARATOR<pairs>"
     if SEPARATOR in s:
@@ -147,7 +139,7 @@ def parse_prediction(s: str, tag: FormatTag, schema: LabelSchema) -> ParsedPredi
     return ParsedPrediction(
         parsed_label.label if label_ok else None,
         parsed_pairs.pairs if pairs_ok else (),
-        frozenset({flag}),
+        flag,
     )
 
 
@@ -169,8 +161,8 @@ def read_generations(path: str | Path) -> list[GenerationRow]:
         if not isinstance(row, dict) or "output" not in row:
             raise DataError(f"{path}: line {lineno}: expected an object with an 'output' field")
         try:
-            rid = None if row.get("record_id") is None else _string(row, "record_id")
-            out.append(GenerationRow(rid, _string(row, "output")))
+            rid = None if row.get("record_id") is None else _field(row, "record_id")
+            out.append(GenerationRow(rid, _field(row, "output")))
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return out

@@ -104,8 +104,8 @@ class TestValidate:
         assert code == 1
         out, err = capsys.readouterr()
         assert "OK" not in out
-        assert err == (f"data error: {path}: line 1: pairs column is not canonical: "
-                       "'people:Tanaka ;; junk'\n")
+        assert err == (f"data error: {path}: line 1: malformed record (pairs column is not "
+                       "canonical: 'people:Tanaka ;; junk')\n")
 
     def test_null_text_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "null.jsonl"
@@ -199,6 +199,22 @@ class TestBuildFormats:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "data error: record 'bad': text_label: 'Bogus' is not in the text-level schema")
         assert not (tmp_path / "out").exists()
+
+    def test_lenient_from_config_file_holds_without_the_flag(self, tmp_path, capsys):
+        _, train, _ = _setup_dataset(tmp_path)
+        rows = [r.to_dict() for r in train.records]
+        rows.insert(3, {"id": "bad", "text": "t", "text_label": "Bogus", "pairs": []})
+        write_jsonl(tmp_path / "mixed.jsonl", rows)
+        for lenient, expected in ((True, "data error: record 'bad': "),
+                                  (False, f"data error: {tmp_path / 'mixed.jsonl'}: line 4: ")):
+            write_json(tmp_path / "cfg.json", {"lenient": lenient})
+            capsys.readouterr()
+            code = main(["build-formats", "--family", "SCNM", "--language", "en",
+                         "--config", str(tmp_path / "cfg.json"),
+                         "--input", str(tmp_path / "mixed.jsonl"), "--out", str(tmp_path / "out")])
+            assert code == 1
+            # lenient loading keeps the record, and rendering it is what fails
+            assert capsys.readouterr().err.splitlines()[-1].startswith(expected)
 
     def test_separator_error_comes_before_a_later_invalid_record(self, tmp_path, capsys):
         # each record is checked on first use, so the joint format's separator
@@ -477,6 +493,16 @@ class TestEvaluate:
         assert f"draw 1: record {rows[0]['record_id']!r}: gold target is not canonical" in err[0]
         assert not (tmp_path / "eval").exists()
 
+    def test_empty_draw_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "draw.jsonl").write_text("", encoding="utf-8")
+        (tmp_path / "gen.jsonl").write_text("\n", encoding="utf-8")
+        code = main(["evaluate", "--family", "SCNM", "--language", "en", "--tag", "TRAD_TEXT",
+                     "--draws", str(tmp_path / "draw.jsonl"),
+                     "--generations", str(tmp_path / "gen.jsonl"), "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == "data error: draw 0: no examples\n"
+        assert not (tmp_path / "eval").exists()
+
     def test_macro_text_metric_recorded(self, tmp_path):
         draw_paths, gen_paths = _build_draws(tmp_path)
         out = tmp_path / "macro"
@@ -684,6 +710,33 @@ class TestReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"data error: {path}: '{field}' must be ")
+        assert not (tmp_path / "grid").exists()
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("draws", []), ("family", "Nope"), ("language", "xx"),
+        ("parse_counts", {"CLEAN": "x"}), ("parse_counts", {"CLEAN": True}),
+        ("parse_counts", {"BOGUS": 1}), ("parse_counts", {"CLEAN": -1}), ("parse_counts", [1]),
+    ])
+    def test_report_input_outside_its_vocabulary_is_data_error(self, tmp_path, capsys,
+                                                              field, value):
+        draw_paths, gen_paths = _build_draws(tmp_path)
+        main(["evaluate", "--family", "SCNM", "--language", "en", "--tag", "TRAD_TEXT",
+              "--draws", *map(str, draw_paths), "--generations", *map(str, gen_paths),
+              "--out", str(tmp_path / "eval")])
+        path = tmp_path / "eval" / "report.json"
+        report = read_json(path)
+        if field == "parse_counts":
+            report["draws"][1][field] = value
+        else:
+            report[field] = value
+        write_json(path, report)
+        capsys.readouterr()
+        code = main(["report", "--inputs", str(path), "--out", str(tmp_path / "grid")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"data error: {path}: '{field}' must ")
         assert not (tmp_path / "grid").exists()
 
 

@@ -190,6 +190,30 @@ def test_from_dict_rejects_non_string_fields():
         LabelEntityPair.from_dict({"label": "people", "entity": None})
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"pairs": "x"}, "'pairs' must be a list, got 'x'"),
+    ({"pairs": [{"label": "people", "entity": "T"}, "x"]}, "pairs[1]: must be an object, got 'x'"),
+    ({"pairs": [{"label": "people", "entity": "T"}, {}]}, "pairs[1]: missing field 'label'"),
+    ({"pairs": [{"label": 1, "entity": "T"}]}, "pairs[0]: 'label' must be a string, got 1"),
+    ({"pairs": [{"label": "people"}]}, "pairs[0]: missing field 'entity'"),
+    ({"text": None}, "'text' must be a string, got None"),
+])
+def test_from_dict_errors_name_the_field(change, message):
+    row = {"id": "a", "text": "t", "text_label": "Society", "pairs": []}
+    with pytest.raises(DataError) as caught:
+        MreRecord.from_dict({**row, **change})
+    assert str(caught.value) == message
+
+
+def test_from_dict_names_a_missing_field_and_rejects_a_non_object():
+    row = {"id": "a", "text": "t", "text_label": "Society", "pairs": []}
+    for key in row:
+        with pytest.raises(DataError, match=f"^missing field '{key}'$"):
+            MreRecord.from_dict({k: v for k, v in row.items() if k != key})
+    with pytest.raises(DataError, match=r"^expected an object, got \['a'\]$"):
+        MreRecord.from_dict(["a"])
+
+
 def test_non_utf8_schema_file_names_file(tmp_path):
     path = tmp_path / "schemas.txt"
     path.write_bytes(b"SCNM.en.text = Society\n\xff\n")

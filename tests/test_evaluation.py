@@ -247,6 +247,13 @@ class TestEvaluateRun:
         with pytest.raises(DataError, match="generation files"):
             evaluate_run(draws, [], scnm_en, FormatTag.TRAD_TEXT)
 
+    def test_nothing_to_evaluate_is_an_error(self, scnm_en):
+        with pytest.raises(DataError, match="no draws to evaluate"):
+            evaluate_run([], [], scnm_en, FormatTag.TRAD_TEXT)
+        draws, gens = _draws_and_generations(scnm_en, FormatTag.TRAD_TEXT)
+        with pytest.raises(DataError, match="^draw 1: no examples$"):
+            evaluate_run([draws[0], []], [gens[0], []], scnm_en, FormatTag.TRAD_TEXT)
+
     def test_generation_count_mismatch_names_draw(self, scnm_en):
         draws, gens = _draws_and_generations(scnm_en, FormatTag.TRAD_TEXT)
         with pytest.raises(DataError, match="draw 0"):

@@ -80,6 +80,30 @@ class TestLoadSplit:
         with pytest.raises(DataError, match="line 2: malformed record .*must be a string"):
             load_split(path, scnm_en, "train")
 
+    def test_schema_error_before_bad_json_is_reported_first(self, tmp_path, scnm_en):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(ROW1) + "\n" + json.dumps({**ROW2, "text": ""}) + "\n{bad\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad.jsonl: line 2: record 'b': text: must be non-empty$"):
+            load_split(path, scnm_en, "train")
+
+    def test_tsv_schema_error_before_non_canonical_pairs_is_reported_first(self, tmp_path, scnm_en):
+        path = tmp_path / "legacy.tsv"
+        path.write_text("a\tTanaka visited Tokyo.\tSports\tNONE\n"
+                        "b\tNew phone released.\tTechnology\tpeople:Tanaka\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"legacy.tsv: line 1: record 'a': text_label: 'Sports'"):
+            load_split(path, scnm_en, "train", fmt="tsv")
+
+    @pytest.mark.parametrize("pair, detail", [
+        ({}, "pairs[0]: missing field 'label'"), ("x", "pairs[0]: must be an object, got 'x'"),
+    ])
+    def test_malformed_pair_names_its_field(self, tmp_path, scnm_en, pair, detail):
+        path = tmp_path / "bad.jsonl"
+        _write_jsonl(path, [ROW2, {**ROW1, "pairs": [pair]}])
+        with pytest.raises(DataError) as caught:
+            load_split(path, scnm_en, "train")
+        assert str(caught.value) == f"{path}: line 2: malformed record ({detail})"
+
     def test_non_utf8_names_file(self, tmp_path, scnm_en):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(json.dumps(ROW1).encode() + b"\n\xff\n")

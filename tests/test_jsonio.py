@@ -43,4 +43,4 @@ def test_readers_name_a_non_utf8_file(tmp_path, reader):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"a": "\xe9"}\n')
     with pytest.raises(DataError, match="bad.json: not valid UTF-8"):
-        reader(path)
+        list(reader(path))  # the line reader is a generator: it reads as it is consumed

@@ -179,7 +179,7 @@ class TestParsePrediction:
         # UNPARSEABLE implies no pairs and no label, for every target side
         for tag in FormatTag:
             pred = parse_prediction("", tag, scnm_en.schema)
-            if ParseFlag.UNPARSEABLE in pred.parse_flags:
+            if pred.flag is ParseFlag.UNPARSEABLE:
                 assert pred.pairs == ()
                 assert pred.text_label is None
 
