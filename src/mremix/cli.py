@@ -16,9 +16,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import runner
-from .core import DatasetDescriptor
+from .core import LANGUAGES, DatasetDescriptor
 from .errors import ConfigError, DataError, MremixError, SchemaError
 from .evaluation import (
+    TEXT_METRICS,
     ablation_table,
     evaluate_run,
     report_from_dict,
@@ -26,11 +27,11 @@ from .evaluation import (
     report_tsv,
 )
 from .formats import FormatTag, read_examples
-from .ingest import few_shot_sample, load_split
+from .ingest import ROLES, few_shot_sample, load_split
 from .jsonio import read_json, write_json, write_jsonl, write_text
 from .parsing import read_generations
-from .runner import ExperimentConfig, guard_overwrite, resolve_data_path
-from .verbalizer import build_from_wli, load_external_kv, save_kv
+from .runner import KV_SOURCES, RECORD_FORMATS, ExperimentConfig, guard_overwrite, resolve_data_path
+from .verbalizer import AGGREGATION_STRATEGIES, build_from_wli, load_external_kv, save_kv
 from .verbalizer import predict  # noqa: F401  (unused; perfbench/tracer.py rebinds cli.predict)
 
 
@@ -196,7 +197,7 @@ def cmd_report(args) -> int:
 
 def _add_descriptor_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="dataset family (e.g. SCNM, SCPOS:RW, tcree)")
-    p.add_argument("--language", choices=("en", "zh", "ja"), help="dataset language")
+    p.add_argument("--language", choices=LANGUAGES, help="dataset language")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -207,11 +208,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repeats", type=int, dest="test_repeats")
     p.add_argument("--kv-k", type=int, dest="kv_words_per_label")
     p.add_argument("--template", dest="template")
-    p.add_argument("--aggregation", choices=("sum", "mean"), dest="aggregation")
-    p.add_argument("--kv-source", choices=("train", "fewshot"), dest="kv_source")
+    p.add_argument("--aggregation", choices=AGGREGATION_STRATEGIES, dest="aggregation")
+    p.add_argument("--kv-source", choices=KV_SOURCES, dest="kv_source")
     p.add_argument("--provider", dest="provider")
     p.add_argument("--alpha", type=float, dest="alpha")
-    p.add_argument("--record-format", choices=("jsonl", "tsv"), dest="record_format")
+    p.add_argument("--record-format", choices=RECORD_FORMATS, dest="record_format")
     p.add_argument("--lenient", action="store_true", dest="lenient", default=None)
 
 
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate record files against a schema")
     _add_descriptor_flags(p)
-    p.add_argument("--record-format", choices=("jsonl", "tsv"), default="jsonl")
+    p.add_argument("--record-format", choices=RECORD_FORMATS, default="jsonl")
     p.add_argument("paths", nargs="+", help="record files to validate")
     p.set_defaults(func=cmd_validate)
 
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_descriptor_flags(p)
     _add_config_flags(p)
     p.add_argument("--input", required=True, help="record file to format")
-    p.add_argument("--role", choices=("train", "test"), default="train")
+    p.add_argument("--role", choices=ROLES, default="train")
     p.add_argument("--tags", default="all", help="'all' or comma-separated format tags")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true")
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", required=True, help="format tag the generations follow")
     p.add_argument("--draws", nargs="+", required=True, help="gold draw files, in order")
     p.add_argument("--generations", nargs="+", required=True, help="generation files, in order")
-    p.add_argument("--text-metric", choices=("micro", "macro"), default="micro",
+    p.add_argument("--text-metric", choices=TEXT_METRICS, default="micro",
                    help="text-level metric (micro = accuracy)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true")

@@ -72,6 +72,14 @@ def _field(data: Mapping, key: str, kind: type = str) -> Any:
     return value
 
 
+def _one_of(data: Mapping, key: str, allowed: tuple[str, ...]) -> str:
+    """The string ``data[key]``, which must be one of ``allowed``."""
+    value = _field(data, key)
+    if value not in allowed:
+        raise DataError(f"{key!r} must be one of {allowed}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LabelEntityPair:
     """One unit of word-level information: a label and an entity surface form.

@@ -11,12 +11,13 @@ Text-level scoring is micro-F1, which for single-label classification
 equals accuracy; unparseable predictions count as wrong.
 
 A run is scored per draw and averaged across draws, with the sample
-standard deviation as the spread.
+standard deviation as the spread. Which levels a run is scored on, how a
+gold target splits into them and which ablation row a report fills all
+come from the layout table ``formats.LAYOUT``.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,9 +25,9 @@ from functools import reduce
 from operator import add
 from typing import Optional, Sequence
 
-from .core import FAMILIES, LANGUAGES, DatasetDescriptor, LabelEntityPair, _field
+from .core import FAMILIES, LANGUAGES, DatasetDescriptor, LabelEntityPair, _field, _one_of
 from .errors import DataError
-from .formats import SEPARATOR, FormatTag, FormattedExample, target_level
+from .formats import LAYOUT, TAG_NAMES, FormatTag, FormattedExample, split_target, target_level
 from .pairs import parse_canonical
 from .parsing import GenerationRow, ParseFlag, parse_prediction
 
@@ -39,6 +40,9 @@ class Prf:
 
     def to_dict(self) -> dict:
         return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
+
+
+_PRF = ("precision", "recall", "f1")
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -189,13 +193,8 @@ class EvalReport:
         out: dict = {}
         for side in ("word", "text"):
             scores = [getattr(d, side) for d in self.draws]
-            if any(s is None for s in scores):
-                out[side] = None
-                continue
-            out[side] = {
-                "precision": mean_std([s.precision for s in scores]),
-                "recall": mean_std([s.recall for s in scores]),
-                "f1": mean_std([s.f1 for s in scores]),
+            out[side] = None if None in scores else {
+                metric: mean_std([getattr(s, metric) for s in scores]) for metric in _PRF
             }
         return out
 
@@ -218,12 +217,17 @@ class EvalReport:
         }
 
 
-def _prf_from_dict(scores: dict) -> Prf:
-    prf = Prf(**scores)
-    for key, value in prf.to_dict().items():
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise DataError(f"{key!r} must be a finite number, got {value!r}")
-    return prf
+def _prf_from_dict(draw: dict, side: str) -> Optional[Prf]:
+    """A draw's scores on one side; null (or absent) for a side not scored."""
+    scores = draw.get(side)
+    if scores is None:
+        return None
+    if not isinstance(scores, dict) or scores.keys() != set(_PRF):
+        raise DataError(f"{side!r} must be null or an object with the keys {_PRF}, got {scores!r}")
+    for key in _PRF:  # compared, not converted to float: a JSON integer has any size
+        if type(scores[key]) not in (int, float) or not 0 <= scores[key] <= 1:
+            raise DataError(f"{key!r} must be a number from 0 to 1, got {scores[key]!r}")
+    return Prf(**scores)
 
 
 _FLAG_NAMES = tuple(flag.value for flag in ParseFlag)
@@ -239,40 +243,33 @@ def _parse_counts(draw: dict) -> dict[str, int]:
     return dict(counts)
 
 
-def _one_of(data: dict, key: str, allowed: tuple[str, ...]) -> str:
-    value = _field(data, key)
-    if value not in allowed:
-        raise DataError(f"{key!r} must be one of {allowed}, got {value!r}")
-    return value
-
-
-def report_from_dict(data: dict) -> EvalReport:
-    """Rebuild an EvalReport from its JSON form (inverse of to_dict)."""
-    try:
-        draws = []
-        for d in _field(data, "draws", list):
-            index = d["index"]
-            if type(index) is not int:
-                raise DataError(f"'index' must be an integer, got {index!r}")
-            draws.append(
-                DrawScore(
-                    index=index,
-                    word=_prf_from_dict(d["word"]) if d.get("word") else None,
-                    text=_prf_from_dict(d["text"]) if d.get("text") else None,
-                    parse_counts=_parse_counts(d),
-                )
-            )
-        if not draws:
-            raise DataError("'draws' must not be empty")
-        return EvalReport(
-            tag=FormatTag(_field(data, "tag")),
-            family=_one_of(data, "family", FAMILIES),
-            language=_one_of(data, "language", LANGUAGES),
-            draws=tuple(draws),
-            metadata=dict(data.get("metadata", {})),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"not an evaluation report: {exc}") from exc
+def report_from_dict(data: object) -> EvalReport:
+    """Rebuild an EvalReport from its JSON form (inverse of to_dict). A shape
+    error (a missing field, a field of the wrong type or outside its
+    vocabulary) is a DataError naming the field."""
+    if not isinstance(data, dict):
+        raise DataError(f"expected an object, got {data!r}")
+    draws = []
+    for i, d in enumerate(_field(data, "draws", list)):
+        if not isinstance(d, dict):
+            raise DataError(f"draws[{i}] must be an object, got {d!r}")
+        index = d.get("index")
+        if type(index) is not int:
+            raise DataError(f"'index' must be an integer, got {index!r}")
+        draws.append(DrawScore(index, _prf_from_dict(d, "word"), _prf_from_dict(d, "text"),
+                               _parse_counts(d)))
+    if not draws:
+        raise DataError("'draws' must not be empty")
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError(f"'metadata' must be an object, got {metadata!r}")
+    return EvalReport(
+        tag=FormatTag(_one_of(data, "tag", TAG_NAMES)),
+        family=_one_of(data, "family", FAMILIES),
+        language=_one_of(data, "language", LANGUAGES),
+        draws=tuple(draws),
+        metadata=dict(metadata),
+    )
 
 
 MATCHING_POLICY = {
@@ -286,11 +283,7 @@ MATCHING_POLICY = {
 }
 
 
-def _split_joint_target(target: str) -> tuple[str, str]:
-    if SEPARATOR not in target:
-        raise DataError(f"joint target lacks the level separator: {target!r}")
-    label, pairs = target.split(SEPARATOR, 1)
-    return label, pairs
+TEXT_METRICS = {"micro": text_f1, "macro": text_macro_f1}
 
 
 def evaluate_run(
@@ -298,26 +291,26 @@ def evaluate_run(
     generations: Sequence[Sequence[GenerationRow]],
     desc: DatasetDescriptor,
     tag: FormatTag,
-    metadata: Optional[dict] = None,
     text_metric: str = "micro",
 ) -> EvalReport:
     """Score generation files against gold draws for one format.
 
-    Draw files carry the gold targets; generations align with them by
-    position (and by record id when the generation rows carry ids). Any
-    misalignment is a hard error naming the draw. ``text_metric`` selects
-    micro-F1 (the default, = accuracy) or macro-F1 for the text level and
-    is recorded in the report metadata.
+    Draw files carry the gold targets, and each of their rows must be of
+    format ``tag``; generations align with them by position (and by record
+    id when the generation rows carry ids). Any misalignment is a hard error
+    naming the draw. ``text_metric`` names the text-level metric of
+    ``TEXT_METRICS`` and is recorded in the report metadata.
     """
     if not draws:
         raise DataError("no draws to evaluate")
     if len(draws) != len(generations):
         raise DataError(f"expected {len(draws)} generation files, got {len(generations)}")
-    if text_metric not in ("micro", "macro"):
-        raise DataError(f"text_metric must be 'micro' or 'macro', got {text_metric!r}")
-    score_text = text_f1 if text_metric == "micro" else text_macro_f1
+    score_text = TEXT_METRICS.get(text_metric)
+    if score_text is None:
+        raise DataError(f"text_metric must be one of {tuple(TEXT_METRICS)}, got {text_metric!r}")
     fold = desc.language == "en"
     level = target_level(tag)
+    word_side, text_side = level != "text", level != "word"
     draw_scores: list[DrawScore] = []
     for d, (gold_examples, gen_rows) in enumerate(zip(draws, generations)):
         if not gold_examples:
@@ -333,6 +326,9 @@ def evaluate_run(
         counts = {flag.value: 0 for flag in ParseFlag}
 
         for i, (example, row) in enumerate(zip(gold_examples, gen_rows)):
+            if example.tag is not tag:
+                raise DataError(f"draw {d}: record {example.record_id!r}: the draw row is of "
+                                f"format {example.tag}, not {tag}")
             if row.record_id is not None and row.record_id != example.record_id:
                 raise DataError(
                     f"draw {d}: position {i}: generation is for record "
@@ -341,12 +337,9 @@ def evaluate_run(
             prediction = parse_prediction(row.output, tag, desc.schema)
             counts[prediction.flag.value] += 1
 
-            if level in ("word", "joint"):
-                if level == "word":
-                    gold_target = example.target
-                else:
-                    _, gold_target = _split_joint_target(example.target)
-                parsed_gold = parse_canonical(gold_target)
+            gold_label, gold_target = split_target(example.target, tag)
+            if word_side:
+                parsed_gold = None if gold_target is None else parse_canonical(gold_target)
                 if parsed_gold is None:
                     raise DataError(
                         f"draw {d}: record {example.record_id!r}: gold target is "
@@ -354,33 +347,20 @@ def evaluate_run(
                     )
                 gold_pairs.append(parsed_gold)
                 pred_pairs.append(prediction.pairs)
-            if level in ("text", "joint"):
-                if level == "text":
-                    gold_label = example.target
-                else:
-                    gold_label, _ = _split_joint_target(example.target)
+            if text_side:
                 gold_labels.append(gold_label)
                 pred_labels.append(prediction.text_label)
 
-        word_score = (
-            pair_f1_micro(gold_pairs, pred_pairs, fold_label_case=fold)
-            if level in ("word", "joint")
-            else None
-        )
-        text_score = score_text(gold_labels, pred_labels) if level in ("text", "joint") else None
-        draw_scores.append(
-            DrawScore(index=d, word=word_score, text=text_score, parse_counts=counts)
-        )
+        word = pair_f1_micro(gold_pairs, pred_pairs, fold_label_case=fold) if word_side else None
+        text = score_text(gold_labels, pred_labels) if text_side else None
+        draw_scores.append(DrawScore(index=d, word=word, text=text, parse_counts=counts))
 
-    meta = dict(metadata or {})
-    meta.setdefault("matching_policy", MATCHING_POLICY)
-    meta.setdefault("text_metric", text_metric)
     return EvalReport(
         tag=tag,
         family=desc.family,
         language=desc.language,
         draws=tuple(draw_scores),
-        metadata=meta,
+        metadata={"matching_policy": MATCHING_POLICY, "text_metric": text_metric},
     )
 
 
@@ -389,9 +369,6 @@ def evaluate_run(
 
 def _fmt(value: Optional[float]) -> str:
     return "-" if value is None else f"{100.0 * value:.2f}"
-
-
-_PRF = ("precision", "recall", "f1")
 
 
 def _draw_cells(draw: DrawScore) -> list[str]:
@@ -434,13 +411,13 @@ def report_tsv(report: EvalReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-# The four-row ablation layout: which (tag, side) feeds each row. The
-# traditional tags are accepted as byte-identical stand-ins for the w/o rows.
-ABLATION_ROWS: tuple[tuple[str, tuple[FormatTag, ...], str], ...] = (
-    ("w/o TLI", (FormatTag.WO_TLI_TO_WLI, FormatTag.TRAD_WORD), "word"),
-    ("with TLI", (FormatTag.WITH_TLI_TO_WLI,), "word"),
-    ("w/o WLI", (FormatTag.WO_WLI_TO_TLI, FormatTag.TRAD_TEXT), "text"),
-    ("with WLI", (FormatTag.WITH_WLI_TO_TLI,), "text"),
+# The four ablation rows by format layout (formats.LAYOUT), scored on the target
+# level's mean F1; a traditional format has its w/o row's layout, so fills it too.
+ABLATION_ROWS: tuple[tuple[str, tuple[Optional[str], str]], ...] = (
+    ("w/o TLI", (None, "word")),
+    ("with TLI", ("text", "word")),
+    ("w/o WLI", (None, "text")),
+    ("with WLI", ("word", "text")),
 )
 
 
@@ -460,9 +437,10 @@ def ablation_table(reports: Sequence[EvalReport]) -> tuple[str, str]:
         if col not in columns:
             columns.append(col)
         summary = report.summary()
-        for row_name, tags, side in ABLATION_ROWS:
-            if report.tag in tags and summary.get(side):
-                key, mean = (row_name, col), summary[side]["f1"]["mean"]
+        layout = LAYOUT[report.tag]
+        for row_name, row_layout in ABLATION_ROWS:
+            if layout == row_layout and summary.get(layout[1]):
+                key, mean = (row_name, col), summary[layout[1]]["f1"]["mean"]
                 if cells.setdefault(key, mean) != mean:
                     raise DataError(
                         f"ablation cell {row_name!r} of {col[0]}/{col[1]} has two mean F1s: "
@@ -474,7 +452,7 @@ def ablation_table(reports: Sequence[EvalReport]) -> tuple[str, str]:
     headers = [f"{family}/{language}" for family, language in columns]
     md = ["| format | " + " | ".join(headers) + " |", "|---" * (len(columns) + 1) + "|"]
     tsv = ["format\t" + "\t".join(headers)]
-    for row_name, _, _ in ABLATION_ROWS:
+    for row_name, _ in ABLATION_ROWS:
         row = [_fmt(cells.get((row_name, col))) for col in columns]
         md.append(f"| {row_name} | " + " | ".join(row) + " |")
         tsv.append(row_name + "\t" + "\t".join(row))

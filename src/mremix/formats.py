@@ -5,6 +5,10 @@ record text; when level information is appended it follows after a single
 newline separator. No instruction or prompt words are ever added, so that
 format comparisons measure the appended information and nothing else.
 Word-level pairs are written in the grammar of :mod:`mremix.pairs`.
+
+``LAYOUT`` is the one table of what each format appends and what its target
+carries; building, ``split_target`` (the target's inverse, which parsing and
+evaluation read), the alias tags and the ablation rows all derive from it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import DatasetDescriptor, MreRecord, _field, validate_record
+from .core import DatasetDescriptor, MreRecord, _field, _one_of, validate_record
 from .errors import DataError, SerializationError
 from .jsonio import read_jsonl_numbered, write_jsonl
 from .pairs import serialize_pairs
@@ -37,28 +41,40 @@ class FormatTag(str, Enum):
         return self.value
 
 
-# WO_* formats produce strings byte-identical to the traditional formats;
-# the distinct tags exist so ablation bookkeeping can tell the runs apart.
-TAG_ALIASES = {
-    FormatTag.WO_TLI_TO_WLI: FormatTag.TRAD_WORD,
-    FormatTag.WO_WLI_TO_TLI: FormatTag.TRAD_TEXT,
+TAG_NAMES = tuple(tag.value for tag in FormatTag)
+
+# Each format's (level appended to the input or None, level of the target). A level
+# is "word" (the pairs), "text" (the label) or, as a target, "joint" (label, pairs).
+LAYOUT: dict[FormatTag, tuple[Optional[str], str]] = {
+    FormatTag.TRAD_WORD: (None, "word"),
+    FormatTag.TRAD_TEXT: (None, "text"),
+    FormatTag.JOINT_MRE: (None, "joint"),
+    FormatTag.WITH_TLI_TO_WLI: ("text", "word"),
+    FormatTag.WO_TLI_TO_WLI: (None, "word"),
+    FormatTag.WITH_WLI_TO_TLI: ("word", "text"),
+    FormatTag.WO_WLI_TO_TLI: (None, "text"),
 }
 
-WORD_TARGET_TAGS = frozenset(
-    {FormatTag.TRAD_WORD, FormatTag.WO_TLI_TO_WLI, FormatTag.WITH_TLI_TO_WLI}
-)
-TEXT_TARGET_TAGS = frozenset(
-    {FormatTag.TRAD_TEXT, FormatTag.WO_WLI_TO_TLI, FormatTag.WITH_WLI_TO_TLI}
-)
+# WO_* formats share a traditional format's layout, so their strings are
+# byte-identical; the distinct tags let ablation bookkeeping tell the runs apart.
+TAG_ALIASES = {tag: base for base in (FormatTag.TRAD_WORD, FormatTag.TRAD_TEXT)
+               for tag in FormatTag if tag is not base and LAYOUT[tag] == LAYOUT[base]}
 
 
 def target_level(tag: FormatTag) -> str:
     """Which level(s) the format's target carries: 'word', 'text', or 'joint'."""
-    if tag in WORD_TARGET_TAGS:
-        return "word"
-    if tag in TEXT_TARGET_TAGS:
-        return "text"
-    return "joint"
+    return LAYOUT[tag][1]
+
+
+def split_target(target: str, tag: FormatTag) -> tuple[Optional[str], Optional[str]]:
+    """A target (or generation) of ``tag`` as (text-label part, pairs part).
+    A part the target does not carry is None, and so is the pairs part of a
+    joint target without the separator."""
+    level = LAYOUT[tag][1]
+    if level != "joint":
+        return (None, target) if level == "word" else (target, None)
+    label, separator, pairs = target.partition(SEPARATOR)
+    return label, pairs if separator else None
 
 
 @dataclass(frozen=True)
@@ -79,11 +95,14 @@ class FormattedExample:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FormattedExample":
+    def from_dict(cls, data: object) -> "FormattedExample":
+        """The example of a JSON document; a shape error names the field."""
+        if not isinstance(data, dict):
+            raise DataError(f"expected an object, got {data!r}")
         return cls(
             input=_field(data, "input"),
             target=_field(data, "target"),
-            tag=FormatTag(data["tag"]),
+            tag=FormatTag(_one_of(data, "tag", TAG_NAMES)),
             record_id=_field(data, "record_id"),
         )
 
@@ -107,37 +126,28 @@ def render_record(record: MreRecord, desc: DatasetDescriptor) -> RenderedRecord:
     return RenderedRecord(record.id, record.text, record.text_label, serialize_pairs(record.pairs))
 
 
-def _example(row: RenderedRecord, tag: FormatTag) -> FormattedExample:
-    """The example of ``tag`` built from a rendered record."""
-    wli, tli = row.pairs, row.text_label
-    if tag is FormatTag.JOINT_MRE and SEPARATOR in tli:
+def _level(row: RenderedRecord, level: str) -> str:
+    """The string of one level of a rendered record."""
+    if level != "joint":
+        return row.pairs if level == "word" else row.text_label
+    if SEPARATOR in row.text_label:
         raise SerializationError(
             f"record {row.id!r}: text label contains the separator and "
             "cannot appear in a joint target"
         )
+    return row.text_label + SEPARATOR + row.pairs
 
-    if tag in (FormatTag.TRAD_WORD, FormatTag.WO_TLI_TO_WLI):
-        inp, target = row.text, wli
-    elif tag in (FormatTag.TRAD_TEXT, FormatTag.WO_WLI_TO_TLI):
-        inp, target = row.text, tli
-    elif tag is FormatTag.JOINT_MRE:
-        inp, target = row.text, tli + SEPARATOR + wli
-    elif tag is FormatTag.WITH_TLI_TO_WLI:
-        inp, target = row.text + SEPARATOR + tli, wli
-    elif tag is FormatTag.WITH_WLI_TO_TLI:
-        inp, target = row.text + SEPARATOR + wli, tli
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled format tag: {tag}")
+
+def _example(row: RenderedRecord, tag: FormatTag) -> FormattedExample:
+    """The example of ``tag`` built from a rendered record."""
+    appended, level = LAYOUT[tag]
+    target = _level(row, level)
+    inp = row.text if appended is None else row.text + SEPARATOR + _level(row, appended)
     return FormattedExample(input=inp, target=target, tag=tag, record_id=row.id)
 
 
 def build_example(record: MreRecord, tag: FormatTag, desc: DatasetDescriptor) -> FormattedExample:
-    """Construct one training example for the given format.
-
-    The input is the record text, optionally followed by the separator and
-    the other level's information; the target is the remaining level (or
-    both, for the joint format).
-    """
+    """One training example of ``tag``, laid out as ``LAYOUT`` says."""
     return _example(render_record(record, desc), tag)
 
 
@@ -177,9 +187,12 @@ def corpus_manifest(examples: Sequence[FormattedExample]) -> dict:
     }
 
 
-def corpus_filename(desc: DatasetDescriptor, tag: FormatTag, role: str) -> str:
-    """File naming convention: <family>_<lang>_<tag>.<role>.jsonl"""
-    return f"{desc.slug}_{tag.value.lower()}.{role}.jsonl"
+def corpus_filename(
+    desc: DatasetDescriptor, tag: FormatTag, role: str, draw: Optional[int] = None
+) -> str:
+    """File naming convention: <family>_<lang>_<tag>.<role>[.draw<N>].jsonl"""
+    suffix = "" if draw is None else f".draw{draw}"
+    return f"{desc.slug}_{tag.value.lower()}.{role}{suffix}.jsonl"
 
 
 def write_examples(path: str | Path, examples: Iterable[FormattedExample]) -> None:
@@ -191,6 +204,6 @@ def read_examples(path: str | Path) -> list[FormattedExample]:
     for lineno, row in read_jsonl_numbered(path):
         try:
             examples.append(FormattedExample.from_dict(row))
-        except (KeyError, ValueError, TypeError, DataError) as exc:
+        except DataError as exc:
             raise DataError(f"{path}: line {lineno}: not a formatted example ({exc})") from exc
     return examples

@@ -78,32 +78,40 @@ def load_split(
 
     Each line is read, built into a record and checked against the schema
     before the next is read, so the first bad line in file order is the one
-    reported. A line that cannot become a record is always an error naming
-    the line and the field; in strict mode a schema violation is one too,
+    reported. A line that cannot become a record, or repeats an earlier
+    record's id, is always an error naming the line (and the field, or the
+    earlier line); in strict mode a schema violation is one too,
     while the lenient flag downgrades violations to warnings and keeps the
     records.
     """
     path = Path(path)
     if fmt == "jsonl":
-        rows, build = read_jsonl_numbered(path), MreRecord.from_dict
+        read, build = read_jsonl_numbered, MreRecord.from_dict
     elif fmt == "tsv":
-        rows, build = read_lines_numbered(path), _record_from_tsv
+        read, build = read_lines_numbered, _record_from_tsv
     else:
         raise DataError(f"unknown record file format: {fmt!r}")
 
     records: list[MreRecord] = []
-    for lineno, row in rows:
+    ids: set[str] = set()
+    for lineno, row in read(path):
         try:
             record = build(row)
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+        if record.id in ids:  # read again for the first line: the loop keeps no line numbers
+            first = next(n for n, earlier in read(path) if build(earlier).id == record.id)
+            raise DataError(f"{path}: line {lineno}: duplicate record id {record.id!r} "
+                            f"(first on line {first})")
         violations = validate_record(record, desc)
         if violations:
             detail = "; ".join(str(v) for v in violations)
             if strict:
                 raise DataError(f"{path}: line {lineno}: record {record.id!r}: {detail}")
             logger.warning("%s: line %d: record %r: %s", path, lineno, record.id, detail)
+        ids.add(record.id)
         records.append(record)
+    del ids  # Split builds its own id set next; the two need not coexist at the peak
 
     if not records:
         logger.warning("%s: file contains no records", path)

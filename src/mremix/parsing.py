@@ -21,7 +21,7 @@ from typing import Optional
 
 from .core import LabelEntityPair, LabelSchema, _field
 from .errors import DataError
-from .formats import SEPARATOR, FormatTag, target_level
+from .formats import LAYOUT, FormatTag, split_target
 from .jsonio import read_jsonl_numbered
 from .pairs import parse_canonical, parse_tolerant
 
@@ -109,38 +109,30 @@ def parse_text_label(s: str, schema: LabelSchema) -> ParsedLabel:
     return ParsedLabel(None, ParseFlag.UNPARSEABLE)
 
 
+# parse_prediction runs once per generation; reading a member off an enum class
+# costs more than the rest of its flag arithmetic, so it reads these names.
+_CLEAN, _RECOVERED, _UNPARSEABLE = ParseFlag
+_NO_LABEL = ParsedLabel(None, _CLEAN)  # a word-level target carries none
+# A missing pairs part: none to parse for a text-level format, an unusable part
+# for a joint one (a joint generation without the separator).
+_NO_PAIRS = {tag: ParsedPairs((), _CLEAN if level == "text" else _UNPARSEABLE)
+             for tag, (_, level) in LAYOUT.items()}
+
+
 def parse_prediction(s: str, tag: FormatTag, schema: LabelSchema) -> ParsedPrediction:
-    """Parse one generation according to the format's target side."""
-    level = target_level(tag)
-    if level == "word":
-        parsed = parse_pairs(s)
-        return ParsedPrediction(None, parsed.pairs, parsed.flag)
-    if level == "text":
-        parsed_label = parse_text_label(s, schema)
-        return ParsedPrediction(parsed_label.label, (), parsed_label.flag)
-
-    # joint: the canonical target is "<text label>SEPARATOR<pairs>"
-    if SEPARATOR in s:
-        label_part, pairs_part = s.split(SEPARATOR, 1)
-        parsed_label = parse_text_label(label_part, schema)
-        parsed_pairs = parse_pairs(pairs_part)
+    """Parse each part of a generation that ``split_target`` finds for the
+    format. The flag is CLEAN if every part the target carries is CLEAN,
+    UNPARSEABLE if no part is usable, and RECOVERED otherwise."""
+    label_part, pairs_part = split_target(s, tag)
+    label = _NO_LABEL if label_part is None else parse_text_label(label_part, schema)
+    pairs = _NO_PAIRS[tag] if pairs_part is None else parse_pairs(pairs_part)
+    if label.flag is _CLEAN and pairs.flag is _CLEAN:
+        flag = _CLEAN
+    elif label.label is None and (pairs_part is None or pairs.flag is _UNPARSEABLE):
+        flag = _UNPARSEABLE
     else:
-        parsed_label = parse_text_label(s, schema)
-        parsed_pairs = ParsedPairs((), ParseFlag.UNPARSEABLE)
-
-    label_ok = parsed_label.flag is not ParseFlag.UNPARSEABLE
-    pairs_ok = parsed_pairs.flag is not ParseFlag.UNPARSEABLE
-    if parsed_label.flag is ParseFlag.CLEAN and parsed_pairs.flag is ParseFlag.CLEAN:
-        flag = ParseFlag.CLEAN
-    elif label_ok or pairs_ok:
-        flag = ParseFlag.RECOVERED
-    else:
-        flag = ParseFlag.UNPARSEABLE
-    return ParsedPrediction(
-        parsed_label.label if label_ok else None,
-        parsed_pairs.pairs if pairs_ok else (),
-        flag,
-    )
+        flag = _RECOVERED
+    return ParsedPrediction(label.label, pairs.pairs, flag)
 
 
 @dataclass(frozen=True)

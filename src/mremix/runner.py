@@ -210,9 +210,7 @@ def build_format_files(
     for tag in tags:
         for draw_index, source in sources:
             examples = build_corpus(source.records, tag, desc, rendered)
-            name = corpus_filename(desc, tag, role)
-            if draw_index is not None:
-                name = name.replace(f".{role}.jsonl", f".{role}.draw{draw_index}.jsonl")
+            name = corpus_filename(desc, tag, role, draw_index)
             planned.append((out / name, examples))
             entry = corpus_manifest(examples)
             entry.update({"file": name, "tag": tag.value})

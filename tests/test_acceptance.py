@@ -31,9 +31,9 @@ from mremix import (
 )
 from mremix import build_from_wli
 from mremix.cli import main
-from mremix.formats import SEPARATOR, TAG_ALIASES
+from mremix.formats import LAYOUT, SEPARATOR, TAG_ALIASES, split_target, target_level
 from mremix.jsonio import read_json
-from mremix.parsing import ParseFlag
+from mremix.parsing import ParseFlag, parse_prediction
 from mremix.rng import SplitMix64
 from mremix.verbalizer import MASK_PLACEHOLDER
 
@@ -309,10 +309,25 @@ def test_format_laws():
                 record.text + SEPARATOR + record.text_label,
                 record.text + SEPARATOR + wli,
             )
+            # split law: the target splits back into the record's levels, and
+            # parses back to them cleanly
+            level = target_level(tag)
+            label = None if level == "word" else record.text_label
+            assert split_target(example.target, tag) == (label, None if level == "text" else wli)
+            parsed = parse_prediction(example.target, tag, desc_schema)
+            assert parsed.flag is ParseFlag.CLEAN
+            assert parsed.text_label == label
+            assert parsed.pairs == (() if level == "text" else record.pairs)
         # alias law: w/o variants byte-equal their traditional counterparts
         for alias, base in TAG_ALIASES.items():
             assert built[alias].input == built[base].input
             assert built[alias].target == built[base].target
+    # the layout table covers every tag, and its aliases are the two w/o formats
+    assert set(LAYOUT) == set(FormatTag)
+    assert TAG_ALIASES == {
+        FormatTag.WO_TLI_TO_WLI: FormatTag.TRAD_WORD,
+        FormatTag.WO_WLI_TO_TLI: FormatTag.TRAD_TEXT,
+    }
 
 
 @pytest.mark.criterion(8, "two identically seeded pipeline runs produce byte-identical artifacts")

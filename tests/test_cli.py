@@ -73,6 +73,17 @@ class TestValidate:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_duplicate_id_names_file_and_lines(self, tmp_path, capsys):
+        path = tmp_path / "dup.jsonl"
+        write_jsonl(path, [
+            {"id": "a", "text": "t", "text_label": "Society", "pairs": []},
+            {"id": "a", "text": "u", "text_label": "Society", "pairs": []},
+        ])
+        code = main(["validate", "--family", "SCNM", "--language", "en", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 2: duplicate record id 'a' (first on line 1)\n")
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main(["validate", "--family", "SCNM", "--language", "en",
                      str(tmp_path / "nope.jsonl")])
@@ -491,6 +502,22 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert f"draw 1: record {rows[0]['record_id']!r}: gold target is not canonical" in err[0]
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("tag", ["TRAD_TEXT", "JOINT_MRE", "WO_TLI_TO_WLI"])
+    def test_draws_of_another_format_are_data_error(self, tmp_path, capsys, tag):
+        # the generations equal the TRAD_WORD gold, so only the tag check can refuse them
+        draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_WORD")
+        first = read_examples(draw_paths[0])[0]
+        capsys.readouterr()
+        code = main(["evaluate", "--family", "SCNM", "--language", "en", "--tag", tag,
+                     "--draws", *map(str, draw_paths),
+                     "--generations", *map(str, gen_paths),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"data error: draw 0: record {first.record_id!r}: the draw row is of format "
+            f"TRAD_WORD, not {tag}\n")
         assert not (tmp_path / "eval").exists()
 
     def test_empty_draw_is_data_error(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from mremix.evaluation import (
     report_markdown,
     report_tsv,
 )
+from mremix.formats import FormattedExample
 from mremix.parsing import GenerationRow
 from mremix.rng import SplitMix64
 
@@ -272,11 +273,59 @@ class TestEvaluateRun:
         assert "multiset" in policy["pair_match"]
         assert "independent" in policy["draws"]
 
+    def test_draw_row_of_another_format_is_hard_error(self, scnm_en):
+        draws, gens = _draws_and_generations(scnm_en, FormatTag.TRAD_WORD)
+        record_id = draws[0][0].record_id
+        with pytest.raises(DataError) as caught:
+            evaluate_run(draws, gens, scnm_en, FormatTag.WO_TLI_TO_WLI)
+        assert str(caught.value) == (
+            f"draw 0: record {record_id!r}: the draw row is of format TRAD_WORD, "
+            "not WO_TLI_TO_WLI"
+        )
+
+    def test_joint_gold_without_separator_is_not_canonical(self, scnm_en):
+        draws, gens = _draws_and_generations(scnm_en, FormatTag.JOINT_MRE)
+        first = draws[0][0]
+        draws[0][0] = FormattedExample(first.input, "Society", first.tag, first.record_id)
+        with pytest.raises(DataError, match=rf"^draw 0: record {first.record_id!r}: gold "
+                                            "target is not canonical"):
+            evaluate_run(draws, gens, scnm_en, FormatTag.JOINT_MRE)
+
+    def test_unknown_text_metric_is_data_error(self, scnm_en):
+        draws, gens = _draws_and_generations(scnm_en, FormatTag.TRAD_TEXT)
+        with pytest.raises(DataError, match="text_metric must be one of"):
+            evaluate_run(draws, gens, scnm_en, FormatTag.TRAD_TEXT, text_metric="weighted")
+
     def test_report_roundtrips_through_json(self, scnm_en):
         draws, gens = _draws_and_generations(scnm_en, FormatTag.JOINT_MRE)
         report = evaluate_run(draws, gens, scnm_en, FormatTag.JOINT_MRE)
         rebuilt = report_from_dict(report.to_dict())
         assert rebuilt == report
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r.update(metadata="ab"), "'metadata' must be an object, got 'ab'"),
+    (lambda r: r.update(draws=[1]), "draws[0] must be an object, got 1"),
+    (lambda r: r["draws"][0]["text"].update(x=0.5),
+     "'text' must be null or an object with the keys ('precision', 'recall', 'f1'), got "),
+    (lambda r: r.pop("tag"), "missing field 'tag'"),
+    (lambda r: r.update(tag="JOINT"), "'tag' must be one of ("),
+    (lambda r: r["draws"][0].pop("index"), "'index' must be an integer, got None"),
+    (lambda r: r["draws"][0]["text"].update(f1=10**400), "'f1' must be a number from 0 to 1"),
+    (lambda r: r["draws"][0]["text"].update(recall=1.5), "'recall' must be a number from 0 to 1"),
+])
+def test_report_shape_errors_name_the_field(scnm_en, edit, message):
+    draws, gens = _draws_and_generations(scnm_en, FormatTag.TRAD_TEXT)
+    data = evaluate_run(draws, gens, scnm_en, FormatTag.TRAD_TEXT).to_dict()
+    edit(data)
+    with pytest.raises(DataError) as caught:
+        report_from_dict(data)
+    assert str(caught.value).startswith(message)
+
+
+def test_report_must_be_an_object():
+    with pytest.raises(DataError, match=r"^expected an object, got \[1\]$"):
+        report_from_dict([1])
 
 
 class TestRendering:

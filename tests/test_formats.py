@@ -17,6 +17,7 @@ from mremix.formats import (
     corpus_filename,
     corpus_manifest,
     read_examples,
+    split_target,
     target_level,
     write_examples,
 )
@@ -183,9 +184,28 @@ class TestCorpus:
         with pytest.raises(DataError, match=rf"examples.jsonl: line 2: .*{key!r} must be a string"):
             read_examples(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: [1], "line 2: not a formatted example (expected an object, got [1])"),
+        (lambda row: {k: v for k, v in row.items() if k != "tag"},
+         "line 2: not a formatted example (missing field 'tag')"),
+        (lambda row: {**row, "tag": "trad_text"},
+         "line 2: not a formatted example ('tag' must be one of ("),
+    ])
+    def test_malformed_line_names_the_field(self, tmp_path, scnm_en, edit, message):
+        _, train, _, _ = planted_splits(n_train_per_label=1, n_test_per_label=1)
+        rows = [e.to_dict() for e in build_corpus(train.records[:2], FormatTag.TRAD_TEXT, scnm_en)]
+        rows[1] = edit(rows[1])
+        path = tmp_path / "examples.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(DataError) as caught:
+            read_examples(path)
+        assert str(caught.value).startswith(f"{path}: {message}")
+
     def test_filename_convention(self, scnm_en):
         name = corpus_filename(scnm_en, FormatTag.WITH_WLI_TO_TLI, "train")
         assert name == "scnm_en_with_wli_to_tli.train.jsonl"
+        name = corpus_filename(scnm_en, FormatTag.TRAD_TEXT, "test", 2)
+        assert name == "scnm_en_trad_text.test.draw2.jsonl"
 
 
 def test_target_level_routing():
@@ -196,3 +216,9 @@ def test_target_level_routing():
     assert target_level(FormatTag.WO_WLI_TO_TLI) == "text"
     assert target_level(FormatTag.WITH_WLI_TO_TLI) == "text"
     assert target_level(FormatTag.JOINT_MRE) == "joint"
+
+
+def test_split_target_of_a_joint_target_without_the_separator():
+    assert split_target("Society", FormatTag.JOINT_MRE) == ("Society", None)
+    assert split_target("Society\n", FormatTag.JOINT_MRE) == ("Society", "")
+    assert split_target("a\nb\nc", FormatTag.JOINT_MRE) == ("a", "b\nc")

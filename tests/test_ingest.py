@@ -116,6 +116,20 @@ class TestLoadSplit:
         with pytest.raises(DataError, match="duplicate record id"):
             load_split(path, scnm_en, "train")
 
+    def test_duplicate_id_names_both_lines(self, tmp_path, scnm_en):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(json.dumps(ROW1) + "\n\n" + json.dumps({**ROW2, "id": "a"}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_split(path, scnm_en, "train", strict=False)
+        assert str(caught.value) == f"{path}: line 3: duplicate record id 'a' (first on line 1)"
+        tsv = tmp_path / "dup.tsv"
+        tsv.write_text("b\tt\tSociety\tNONE\na\tt\tSociety\tNONE\na\tu\tSociety\tNONE\n",
+                       encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_split(tsv, scnm_en, "train", fmt="tsv")
+        assert str(caught.value) == f"{tsv}: line 3: duplicate record id 'a' (first on line 2)"
+
     def test_tsv_legacy_layout(self, tmp_path, scnm_en):
         path = tmp_path / "legacy.tsv"
         path.write_text(
