@@ -22,6 +22,7 @@ from .core import (
 from .errors import ConfigError, DataError, MremixError, SchemaError, SerializationError
 from .evaluation import (
     EvalReport,
+    KvComparisonReport,
     Prf,
     evaluate_run,
     pair_f1,
@@ -52,7 +53,7 @@ from .parsing import (
     parse_text_label,
 )
 from .refmlm import CountModel, Segmenter, lexicon_from_split, make_segmenter
-from .runner import ExperimentConfig, KvComparisonReport, run_kv
+from .runner import ExperimentConfig, run_kv
 from .verbalizer import (
     MaskDistribution,
     Prediction,

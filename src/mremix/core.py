@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from .errors import DataError, SchemaError
 from .jsonio import open_text
@@ -26,34 +26,19 @@ LANGUAGES = ("en", "zh", "ja")
 
 OPEN_DOMAIN_FAMILIES = frozenset({"TCONER"})
 
-_FAMILY_SLUGS = {
-    "SCNM": "scnm",
-    "SCPOS:RW": "scpos-rw",
-    "SCPOS:N": "scpos-n",
-    "SCPOS:Adj": "scpos-adj",
-    "SCPOS:N&Adj": "scpos-nadj",
-    "TCREE": "tcree",
-    "TCONER": "tconer",
-}
-_SLUG_FAMILIES = {slug: fam for fam, slug in _FAMILY_SLUGS.items()}
-
 
 def family_slug(family: str) -> str:
-    """Filesystem-safe name for a dataset family (SCPOS:N&Adj -> scpos-nadj)."""
-    try:
-        return _FAMILY_SLUGS[family]
-    except KeyError:
-        raise SchemaError(f"unknown dataset family: {family!r}") from None
+    """A family's file name: lower case, ':' as '-', '&' dropped (SCPOS:N&Adj -> scpos-nadj)."""
+    if family not in FAMILIES:
+        raise SchemaError(f"unknown dataset family: {family!r}")
+    return family.lower().replace(":", "-").replace("&", "")
 
 
 def normalize_family(name: str) -> str:
     """Accept a canonical family name or its slug, case-insensitively."""
     for fam in FAMILIES:
-        if name.lower() == fam.lower():
+        if name.lower() in (fam.lower(), family_slug(fam)):
             return fam
-    slug = name.lower()
-    if slug in _SLUG_FAMILIES:
-        return _SLUG_FAMILIES[slug]
     raise SchemaError(f"unknown dataset family: {name!r}")
 
 
@@ -72,11 +57,11 @@ def _field(data: Mapping, key: str, kind: type = str) -> Any:
     return value
 
 
-def _one_of(data: Mapping, key: str, allowed: tuple[str, ...]) -> str:
+def _one_of(data: Mapping, key: str, allowed: Collection[str]) -> str:
     """The string ``data[key]``, which must be one of ``allowed``."""
     value = _field(data, key)
     if value not in allowed:
-        raise DataError(f"{key!r} must be one of {allowed}, got {value!r}")
+        raise DataError(f"{key!r} must be one of {tuple(allowed)}, got {value!r}")
     return value
 
 

@@ -1,4 +1,4 @@
-"""Two-level evaluation: word-level pair F1 and text-level micro-F1.
+"""Every score, report and table: pair and text F1, the run, KV and ablation reports.
 
 Pair matching is multiset intersection on exact (label, entity) equality
 (surfaces are whitespace-trimmed at construction): a duplicated correct
@@ -14,6 +14,9 @@ A run is scored per draw and averaged across draws, with the sample
 standard deviation as the spread. Which levels a run is scored on, how a
 gold target splits into them and which ablation row a report fills all
 come from the layout table ``formats.LAYOUT``.
+
+Every table is laid out by ``_markdown_table`` or ``_tsv_table``, and
+every percent cell by ``_fmt``.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import FAMILIES, LANGUAGES, DatasetDescriptor, LabelEntityPair, _field, _one_of
 from .errors import DataError
-from .formats import LAYOUT, TAG_NAMES, FormatTag, FormattedExample, split_target, target_level
+from .formats import LAYOUT, TAGS, FormatTag, FormattedExample, split_target, target_level
 from .pairs import parse_canonical
 from .parsing import GenerationRow, ParseFlag, parse_prediction
 
@@ -264,7 +267,7 @@ def report_from_dict(data: object) -> EvalReport:
     if not isinstance(metadata, dict):
         raise DataError(f"'metadata' must be an object, got {metadata!r}")
     return EvalReport(
-        tag=FormatTag(_one_of(data, "tag", TAG_NAMES)),
+        tag=TAGS[_one_of(data, "tag", TAGS)],
         family=_one_of(data, "family", FAMILIES),
         language=_one_of(data, "language", LANGUAGES),
         draws=tuple(draws),
@@ -364,11 +367,77 @@ def evaluate_run(
     )
 
 
-# -- report rendering ---------------------------------------------------------
+# -- reports and tables -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KvRow:
+    """One verbalizer system's scores across the repeated test draws."""
+
+    name: str
+    draws: tuple[Prf, ...]
+    no_coverage: int
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "draws": [d.to_dict() for d in self.draws],
+            "f1": mean_std([d.f1 for d in self.draws]),
+            "no_coverage_predictions": self.no_coverage,
+        }
+
+    def mean_f1(self) -> float:
+        return mean([d.f1 for d in self.draws])
+
+
+def kv_row(name: str, gold: Sequence[Sequence[str]], predictions: Sequence[list[dict]]) -> KvRow:
+    """A verbalizer's row: its text F1 against each draw's gold labels, and no-coverage count."""
+    return KvRow(
+        name=name,
+        draws=tuple(text_f1(labels, [row["label"] for row in rows])
+                    for labels, rows in zip(gold, predictions)),
+        no_coverage=sum(row["no_coverage"] for rows in predictions for row in rows),
+    )
+
+
+@dataclass(frozen=True)
+class KvComparisonReport:
+    """Origin-KV vs WLI-KV text classification comparison."""
+
+    rows: tuple[KvRow, ...]
+    metadata: dict
+
+    def to_dict(self) -> dict:
+        return {"rows": [row.to_dict() for row in self.rows], "metadata": dict(self.metadata)}
+
+    def _cells(self) -> list[list[str]]:
+        return [[row.name, *(_fmt(d.f1) for d in row.draws), _fmt(row.mean_f1())]
+                for row in self.rows]
+
+    def markdown(self) -> str:
+        draws = [f"draw {i}" for i in range(len(self.rows[0].draws))]
+        return _markdown_table(["verbalizer", *draws, "mean F1"], self._cells())
+
+    def tsv(self) -> str:
+        draws = [f"draw{i}" for i in range(len(self.rows[0].draws))]
+        return _tsv_table(["verbalizer", *draws, "mean_f1"], self._cells())
 
 
 def _fmt(value: Optional[float]) -> str:
+    """A score as a percent cell with two decimals; '-' for a missing score."""
     return "-" if value is None else f"{100.0 * value:.2f}"
+
+
+def _markdown_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A pipe table: the header line, the ``|---`` rule, then one line per row."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in (header, *rows)]
+    lines.insert(1, "|---" * len(header) + "|")
+    return "\n".join(lines) + "\n"
+
+
+def _tsv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """Tab-separated lines: the header, then one line per row."""
+    return "".join("\t".join(cells) + "\n" for cells in (header, *rows))
 
 
 def _draw_cells(draw: DrawScore) -> list[str]:
@@ -378,37 +447,25 @@ def _draw_cells(draw: DrawScore) -> list[str]:
 
 
 def report_markdown(report: EvalReport) -> str:
-    lines = [
-        f"# Evaluation: {report.family} / {report.language} / {report.tag}",
-        "",
-        "| draw | word P | word R | word F1 | text P | text R | text F1 | clean | recovered | unparseable |",
-        "|---|---|---|---|---|---|---|---|---|---|",
-    ]
-    for draw in report.draws:
-        counts = [str(draw.parse_counts.get(flag, 0)) for flag in _FLAG_NAMES]
-        lines.append("| " + " | ".join(_draw_cells(draw) + counts) + " |")
-    summary = report.summary()
-    lines.append("")
-    for side in ("word", "text"):
-        if summary.get(side) is None:
-            continue
-        f1 = summary[side]["f1"]
-        std = f1["std"]
-        spread = "-" if std is None else f"{100.0 * std:.2f}"
-        lines.append(f"- {side}-level F1: mean {_fmt(f1['mean'])}, spread {spread}")
-    lines.append("")
-    return "\n".join(lines)
+    header = ["draw", "word P", "word R", "word F1", "text P", "text R", "text F1",
+              *(flag.lower() for flag in _FLAG_NAMES)]
+    rows = [_draw_cells(draw) + [str(draw.parse_counts.get(flag, 0)) for flag in _FLAG_NAMES]
+            for draw in report.draws]
+    text = f"# Evaluation: {report.family} / {report.language} / {report.tag}\n\n"
+    text += _markdown_table(header, rows) + "\n"
+    for side, scores in report.summary().items():
+        if scores is not None:
+            f1 = scores["f1"]
+            text += f"- {side}-level F1: mean {_fmt(f1['mean'])}, spread {_fmt(f1['std'])}\n"
+    return text
 
 
 def report_tsv(report: EvalReport) -> str:
-    rows = ["draw\tword_p\tword_r\tword_f1\ttext_p\ttext_r\ttext_f1"]
-    rows += ["\t".join(_draw_cells(draw)) for draw in report.draws]
     summary = report.summary()
-    rows.append("\t".join(["mean"] + [
-        _fmt(summary[side][metric]["mean"] if summary.get(side) else None)
-        for side in ("word", "text") for metric in _PRF
-    ]))
-    return "\n".join(rows) + "\n"
+    mean_row = ["mean"] + [_fmt(summary[side][metric]["mean"] if summary[side] else None)
+                           for side in ("word", "text") for metric in _PRF]
+    header = ["draw", "word_p", "word_r", "word_f1", "text_p", "text_r", "text_f1"]
+    return _tsv_table(header, [*map(_draw_cells, report.draws), mean_row])
 
 
 # The four ablation rows by format layout (formats.LAYOUT), scored on the target
@@ -449,11 +506,7 @@ def ablation_table(reports: Sequence[EvalReport]) -> tuple[str, str]:
                     )
                 first_tag.setdefault(key, report.tag)
 
-    headers = [f"{family}/{language}" for family, language in columns]
-    md = ["| format | " + " | ".join(headers) + " |", "|---" * (len(columns) + 1) + "|"]
-    tsv = ["format\t" + "\t".join(headers)]
-    for row_name, _ in ABLATION_ROWS:
-        row = [_fmt(cells.get((row_name, col))) for col in columns]
-        md.append(f"| {row_name} | " + " | ".join(row) + " |")
-        tsv.append(row_name + "\t" + "\t".join(row))
-    return "\n".join(md) + "\n", "\n".join(tsv) + "\n"
+    header = ["format", *(f"{family}/{language}" for family, language in columns)]
+    rows = [[row_name, *(_fmt(cells.get((row_name, col))) for col in columns)]
+            for row_name, _ in ABLATION_ROWS]
+    return _markdown_table(header, rows), _tsv_table(header, rows)

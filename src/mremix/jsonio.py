@@ -6,11 +6,11 @@ text, trailing newline). Each write goes to a sibling temporary file that
 replaces the target only once it is complete, so an interrupted run never
 leaves a half-written artifact behind.
 
-Every input file is read through ``open_text``, so bytes that are not
-UTF-8 give a ``DataError`` naming the file. The line readers are
-generators: they yield each non-blank line (or its JSON document) with its
-line number as they read, so a caller builds its objects in the same pass
-and the first bad line in file order is the one reported.
+Bytes that are not UTF-8 give a ``DataError`` naming the file, and for a
+line reader the line. The line readers are generators: they yield each
+non-blank line (or its JSON document) with its line number as they read,
+so a caller builds its objects in the same pass and the first bad line in
+file order is the one reported.
 """
 
 from __future__ import annotations
@@ -70,9 +70,19 @@ def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
 
 
 def read_lines_numbered(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-blank line, as read; blank lines are counted."""
-    with open_text(path) as fh:
+    """(line number, line) for each non-blank line, as read; blank lines are counted.
+    Each line is checked for bytes that are not UTF-8 when it is read."""
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # decode the line's bytes for the reason
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DataError(f"{path}: line {lineno}: not valid UTF-8 "
+                                        f"({exc.reason})") from exc
             if line.strip():
                 yield lineno, line
 

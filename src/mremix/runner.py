@@ -1,4 +1,5 @@
-"""Experiment pipelines tying the modules together.
+"""Experiment pipelines tying the modules together; ``evaluation`` scores
+and lays out what they report.
 
 Everything here is deterministic given (inputs, config): a single master
 seed feeds documented sub-streams (per label for few-shot selection, per
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 from .core import DatasetDescriptor
 from .errors import ConfigError, DataError
-from .evaluation import Prf, mean, mean_std, text_f1
+from .evaluation import KvComparisonReport, kv_row
 from .formats import (
     FormatTag,
     build_corpus,
@@ -229,61 +230,6 @@ def build_format_files(
 # -- KV experiment ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KvRow:
-    """One verbalizer system's scores across the repeated test draws."""
-
-    name: str
-    draws: tuple[Prf, ...]
-    no_coverage: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "draws": [d.to_dict() for d in self.draws],
-            "f1": mean_std([d.f1 for d in self.draws]),
-            "no_coverage_predictions": self.no_coverage,
-        }
-
-    def mean_f1(self) -> float:
-        return mean([d.f1 for d in self.draws])
-
-
-@dataclass(frozen=True)
-class KvComparisonReport:
-    """Origin-KV vs WLI-KV text classification comparison."""
-
-    rows: tuple[KvRow, ...]
-    metadata: dict
-
-    def to_dict(self) -> dict:
-        return {"rows": [row.to_dict() for row in self.rows], "metadata": dict(self.metadata)}
-
-    def markdown(self) -> str:
-        lines = [
-            "| verbalizer | " + " | ".join(
-                f"draw {i}" for i in range(len(self.rows[0].draws))
-            ) + " | mean F1 |",
-            "|---" * (len(self.rows[0].draws) + 2) + "|",
-        ]
-        for row in self.rows:
-            cells = [f"{100.0 * d.f1:.2f}" for d in row.draws]
-            lines.append(
-                f"| {row.name} | " + " | ".join(cells) + f" | {100.0 * row.mean_f1():.2f} |"
-            )
-        return "\n".join(lines) + "\n"
-
-    def tsv(self) -> str:
-        header = "verbalizer\t" + "\t".join(
-            f"draw{i}" for i in range(len(self.rows[0].draws))
-        ) + "\tmean_f1"
-        lines = [header]
-        for row in self.rows:
-            cells = [f"{100.0 * d.f1:.2f}" for d in row.draws]
-            lines.append(row.name + "\t" + "\t".join(cells) + f"\t{100.0 * row.mean_f1():.2f}")
-        return "\n".join(lines) + "\n"
-
-
 def make_provider(
     config: ExperimentConfig, train: Optional[Split], corpus_split: Optional[Split]
 ) -> tuple[ProbabilityProvider, dict]:
@@ -362,27 +308,13 @@ def run_kv(
 
     draws = repeated_test_sample(test, config.test_sample_size, config.test_repeats, config.seed)
 
-    systems: list[tuple[str, str, Verbalizer]] = [
-        ("Origin KV", "origin", origin_kv),
-        ("WLI KV", "wli", wli_kv),
-    ]
-    rows: list[KvRow] = []
-    predictions: dict[str, list[list[dict]]] = {}
-    for name, slug, kv in systems:
-        per_draw: list[Prf] = []
-        no_coverage = 0
-        rows_out: list[list[dict]] = []
-        for draw in draws:
-            draw_rows = classify(draw, kv, provider, config)
-            gold = [record.text_label for record in draw.records]
-            per_draw.append(text_f1(gold, [row["label"] for row in draw_rows]))
-            no_coverage += sum(row["no_coverage"] for row in draw_rows)
-            rows_out.append(draw_rows)
-        rows.append(KvRow(name=name, draws=tuple(per_draw), no_coverage=no_coverage))
-        predictions[slug] = rows_out
+    systems = (("Origin KV", "origin", origin_kv), ("WLI KV", "wli", wli_kv))
+    predictions = {slug: [classify(draw, kv, provider, config) for draw in draws]
+                   for _, slug, kv in systems}
+    gold = [[record.text_label for record in draw.records] for draw in draws]
 
     report = KvComparisonReport(
-        rows=tuple(rows),
+        rows=tuple(kv_row(name, gold, predictions[slug]) for name, slug, _ in systems),
         metadata={
             "config": config.to_dict(),
             "family": desc.family,

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 from .core import LabelSchema
 from .errors import DataError, MremixError, SchemaError
 from .ingest import Split
-from .jsonio import open_text, read_jsonl_numbered, write_text
+from .jsonio import read_jsonl_numbered, read_lines_numbered, write_text
 from .rng import SplitMix64, derive_seed_token
 
 MASK_PLACEHOLDER = "{mask}"
@@ -165,39 +165,32 @@ def load_external_kv(
     truncated to k.
     """
     _require_fixed_schema(schema)
-    path = Path(path)
     blocks: dict[str, list[str]] = {}
     current: Optional[str] = None
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                label = line[1:-1].strip()
-                if label not in schema.text_labels:
-                    raise DataError(
-                        f"{path}: line {lineno}: unknown label {label!r} "
-                        "(not in the text-level schema)"
-                    )
-                current = label
-                blocks.setdefault(label, [])
-                continue
-            if current is None:
-                raise DataError(f"{path}: line {lineno}: word before any [label] header")
-            blocks[current].append(line)
+    for lineno, raw in read_lines_numbered(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            label = line[1:-1].strip()
+            if label not in schema.text_labels:
+                raise DataError(
+                    f"{path}: line {lineno}: unknown label {label!r} "
+                    "(not in the text-level schema)"
+                )
+            current = label
+            blocks.setdefault(label, [])
+            continue
+        if current is None:
+            raise DataError(f"{path}: line {lineno}: word before any [label] header")
+        blocks[current].append(line)
 
     label_words: dict[str, tuple[str, ...]] = {}
     for label in schema.text_labels:
         words = blocks.get(label)
         if words is None:
             raise DataError(f"{path}: missing block for schema label {label!r}")
-        deduped: list[str] = []
-        seen: set[str] = set()
-        for word in words:
-            if word not in seen:
-                seen.add(word)
-                deduped.append(word)
+        deduped = list(dict.fromkeys(words))
         if not deduped:
             raise DataError(f"{path}: label {label!r} has an empty word list")
         label_words[label] = tuple(deduped[:k])

@@ -104,7 +104,7 @@ class TestValidate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"data error: {path}: not valid UTF-8")
+        assert err == f"data error: {path}: line 1: not valid UTF-8 (invalid start byte)\n"
 
     def test_non_canonical_tsv_pairs_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
@@ -142,7 +142,8 @@ def test_non_utf8_external_kv_names_file(tmp_path, capsys):
     (tmp_path / "origin_kv.txt").write_bytes(b"[Society]\n\xe6\n")
     code = main(_run_kv_args(tmp_path, tmp_path / "out"))
     assert code == 1
-    assert f"{tmp_path / 'origin_kv.txt'}: not valid UTF-8" in capsys.readouterr().err
+    path = tmp_path / "origin_kv.txt"
+    assert f"{path}: line 2: not valid UTF-8 (invalid continuation byte)" in capsys.readouterr().err
 
 
 class TestBuildFormats:

@@ -72,6 +72,8 @@ def test_unknown_family_and_language():
 
 
 def test_family_slugs_roundtrip():
+    assert [family_slug(family) for family in FAMILIES] == [
+        "scnm", "scpos-rw", "scpos-n", "scpos-adj", "scpos-nadj", "tcree", "tconer"]
     for family in FAMILIES:
         assert normalize_family(family_slug(family)) == family
         assert normalize_family(family.lower()) == family

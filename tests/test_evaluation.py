@@ -16,6 +16,11 @@ from mremix import (
 )
 from mremix.errors import DataError
 from mremix.evaluation import (
+    DrawScore,
+    EvalReport,
+    KvComparisonReport,
+    KvRow,
+    Prf,
     ablation_table,
     mean_std,
     report_from_dict,
@@ -354,3 +359,78 @@ class TestRendering:
             assert row in tsv
         assert "SCNM/en" in md
         assert md.count("100.00") == 4
+
+
+def _report(tag, family, language, sides):
+    """A report of hand-set draws: ``sides`` is one (word, text) Prf pair per draw."""
+    draws = tuple(DrawScore(i, word, text, {"CLEAN": 3, "RECOVERED": 1})
+                  for i, (word, text) in enumerate(sides))
+    return EvalReport(tag, family, language, draws, {})
+
+
+def _same(f1):
+    return Prf(f1, f1, f1)
+
+
+def test_tables_byte_for_byte():
+    kv = KvComparisonReport(rows=(
+        KvRow("Origin KV", (_same(0.5), _same(0.25)), 3),
+        KvRow("WLI KV", (_same(1 / 3), _same(0.875)), 0),
+    ), metadata={})
+    assert kv.markdown() == (
+        "| verbalizer | draw 0 | draw 1 | mean F1 |\n"
+        "|---|---|---|---|\n"
+        "| Origin KV | 50.00 | 25.00 | 37.50 |\n"
+        "| WLI KV | 33.33 | 87.50 | 60.42 |\n"
+    )
+    assert kv.tsv() == (
+        "verbalizer\tdraw0\tdraw1\tmean_f1\n"
+        "Origin KV\t50.00\t25.00\t37.50\n"
+        "WLI KV\t33.33\t87.50\t60.42\n"
+    )
+
+    word_only = _report(FormatTag.TRAD_WORD, "SCNM", "en", [(Prf(0.5, 0.25, 1 / 3), None)])
+    assert report_markdown(word_only) == (
+        "# Evaluation: SCNM / en / TRAD_WORD\n"
+        "\n"
+        "| draw | word P | word R | word F1 | text P | text R | text F1 "
+        "| clean | recovered | unparseable |\n"
+        "|---|---|---|---|---|---|---|---|---|---|\n"
+        "| 0 | 50.00 | 25.00 | 33.33 | - | - | - | 3 | 1 | 0 |\n"
+        "\n"
+        "- word-level F1: mean 33.33, spread -\n"
+    )
+    assert report_tsv(word_only) == (
+        "draw\tword_p\tword_r\tword_f1\ttext_p\ttext_r\ttext_f1\n"
+        "0\t50.00\t25.00\t33.33\t-\t-\t-\n"
+        "mean\t50.00\t25.00\t33.33\t-\t-\t-\n"
+    )
+    joint = _report(FormatTag.JOINT_MRE, "SCNM", "en",
+                    [(_same(0.5), _same(0.25)), (_same(0.75), _same(0.5))])
+    assert report_markdown(joint).endswith(
+        "\n- word-level F1: mean 62.50, spread 17.68\n"
+        "- text-level F1: mean 37.50, spread 17.68\n"
+    )
+
+    md, tsv = ablation_table([
+        _report(FormatTag.WO_TLI_TO_WLI, "SCNM", "en", [(_same(0.5), None)]),
+        _report(FormatTag.WITH_TLI_TO_WLI, "SCNM", "en", [(_same(0.75), None)]),
+        _report(FormatTag.TRAD_TEXT, "SCNM", "en", [(None, _same(0.125))]),
+        _report(FormatTag.WITH_WLI_TO_TLI, "SCNM", "en", [(None, _same(1.0))]),
+        _report(FormatTag.WITH_WLI_TO_TLI, "SCPOS:N&Adj", "zh", [(None, _same(0.5))]),
+    ])
+    assert md == (
+        "| format | SCNM/en | SCPOS:N&Adj/zh |\n"
+        "|---|---|---|\n"
+        "| w/o TLI | 50.00 | - |\n"
+        "| with TLI | 75.00 | - |\n"
+        "| w/o WLI | 12.50 | - |\n"
+        "| with WLI | 100.00 | 50.00 |\n"
+    )
+    assert tsv == (
+        "format\tSCNM/en\tSCPOS:N&Adj/zh\n"
+        "w/o TLI\t50.00\t-\n"
+        "with TLI\t75.00\t-\n"
+        "w/o WLI\t12.50\t-\n"
+        "with WLI\t100.00\t50.00\n"
+    )

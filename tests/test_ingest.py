@@ -107,8 +107,17 @@ class TestLoadSplit:
     def test_non_utf8_names_file(self, tmp_path, scnm_en):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(json.dumps(ROW1).encode() + b"\n\xff\n")
-        with pytest.raises(DataError, match="bad.jsonl: not valid UTF-8"):
+        with pytest.raises(DataError, match="bad.jsonl: line 2: not valid UTF-8"):
             load_split(path, scnm_en, "train")
+
+    def test_bad_line_ahead_of_a_non_utf8_byte_is_reported(self, tmp_path, scnm_en):
+        path = tmp_path / "bad.jsonl"
+        rows = [ROW1, {**ROW2, "text": ""}, *({**ROW1, "id": f"r{i}"} for i in (3, 4))]
+        path.write_bytes(b"".join(json.dumps(r).encode() + b"\n" for r in rows) + b"\xff\n")
+        with pytest.raises(DataError) as caught:
+            load_split(path, scnm_en, "train")
+        assert str(caught.value).startswith(f"{path}: line 2: record ")
+        assert str(caught.value).endswith("text: must be non-empty")
 
     def test_duplicate_id_rejected(self, tmp_path, scnm_en):
         path = tmp_path / "dup.jsonl"

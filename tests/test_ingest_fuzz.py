@@ -1,4 +1,5 @@
-"""Fuzzing the record reader through ``mremix validate``.
+"""Fuzzing the record reader through ``mremix validate``, and the draw and
+generation readers through ``mremix evaluate``.
 
 A valid JSONL or TSV record file, blank lines included, loads to exactly the
 records it was written from. Mutating one of its lines (a wrong JSON type at
@@ -6,6 +7,8 @@ any depth, a missing key, a pair that is not an object, broken JSON, a
 schema violation, a non-canonical TSV pairs column, a byte that is not
 UTF-8) makes ``validate`` exit 1 with one ``data error:`` line on stderr that
 names the file and the first bad line, even when a later line is broken too.
+The same holds for a shape error in one line of a draw or generation file
+under ``evaluate``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mremix import DatasetDescriptor, LabelEntityPair, MreRecord, load_split
+from mremix import (DatasetDescriptor, FormatTag, LabelEntityPair, MreRecord, build_corpus,
+                    load_split)
 from mremix.cli import main
+from mremix.formats import TAGS
 from mremix.pairs import parse_canonical, serialize_pairs
 
 DESC = DatasetDescriptor.builtin("SCNM", "en")
@@ -185,4 +190,78 @@ class TestRecordReaderFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path, code, out, err = _validate(tmp, f"bytes.{fmt}", body[:at] + junk + body[at:], fmt)
         assert (code, out) == (1, "")
-        assert err.count("\n") == 1 and err.startswith(f"data error: {path}: not valid UTF-8 (")
+        line = body[:at].count(b"\n") + 1
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: {path}: line {line}: not valid UTF-8 ("), err
+
+
+def _evaluate(directory: str, tag: FormatTag, draw_body: bytes,
+              generation_body: bytes) -> tuple[Path, Path, int, str, str]:
+    draws, generations = Path(directory) / "gold.draw0.jsonl", Path(directory) / "gen.jsonl"
+    draws.write_bytes(draw_body)
+    generations.write_bytes(generation_body)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["evaluate", "--family", DESC.family, "--language", DESC.language,
+                     "--tag", tag.value, "--draws", str(draws), "--generations", str(generations),
+                     "--out", str(Path(directory) / "out")])
+    return draws, generations, code, out.getvalue(), err.getvalue()
+
+
+def _rows(examples: list, in_draws: bool) -> list[dict]:
+    """The draw rows of ``examples``, or generation rows that reproduce their targets."""
+    return [ex.to_dict() if in_draws else {"record_id": ex.record_id, "output": ex.target}
+            for ex in examples]
+
+
+def _spoil_row(draw, doc: dict, in_draws: bool) -> tuple[str, str]:
+    """One bad line made from a draw or generation row, and a fragment its error must hold."""
+    kind = draw(st.sampled_from(["root", "missing", "field", "json"] + ["tag"] * in_draws))
+    if kind == "root":
+        return json.dumps(draw(_NON_OBJECTS)), "expected an object"
+    if kind == "json":
+        line = json.dumps(doc, ensure_ascii=False)
+        return line[:draw(st.integers(1, len(line) - 1))], "not valid JSON"
+    if kind == "tag":
+        doc["tag"] = draw(st.text(max_size=12).filter(lambda value: value not in TAGS))
+        return json.dumps(doc), "'tag' must be one of ("
+    if kind == "missing":
+        key = draw(st.sampled_from(sorted(doc) if in_draws else ["output"]))
+        del doc[key]
+        return json.dumps(doc), f"missing field '{key}'" if in_draws else "an 'output' field"
+    key = draw(st.sampled_from(sorted(doc)))
+    doc[key] = draw(_NON_STRINGS.filter(lambda value: value is not None or key != "record_id"))
+    return json.dumps(doc), f"'{key}' must be a string"
+
+
+class TestEvaluateReaderFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), records=_records(), tag=st.sampled_from(list(FormatTag)))
+    def test_valid_files_evaluate(self, data, records, tag):
+        examples = build_corpus(records, tag, DESC)
+        gold, _ = _layout(data.draw, [json.dumps(row) for row in _rows(examples, True)])
+        generated = [json.dumps(row) for row in _rows(examples, False)]
+        with tempfile.TemporaryDirectory() as tmp:
+            *_, code, out, err = _evaluate(tmp, tag, _encode(gold), _encode(generated))
+        assert (code, err) == (0, "")
+        assert all(line.endswith(" mean: 1.0000") for line in out.splitlines())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), records=_records(), tag=st.sampled_from(list(FormatTag)),
+           in_draws=st.booleans(), after=st.sampled_from([b"", b"{broken", b"\xff"]))
+    def test_first_bad_line_is_one_data_error(self, data, records, tag, in_draws, after):
+        examples = build_corpus(records, tag, DESC)
+        lines = [json.dumps(row, ensure_ascii=False) for row in _rows(examples, in_draws)]
+        k = data.draw(st.integers(0, len(lines) - 1))
+        bad, fragment = _spoil_row(data.draw, _rows(examples, in_draws)[k], in_draws)
+        lines, numbers = _layout(data.draw, lines[:k] + [bad] + lines[k + 1:])
+        spoiled = _encode(lines) + after + b"\n"
+        valid = _encode([json.dumps(row) for row in _rows(examples, not in_draws)])
+        with tempfile.TemporaryDirectory() as tmp:
+            draws, generations, code, out, err = _evaluate(
+                tmp, tag, *((spoiled, valid) if in_draws else (valid, spoiled)))
+        path = draws if in_draws else generations
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"data error: {path}: line {numbers[k]}: "), err
+        assert fragment in err, err

@@ -41,6 +41,7 @@ def test_writers_emit_canonical_bytes(tmp_path):
 @pytest.mark.parametrize("reader", [jsonio.read_json, jsonio.read_jsonl_numbered])
 def test_readers_name_a_non_utf8_file(tmp_path, reader):
     path = tmp_path / "bad.json"
+    where = "" if reader is jsonio.read_json else "line 1: "  # a line reader names the line
     path.write_bytes(b'{"a": "\xe9"}\n')
-    with pytest.raises(DataError, match="bad.json: not valid UTF-8"):
+    with pytest.raises(DataError, match=f"bad.json: {where}not valid UTF-8"):
         list(reader(path))  # the line reader is a generator: it reads as it is consumed
