@@ -2,9 +2,10 @@
 
 An MRE mixed dataset attaches two levels of supervision to every text: one
 text-level classification label and an ordered list of word-level
-(label, entity) pairs. Seven dataset families exist, each in English,
-Chinese, and Japanese; all label inventories are fixed except TCONER,
-whose schema is open-domain and therefore advisory.
+(label, entity) pairs; a pair is an immutable ``(label, entity)`` tuple
+whose two strings are trimmed at construction. Seven dataset families
+exist, each in English, Chinese, and Japanese; all label inventories are
+fixed except TCONER, whose schema is open-domain and therefore advisory.
 
 Label surface strings live in a bundled line-oriented schema file
 (``data/schemas.txt``) rather than in code, so per-language label surfaces
@@ -13,8 +14,10 @@ can be swapped without touching the toolkit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
@@ -43,6 +46,7 @@ def normalize_family(name: str) -> str:
 
 
 _KINDS = {str: "a string", list: "a list"}
+_new_tuple, _strip, _label_of = tuple.__new__, str.strip, itemgetter(0)
 
 
 def _field(data: Mapping, key: str, kind: type = str) -> Any:
@@ -65,20 +69,23 @@ def _one_of(data: Mapping, key: str, allowed: Collection[str]) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class LabelEntityPair:
+class LabelEntityPair(namedtuple("LabelEntityPair", "label entity")):
     """One unit of word-level information: a label and an entity surface form.
 
-    Surrounding whitespace is trimmed at construction; the canonical pair
+    A pair is an immutable ``(label, entity)`` tuple, equal to the plain
+    tuple of its two strings. Surrounding whitespace is trimmed by every
+    constructor (``_make`` and ``_replace`` included); the canonical pair
     grammar and evaluation both operate on the trimmed surface.
     """
 
-    label: str
-    entity: str
+    __slots__ = ()
 
-    def __init__(self, label: str, entity: str) -> None:
-        object.__setattr__(self, "label", label.strip())
-        object.__setattr__(self, "entity", entity.strip())
+    def __new__(cls, label: str, entity: str) -> "LabelEntityPair":
+        return tuple.__new__(cls, (label.strip(), entity.strip()))
+
+    @classmethod
+    def _make(cls, iterable) -> "LabelEntityPair":
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {"label": self.label, "entity": self.entity}
@@ -88,6 +95,17 @@ class LabelEntityPair:
         if not isinstance(data, dict):
             raise DataError(f"must be an object, got {data!r}")
         return cls(_field(data, "label"), _field(data, "entity"))
+
+
+def _checked_pairs(raw: list) -> list[LabelEntityPair]:
+    """The pairs of ``raw``, checked one at a time so that the first bad one is named."""
+    pairs = []
+    for i, pair in enumerate(raw):
+        try:
+            pairs.append(LabelEntityPair.from_dict(pair))
+        except DataError as exc:
+            raise DataError(f"pairs[{i}]: {exc}") from exc
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -122,12 +140,17 @@ class MreRecord:
         if not isinstance(data, dict):
             raise DataError(f"expected an object, got {data!r}")
         rid, text, text_label = _field(data, "id"), _field(data, "text"), _field(data, "text_label")
-        pairs = []
-        for i, pair in enumerate(_field(data, "pairs", list)):
-            try:
-                pairs.append(LabelEntityPair.from_dict(pair))
-            except DataError as exc:
-                raise DataError(f"pairs[{i}]: {exc}") from exc
+        raw = _field(data, "pairs", list)
+        # All pairs at C speed. ``str.strip`` refuses what is not a string, and
+        # a pair that is not a dict is skipped; either way the checked walk
+        # runs instead, and names the first bad pair.
+        try:
+            pairs = [_new_tuple(LabelEntityPair, (_strip(p["label"]), _strip(p["entity"])))
+                     for p in raw if type(p) is dict]
+        except (KeyError, TypeError):
+            pairs = []
+        if len(pairs) != len(raw):
+            pairs = _checked_pairs(raw)
         return cls(rid, text, text_label, pairs)
 
 
@@ -142,10 +165,14 @@ class LabelSchema:
     text_labels: tuple[str, ...]
     word_labels: tuple[str, ...]
     open_domain: bool = False
+    text_label_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    word_label_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "text_labels", tuple(self.text_labels))
         object.__setattr__(self, "word_labels", tuple(self.word_labels))
+        object.__setattr__(self, "text_label_set", frozenset(self.text_labels))
+        object.__setattr__(self, "word_label_set", frozenset(self.word_labels))
         for side, labels in (("text", self.text_labels), ("word", self.word_labels)):
             if any(not lbl or not lbl.strip() for lbl in labels):
                 raise SchemaError(f"{side}-level schema contains an empty label")
@@ -193,8 +220,21 @@ class Violation:
 
 
 def validate_record(record: MreRecord, desc: DatasetDescriptor) -> list[Violation]:
-    """Check a record against its dataset's schema; violations are data, not errors."""
+    """Check a record against its dataset's schema; violations are data, not errors.
+
+    The whole record is checked first with set and ``map`` operations; only a
+    record that fails it is walked field by field to name its violations.
+    The two agree because schema labels are never blank and pair fields are
+    trimmed: a label in the schema is non-empty, and a pair whose fields are
+    both truthy has no empty field.
+    """
     schema = desc.schema
+    pairs = record.pairs
+    if record.text.strip() and all(map(all, pairs)) and (
+            record.text_label.strip() if schema.open_domain
+            else record.text_label in schema.text_label_set
+            and schema.word_label_set.issuperset(map(_label_of, pairs))):
+        return []
     out: list[Violation] = []
     if not record.text.strip():
         out.append(Violation("text", "must be non-empty"))
@@ -207,12 +247,12 @@ def validate_record(record: MreRecord, desc: DatasetDescriptor) -> list[Violatio
                 f"{record.text_label!r} is not in the text-level schema",
             )
         )
-    for i, pair in enumerate(record.pairs):
+    for i, pair in enumerate(pairs):
         if not pair.entity:
             out.append(Violation(f"pairs[{i}].entity", "must be non-empty"))
         if not pair.label:
             out.append(Violation(f"pairs[{i}].label", "must be non-empty"))
-        elif not schema.open_domain and pair.label not in schema.word_labels:
+        elif not schema.open_domain and pair.label not in schema.word_label_set:
             out.append(
                 Violation(
                     f"pairs[{i}].label",

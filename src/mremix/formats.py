@@ -124,7 +124,12 @@ def render_record(record: MreRecord, desc: DatasetDescriptor) -> RenderedRecord:
         raise DataError(
             f"record {record.id!r}: " + "; ".join(str(v) for v in violations)
         )
-    return RenderedRecord(record.id, record.text, record.text_label, serialize_pairs(record.pairs))
+    try:
+        pairs = serialize_pairs(record.pairs)
+    except SerializationError as exc:
+        i = next(i for i, pair in enumerate(record.pairs) if ": " in pair.label)
+        raise SerializationError(f"record {record.id!r}: pairs[{i}]: {exc}") from exc
+    return RenderedRecord(record.id, record.text, record.text_label, pairs)
 
 
 def _level(row: RenderedRecord, level: str) -> str:

@@ -244,6 +244,16 @@ class TestBuildFormats:
             "error: record 'sep': text label contains the separator and "
             "cannot appear in a joint target")
 
+    def test_unserializable_pair_label_names_record_and_pair(self, tmp_path, capsys):
+        rows = [{"id": "a", "text": "a b", "text_label": "x",
+                 "pairs": [{"label": "a: b", "entity": "c"}]}]
+        write_jsonl(tmp_path / "open.jsonl", rows)
+        code = main(["build-formats", "--family", "TCONER", "--language", "en",
+                     "--input", str(tmp_path / "open.jsonl"), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: record 'a': pairs[0]: label 'a: b' contains ': ' and cannot be serialized")
+
     def test_outputs_equal_per_example_builds(self, tmp_path, monkeypatch):
         _setup_dataset(tmp_path)
         args = ["build-formats", "--family", "SCNM", "--language", "en",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
+import pickle
 
 import pytest
 
@@ -107,11 +108,20 @@ def test_pair_trims_surfaces():
     assert pair.entity == "Tanaka"
     for same in (LabelEntityPair(entity="Tanaka ", label=" people"),
                  LabelEntityPair.from_dict({"label": "people\t", "entity": " Tanaka"}),
-                 dataclasses.replace(pair, entity="  Tanaka")):
+                 pair._replace(entity="  Tanaka"),
+                 LabelEntityPair._make([" people", "Tanaka\n"]),
+                 copy.deepcopy(pair),
+                 pickle.loads(pickle.dumps(pair))):
+        assert type(same) is LabelEntityPair
         assert same == pair and hash(same) == hash(pair)
+    assert pair._replace(label=" x ") == ("x", "Tanaka")
+    # a pair is a plain (label, entity) tuple underneath
+    assert pair == ("people", "Tanaka") and hash(pair) == hash(("people", "Tanaka"))
     assert repr(pair) == "LabelEntityPair(label='people', entity='Tanaka')"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pair.label = "x"
+    with pytest.raises(AttributeError):
+        pair.extra = "x"
 
 
 def test_validate_accepts_valid_scnm_record(scnm_en, scnm_record):

@@ -4,9 +4,10 @@ generation readers through ``mremix evaluate``.
 A valid JSONL or TSV record file, blank lines included, loads to exactly the
 records it was written from. Mutating one of its lines (a wrong JSON type at
 any depth, a missing key, a pair that is not an object, broken JSON, a
-schema violation, a non-canonical TSV pairs column, a byte that is not
-UTF-8) makes ``validate`` exit 1 with one ``data error:`` line on stderr that
-names the file and the first bad line, even when a later line is broken too.
+schema violation of the record or of one of its pairs, a non-canonical TSV
+pairs column, a byte that is not UTF-8) makes ``validate`` exit 1 with one
+``data error:`` line on stderr that names the file and the first bad line,
+even when a later line is broken too.
 The same holds for a shape error in one line of a draw or generation file
 under ``evaluate``.
 """
@@ -42,6 +43,9 @@ _NON_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_si
                          st.lists(st.integers(), max_size=2))
 # (field, value) pairs that break the schema, not the record's shape
 _VIOLATIONS = [("text", " "), ("text_label", ""), ("text_label", "Bogus")]
+# the same for one pair: (pair field, value, message)
+_PAIR_VIOLATIONS = [("entity", "", "must be non-empty"),
+                    ("label", "Bogus", "'Bogus' is not in the word-level schema")]
 
 
 @st.composite
@@ -122,6 +126,11 @@ def _spoil_json(draw, record: MreRecord) -> tuple[str, str]:
         if draw(st.booleans()):
             return line[:draw(st.integers(1, len(line) - 1))], "not valid JSON"
         return line + draw(st.sampled_from(["x", ",", "{}", "]"])), "not valid JSON"
+    if doc["pairs"] and draw(st.booleans()):
+        i = draw(st.integers(0, len(doc["pairs"]) - 1))
+        key, value, message = draw(st.sampled_from(_PAIR_VIOLATIONS))
+        doc["pairs"][i][key] = value
+        return json.dumps(doc), f"record {record.id!r}: pairs[{i}].{key}: {message}"
     key, value = draw(st.sampled_from(_VIOLATIONS))
     doc[key] = value
     return json.dumps(doc), f"record {record.id!r}: {key}: "
@@ -142,6 +151,14 @@ def _spoil_tsv(draw, record: MreRecord) -> tuple[str, str]:
         cols[3] = draw(_NOT_CANONICAL)
         assume(parse_canonical(cols[3]) is None)
         return "\t".join(cols), "malformed record (pairs column is not canonical"
+    if record.pairs and draw(st.booleans()):
+        # an empty entity is canonical: the column reads "people: "
+        i = draw(st.integers(0, len(record.pairs) - 1))
+        key, value, message = draw(st.sampled_from(_PAIR_VIOLATIONS))
+        pairs = list(record.pairs)
+        pairs[i] = pairs[i]._replace(**{key: value})
+        cols[3] = serialize_pairs(pairs)
+        return "\t".join(cols), f"record {record.id!r}: pairs[{i}].{key}: {message}"
     key, value = draw(st.sampled_from(_VIOLATIONS))
     cols[1 if key == "text" else 2] = value
     return "\t".join(cols), f"record {record.id!r}: {key}: "
