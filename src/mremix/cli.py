@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import runner
-from .core import LANGUAGES, DatasetDescriptor
+from .core import LANGUAGES, DatasetDescriptor, normalize_family
 from .errors import ConfigError, DataError, MremixError, SchemaError
 from .evaluation import (
     TEXT_METRICS,
@@ -129,6 +129,35 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _built_datasets(manifest: Path) -> dict[str, str]:
+    """The dataset ("family/language") of each file a ``build-formats`` manifest lists."""
+    data = read_json(manifest)
+    try:
+        dataset = f"{normalize_family(data['config']['family'])}/{data['config']['language']}"
+        return {entry["file"]: dataset for entry in data["files"]}
+    except (LookupError, TypeError, AttributeError, SchemaError) as exc:
+        raise DataError(f"{manifest}: not a build-formats manifest ({exc!r})") from None
+
+
+def _check_draw_dataset(d: int, path: Path, desc: DatasetDescriptor,
+                        manifests: dict[Path, dict[str, str]]) -> None:
+    """Refuse a draw file that the manifest beside it gives to another dataset;
+    ``manifests`` keeps each manifest read. A file no manifest lists passes. (The
+    format needs no manifest: every draw row carries its tag, and evaluation
+    checks it.)"""
+    for manifest in sorted(path.parent.glob("*_manifest.json")):
+        if manifest not in manifests:
+            manifests[manifest] = _built_datasets(manifest)
+        built = manifests[manifest].get(path.name)
+        if built is None:
+            continue
+        wanted = f"{desc.family}/{desc.language}"
+        if built != wanted:
+            raise DataError(f"draw {d}: {path} was built for {built} (per {manifest}), "
+                            f"not for {wanted} as --family/--language say")
+        return
+
+
 def cmd_evaluate(args) -> int:
     desc = _descriptor(args)
     try:
@@ -140,10 +169,12 @@ def cmd_evaluate(args) -> int:
             f"got {len(args.draws)} draw file(s) but {len(args.generations)} generation file(s)"
         )
     draws = []
+    manifests: dict[Path, dict[str, str]] = {}
     for d, path in enumerate(args.draws):
         path = resolve_data_path(path)
         if not Path(path).exists():
             raise FileNotFoundError(f"draw {d}: missing draw file {path}")
+        _check_draw_dataset(d, Path(path), desc, manifests)
         draws.append(read_examples(path))
     generations = []
     for d, path in enumerate(args.generations):

@@ -54,19 +54,17 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _pair_key(pair: LabelEntityPair, fold_label_case: bool) -> tuple[str, str]:
-    label = pair.label.casefold() if fold_label_case else pair.label
-    return (label, pair.entity)
-
-
 def _match_count(
     gold: Sequence[LabelEntityPair],
     pred: Sequence[LabelEntityPair],
     fold_label_case: bool,
 ) -> int:
-    gold_counts = Counter(_pair_key(p, fold_label_case) for p in gold)
-    pred_counts = Counter(_pair_key(p, fold_label_case) for p in pred)
-    return sum(min(gold_counts[k], pred_counts[k]) for k in gold_counts.keys() & pred_counts.keys())
+    if gold == pred:  # an exact prediction, the common case
+        return len(gold)
+    if fold_label_case:
+        gold = [(label.casefold(), entity) for label, entity in gold]
+        pred = [(label.casefold(), entity) for label, entity in pred]
+    return (Counter(gold) & Counter(pred)).total()
 
 
 def _prf_from_counts(match: int, n_pred: int, n_gold: int) -> Prf:

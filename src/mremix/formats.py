@@ -9,18 +9,26 @@ Word-level pairs are written in the grammar of :mod:`mremix.pairs`.
 ``LAYOUT`` is the one table of what each format appends and what its target
 carries; building, ``split_target`` (the target's inverse, which parsing and
 evaluation read), the alias tags and the ablation rows all derive from it.
+
+A format file is built as its JSON lines: each record is validated and its
+strings JSON-encoded once (``render_record``), and every format's row is a
+concatenation of those strings, byte for byte the line the JSON writer
+gives for the example. Readers decode the lines into ``FormattedExample``s.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _encode  # the writer's string encoder
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import DatasetDescriptor, MreRecord, _field, _one_of, validate_record
 from .errors import DataError, SerializationError
-from .jsonio import read_jsonl_numbered, write_jsonl
+from .jsonio import read_jsonl_numbered, write_lines
+from .jsonio import write_jsonl  # noqa: F401  (unused; perfbench/tracer.py rebinds it here)
 from .pairs import serialize_pairs
 
 SEPARATOR = "\n"
@@ -109,16 +117,20 @@ class FormattedExample:
 
 
 class RenderedRecord(NamedTuple):
-    """A validated record with its pairs in the canonical grammar: all a format reads."""
+    """A validated record as the JSON strings a row is built from: its id, text,
+    text label and canonical pair string, each encoded once. ``id`` and
+    ``text_label`` are kept as they are for messages and the separator check."""
 
     id: str
-    text: str
     text_label: str
-    pairs: str
+    json_id: str
+    json_text: str
+    json_text_label: str
+    json_pairs: str
 
 
 def render_record(record: MreRecord, desc: DatasetDescriptor) -> RenderedRecord:
-    """Validate ``record`` against ``desc`` and serialize its pairs."""
+    """Validate ``record`` against ``desc``, serialize its pairs and JSON-encode its strings."""
     violations = validate_record(record, desc)
     if violations:
         raise DataError(
@@ -129,32 +141,73 @@ def render_record(record: MreRecord, desc: DatasetDescriptor) -> RenderedRecord:
     except SerializationError as exc:
         i = next(i for i, pair in enumerate(record.pairs) if ": " in pair.label)
         raise SerializationError(f"record {record.id!r}: pairs[{i}]: {exc}") from exc
-    return RenderedRecord(record.id, record.text, record.text_label, pairs)
+    return RenderedRecord(record.id, record.text_label, _encode(record.id),
+                          _encode(record.text), _encode(record.text_label), _encode(pairs))
 
 
-def _level(row: RenderedRecord, level: str) -> str:
-    """The string of one level of a rendered record."""
+# JSON escapes character by character, so the JSON string of a + SEPARATOR + b
+# is that of a without its closing quote, the separator's escape, and that of b
+# without its opening quote.
+_JSON_SEPARATOR = _encode(SEPARATOR)[1:-1]
+
+
+def _joined(json_a: str, json_b: str) -> str:
+    return json_a[:-1] + _JSON_SEPARATOR + json_b[1:]
+
+
+def _json_level(row: RenderedRecord, level: str) -> str:
+    """The JSON string of one level of a rendered record."""
     if level != "joint":
-        return row.pairs if level == "word" else row.text_label
+        return row.json_pairs if level == "word" else row.json_text_label
     if SEPARATOR in row.text_label:
         raise SerializationError(
             f"record {row.id!r}: text label contains the separator and "
             "cannot appear in a joint target"
         )
-    return row.text_label + SEPARATOR + row.pairs
+    return _joined(row.json_text_label, row.json_pairs)
 
 
-def _example(row: RenderedRecord, tag: FormatTag) -> FormattedExample:
-    """The example of ``tag`` built from a rendered record."""
+def _line(row: RenderedRecord, tag: FormatTag) -> str:
+    """The JSON line of the example of ``tag``: ``json_line(example.to_dict())``,
+    with its keys in sorted order, concatenated from the record's JSON strings."""
     appended, level = LAYOUT[tag]
-    target = _level(row, level)
-    inp = row.text if appended is None else row.text + SEPARATOR + _level(row, appended)
-    return FormattedExample(input=inp, target=target, tag=tag, record_id=row.id)
+    target = _json_level(row, level)
+    inp = row.json_text if appended is None else _joined(row.json_text, _json_level(row, appended))
+    return ('{"input": ' + inp + ', "record_id": ' + row.json_id
+            + ', "tag": "' + tag.value + '", "target": ' + target + "}")
 
 
 def build_example(record: MreRecord, tag: FormatTag, desc: DatasetDescriptor) -> FormattedExample:
-    """One training example of ``tag``, laid out as ``LAYOUT`` says."""
-    return _example(render_record(record, desc), tag)
+    """One training example of ``tag``, laid out as ``LAYOUT`` says (library API:
+    the decoded line ``build_corpus`` writes for the record)."""
+    return FormattedExample.from_dict(json.loads(_line(render_record(record, desc), tag)))
+
+
+def render_corpus(
+    records: Iterable[MreRecord],
+    tag: FormatTag,
+    desc: DatasetDescriptor,
+    rendered: Optional[dict[str, RenderedRecord]] = None,
+) -> list[RenderedRecord]:
+    """The renderings of ``records`` for format ``tag``, in order, raising the
+    first error ``build_corpus`` would raise (a joint target's included).
+
+    ``rendered`` keeps each record's rendering by record id, so that calls
+    over records of one split (whose ids are unique) validate and serialize
+    each record once. A record is rendered on first use.
+    """
+    if rendered is None:
+        rendered = {}
+    joint = LAYOUT[tag][1] == "joint"
+    rows = []
+    for record in records:
+        row = rendered.get(record.id)
+        if row is None:
+            row = rendered[record.id] = render_record(record, desc)
+        if joint:
+            _json_level(row, "joint")  # raises if the text label holds the separator
+        rows.append(row)
+    return rows
 
 
 def build_corpus(
@@ -162,34 +215,19 @@ def build_corpus(
     tag: FormatTag,
     desc: DatasetDescriptor,
     rendered: Optional[dict[str, RenderedRecord]] = None,
-) -> list[FormattedExample]:
-    """Map build_example over the records, preserving order.
-
-    ``rendered`` keeps each record's rendering by record id, so that calls
-    over records of one split (whose ids are unique) validate and serialize
-    each record once. A record is rendered on first use, so the first error
-    is the one ``build_example`` would raise.
-    """
-    if rendered is None:
-        rendered = {}
-    examples = []
-    for record in records:
-        row = rendered.get(record.id)
-        if row is None:
-            row = rendered[record.id] = render_record(record, desc)
-        examples.append(_example(row, tag))
-    return examples
+) -> list[str]:
+    """The JSON line of each record's example of ``tag``, in order (see
+    ``render_corpus`` for ``rendered``). ``read_examples`` reads them back."""
+    return [_line(row, tag) for row in render_corpus(records, tag, desc, rendered)]
 
 
-def corpus_manifest(examples: Sequence[FormattedExample]) -> dict:
-    """Per-tag counts plus the ordered record ids (the draw alignment key)."""
-    counts: dict[str, int] = {}
-    for ex in examples:
-        counts[ex.tag.value] = counts.get(ex.tag.value, 0) + 1
+def corpus_manifest(tag: FormatTag, records: Sequence[MreRecord]) -> dict:
+    """Counts of a file of ``tag`` built from ``records``, plus the ordered
+    record ids (the draw alignment key)."""
     return {
-        "count": len(examples),
-        "counts_by_tag": counts,
-        "record_ids": [ex.record_id for ex in examples],
+        "count": len(records),
+        "counts_by_tag": {tag.value: len(records)} if records else {},
+        "record_ids": [record.id for record in records],
     }
 
 
@@ -201,8 +239,9 @@ def corpus_filename(
     return f"{desc.slug}_{tag.value.lower()}.{role}{suffix}.jsonl"
 
 
-def write_examples(path: str | Path, examples: Iterable[FormattedExample]) -> None:
-    write_jsonl(path, (ex.to_dict() for ex in examples))
+def write_examples(path: str | Path, lines: Iterable[str]) -> None:
+    """Write a format file from its JSON lines (``build_corpus``)."""
+    write_lines(path, lines)
 
 
 def read_examples(path: str | Path) -> list[FormattedExample]:

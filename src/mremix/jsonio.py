@@ -7,16 +7,19 @@ replaces the target only once it is complete, so an interrupted run never
 leaves a half-written artifact behind.
 
 Bytes that are not UTF-8 give a ``DataError`` naming the file, and for a
-line reader the line. The line readers are generators: they yield each
-non-blank line (or its JSON document) with its line number as they read,
-so a caller builds its objects in the same pass and the first bad line in
-file order is the one reported.
+line reader the line. So does a JSON escape of a lone surrogate
+(``"\\ud800"``), which decodes but could never be written back as UTF-8;
+the JSON readers name its line. The line readers are generators: they
+yield each non-blank line (or its JSON document) with its line number as
+they read, so a caller builds its objects in the same pass and the first
+bad line in file order is the one reported.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
@@ -62,11 +65,36 @@ def write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace ``path`` with ``lines``, each followed by a newline, written one at a time."""
     with _replacing(path) as fh:
-        for row in rows:
-            fh.write(json_line(row))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
+    write_lines(path, map(json_line, rows))
+
+
+# A JSON string literal; none spans a line, since a raw newline is invalid in one.
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _refuse_lone_surrogates(path: str | Path, text: str, first_line: int = 1) -> None:
+    """Raise a DataError naming the first line of ``text``, valid JSON whose first
+    line is ``first_line``, with a string holding a lone surrogate. Only a line
+    with a ``\\ud`` escape can hold one."""
+    if "\\ud" not in text and "\\uD" not in text:
+        return
+    for lineno, line in enumerate(text.split("\n"), start=first_line):
+        if "\\ud" in line or "\\uD" in line:
+            for literal in _STRING.findall(line):
+                try:
+                    json.loads(literal).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"{path}: line {lineno}: not valid Unicode "
+                                    "(lone surrogate)") from None
 
 
 def read_lines_numbered(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -94,6 +122,8 @@ def read_jsonl_numbered(path: str | Path) -> Iterator[tuple[int, Any]]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from exc
+        if "\\u" in line:
+            _refuse_lone_surrogates(path, line, lineno)
         yield lineno, doc
 
 
@@ -103,7 +133,10 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 def read_json(path: str | Path) -> Any:
     with open_text(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from exc
+    _refuse_lone_surrogates(path, text)
+    return doc

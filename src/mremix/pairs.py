@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .core import LabelEntityPair
+from .core import LabelEntityPair, _new_tuple
 from .errors import SerializationError
 
 EMPTY_PAIRS_TOKEN = "NONE"
@@ -70,9 +70,25 @@ def _decode(s: str) -> str:
 
 
 def parse_canonical(s: str) -> Optional[tuple[LabelEntityPair, ...]]:
-    """The pairs of ``s`` if ``serialize_pairs`` renders them back to ``s``, else None."""
+    """The pairs of ``s`` if ``serialize_pairs`` renders them back to ``s``, else None.
+
+    Without a backslash nothing is escaped, so ``s`` is canonical exactly when
+    each ``"; "``-segment holds a ``": "`` and no other ``;``, and its label and
+    entity are already trimmed; a string with escapes is checked by rendering
+    its pairs back.
+    """
     if s == EMPTY_PAIRS_TOKEN:
         return ()
+    if "\\" not in s:
+        if s.count(";") != s.count("; "):  # a ';' outside a separator
+            return None
+        pairs = []
+        for segment in s.split("; "):
+            label, boundary, entity = segment.partition(": ")
+            if not boundary or label.strip() != label or entity.strip() != entity:
+                return None
+            pairs.append(_new_tuple(LabelEntityPair, (label, entity)))
+        return tuple(pairs)
     pairs = []
     for segment in _split(s, "; "):
         label, boundary, entity = segment.partition(": ")

@@ -24,6 +24,7 @@ from .formats import (
     build_corpus,
     corpus_filename,
     corpus_manifest,
+    render_corpus,
     write_examples,
 )
 from .ingest import Split, few_shot_sample, load_split, repeated_test_sample
@@ -87,7 +88,7 @@ class ExperimentConfig:
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+            raise ConfigError(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")
         return cls(**data)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
@@ -194,6 +195,10 @@ def build_format_files(
     Train role formats the whole split in order. Test role applies the
     repeated-draw protocol first, producing one file per (tag, draw) so the
     draw files double as gold manifests for evaluation.
+
+    Every record is rendered and checked, in file order, before any file is
+    written, so a failing command writes nothing and reports its first
+    error. Then the files are built and written one at a time.
     """
     config.validate()
     desc = descriptor(config)
@@ -205,24 +210,24 @@ def build_format_files(
         sources = list(enumerate(repeated_test_sample(
             split, config.test_sample_size, config.test_repeats, config.seed)))
 
-    planned: list[tuple[Path, list]] = []
+    planned: list[tuple[Path, FormatTag, Sequence]] = []
     manifest: dict = {"role": role, "config": config.to_dict(), "files": []}
     rendered: dict = {}  # every draw is a subset of the one split
     for tag in tags:
         for draw_index, source in sources:
-            examples = build_corpus(source.records, tag, desc, rendered)
+            render_corpus(source.records, tag, desc, rendered)
             name = corpus_filename(desc, tag, role, draw_index)
-            planned.append((out / name, examples))
-            entry = corpus_manifest(examples)
+            planned.append((out / name, tag, source.records))
+            entry = corpus_manifest(tag, source.records)
             entry.update({"file": name, "tag": tag.value})
             if draw_index is not None:
                 entry["draw_index"] = draw_index
             manifest["files"].append(entry)
 
     manifest_path = out / f"{desc.slug}_{role}_manifest.json"
-    guard_overwrite([p for p, _ in planned] + [manifest_path], force)
-    for path, examples in planned:
-        write_examples(path, examples)
+    guard_overwrite([p for p, *_ in planned] + [manifest_path], force)
+    for path, tag, records in planned:
+        write_examples(path, build_corpus(records, tag, desc, rendered))
     write_json(manifest_path, manifest)
     return manifest
 

@@ -9,10 +9,11 @@ import pytest
 
 from mremix import build_from_wli, runner, save_kv, save_split, shuffle_words
 from mremix.cli import main
-from mremix.formats import build_example, read_examples
+from mremix.formats import read_examples
 from mremix.jsonio import read_json, write_json, write_jsonl
 
 from synth import planted_splits
+from test_ablation_paths import reference_lines
 
 
 def _setup_dataset(tmp_path, n_train=10, n_test=8, kv_k=10):
@@ -117,6 +118,22 @@ class TestValidate:
         assert "OK" not in out
         assert err == (f"data error: {path}: line 1: malformed record (pairs column is not "
                        "canonical: 'people:Tanaka ;; junk')\n")
+
+    def test_lone_surrogate_escape_is_data_error_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"id": "a", "text": "bad \\ud800 text", "text_label": "Society", '
+                        '"pairs": [{"label": "people", "entity": "Tanaka"}]}\n', encoding="utf-8")
+        code = main(["validate", "--family", "SCNM", "--language", "en", str(path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"data error: {path}: line 1: not valid Unicode (lone surrogate)\n")
+
+    def test_escaped_surrogate_pair_and_escaped_backslash_load(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('\n{"id": "a", "text": "smile \\ud83d\\ude00 and \\\\ud800", '
+                        '"text_label": "Society", "pairs": []}\n', encoding="utf-8")
+        code = main(["validate", "--family", "SCNM", "--language", "en", str(path)])
+        assert (code, capsys.readouterr().out) == (0, f"OK {path} (1 records)\n")
 
     def test_null_text_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "null.jsonl"
@@ -243,6 +260,22 @@ class TestBuildFormats:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: record 'sep': text label contains the separator and "
             "cannot appear in a joint target")
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_record_comes_before_a_later_format_separator_error(self, tmp_path, capsys):
+        # with the joint format second, every record is validated first
+        rows = [
+            {"id": "sep", "text": "a b", "text_label": "x\ny", "pairs": []},
+            {"id": "empty", "text": " ", "text_label": "x", "pairs": []},
+        ]
+        write_jsonl(tmp_path / "open.jsonl", rows)
+        code = main(["build-formats", "--family", "TCONER", "--language", "en", "--lenient",
+                     "--input", str(tmp_path / "open.jsonl"), "--tags", "TRAD_TEXT,JOINT_MRE",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "data error: record 'empty': text: must be non-empty")
+        assert not (tmp_path / "out").exists()
 
     def test_unserializable_pair_label_names_record_and_pair(self, tmp_path, capsys):
         rows = [{"id": "a", "text": "a b", "text_label": "x",
@@ -254,6 +287,18 @@ class TestBuildFormats:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: record 'a': pairs[0]: label 'a: b' contains ': ' and cannot be serialized")
 
+    def test_lone_surrogate_escape_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"id": "a", "text": "ok", "text_label": "Society", "pairs": []}\n'
+                        '{"id": "b", "text": "bad \\uDC00 text", "text_label": "Society", '
+                        '"pairs": []}\n', encoding="utf-8")
+        code = main(["build-formats", "--family", "SCNM", "--language", "en", "--input", str(path),
+                     "--role", "train", "--tags", "all", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 2: not valid Unicode (lone surrogate)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_outputs_equal_per_example_builds(self, tmp_path, monkeypatch):
         _setup_dataset(tmp_path)
         args = ["build-formats", "--family", "SCNM", "--language", "en",
@@ -262,10 +307,8 @@ class TestBuildFormats:
                 "--test-n", "12", "--repeats", "3", "--seed", "5"]
         assert main(args + ["--out", str(tmp_path / "shared")]) == 0
 
-        def per_example(records, tag, desc, *_):
-            return [build_example(record, tag, desc) for record in records]
-
-        monkeypatch.setattr(runner, "build_corpus", per_example)
+        monkeypatch.setattr(runner, "build_corpus",
+                            lambda records, tag, desc, *_: reference_lines(records, tag, desc))
         assert main(args + ["--out", str(tmp_path / "per-example")]) == 0
         trees = [{p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
                  for name in ("shared", "per-example")]
@@ -530,6 +573,46 @@ class TestEvaluate:
             f"data error: draw 0: record {first.record_id!r}: the draw row is of format "
             f"TRAD_WORD, not {tag}\n")
         assert not (tmp_path / "eval").exists()
+
+    def test_draws_of_another_dataset_are_data_error(self, tmp_path, capsys):
+        draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_WORD")
+        capsys.readouterr()
+        code = main(["evaluate", "--family", "scnm", "--language", "zh", "--tag", "TRAD_WORD",
+                     "--draws", *map(str, draw_paths),
+                     "--generations", *map(str, gen_paths),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        manifest = tmp_path / "draws" / "scnm_en_test_manifest.json"
+        assert capsys.readouterr().err == (
+            f"data error: draw 0: {draw_paths[0]} was built for SCNM/en (per {manifest}), "
+            "not for SCNM/zh as --family/--language say\n")
+        assert not (tmp_path / "eval").exists()
+
+    def test_draws_that_no_manifest_lists_are_evaluated(self, tmp_path, capsys):
+        draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_TEXT")
+        copies = []
+        for d, path in enumerate(draw_paths):
+            copies.append(tmp_path / f"copy{d}.jsonl")
+            copies[-1].write_bytes(path.read_bytes())
+        (tmp_path / "other_manifest.json").write_text(
+            '{"config": {"family": "TCREE", "language": "ja"}, "files": []}', encoding="utf-8")
+        code = main(["evaluate", "--family", "SCNM", "--language", "zh", "--tag", "TRAD_TEXT",
+                     "--draws", *map(str, copies), "--generations", *map(str, gen_paths),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 0
+
+    def test_malformed_manifest_beside_a_draw_is_data_error(self, tmp_path, capsys):
+        draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_TEXT")
+        manifest = tmp_path / "draws" / "scnm_en_test_manifest.json"
+        write_json(manifest, {"config": {"family": None}, "files": []})
+        capsys.readouterr()
+        code = main(["evaluate", "--family", "SCNM", "--language", "en", "--tag", "TRAD_TEXT",
+                     "--draws", *map(str, draw_paths), "--generations", *map(str, gen_paths),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {manifest}: not a build-formats manifest (")
+        assert err.count("\n") == 1
 
     def test_empty_draw_is_data_error(self, tmp_path, capsys):
         (tmp_path / "draw.jsonl").write_text("", encoding="utf-8")

@@ -7,7 +7,7 @@ import pytest
 from mremix import (
     FormatTag,
     LabelEntityPair,
-    build_corpus,
+    build_example,
     evaluate_run,
     pair_f1,
     pair_f1_micro,
@@ -187,7 +187,7 @@ class TestMicro:
 def _draws_and_generations(desc, tag, n_records=6, mangle=None):
     _, train, _, _ = planted_splits(n_train_per_label=3, n_test_per_label=1)
     records = train.records[:n_records]
-    examples = build_corpus(records, tag, desc)
+    examples = [build_example(record, tag, desc) for record in records]
     generations = [
         GenerationRow(record_id=e.record_id, output=mangle(e.target) if mangle else e.target)
         for e in examples

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from mremix import (
@@ -155,11 +157,19 @@ class TestFormatLaws:
 class TestCorpus:
     def test_order_preserved_and_manifest_counts(self, scnm_en):
         _, train, _, _ = planted_splits(n_train_per_label=2, n_test_per_label=1)
-        examples = build_corpus(train.records, FormatTag.JOINT_MRE, scnm_en)
-        assert [e.record_id for e in examples] == train.ids()
-        manifest = corpus_manifest(examples)
+        lines = build_corpus(train.records, FormatTag.JOINT_MRE, scnm_en)
+        assert [json.loads(line)["record_id"] for line in lines] == train.ids()
+        manifest = corpus_manifest(FormatTag.JOINT_MRE, train.records)
         assert manifest["count"] == len(train)
         assert manifest["counts_by_tag"] == {"JOINT_MRE": len(train)}
+        assert manifest["record_ids"] == train.ids()
+
+    def test_lines_decode_to_the_examples(self, scnm_en):
+        _, train, _, _ = planted_splits(n_train_per_label=2, n_test_per_label=1)
+        for tag in FormatTag:
+            lines = build_corpus(train.records, tag, scnm_en)
+            assert [json.loads(line) for line in lines] == [
+                build_example(record, tag, scnm_en).to_dict() for record in train.records]
 
     def test_error_names_offending_record(self, scnm_en, make_record):
         records = [make_record("ok"), make_record("broken", label="Sports")]
@@ -168,16 +178,18 @@ class TestCorpus:
 
     def test_write_read_roundtrip(self, tmp_path, scnm_en):
         _, train, _, _ = planted_splits(n_train_per_label=2, n_test_per_label=1)
-        examples = build_corpus(train.records, FormatTag.WITH_TLI_TO_WLI, scnm_en)
+        lines = build_corpus(train.records, FormatTag.WITH_TLI_TO_WLI, scnm_en)
         path = tmp_path / corpus_filename(scnm_en, FormatTag.WITH_TLI_TO_WLI, "train")
-        write_examples(path, examples)
-        assert read_examples(path) == examples
+        write_examples(path, lines)
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+        assert read_examples(path) == [build_example(record, FormatTag.WITH_TLI_TO_WLI, scnm_en)
+                                       for record in train.records]
 
     @pytest.mark.parametrize("key", ["input", "target", "record_id"])
     @pytest.mark.parametrize("value", [None, 5])
     def test_non_string_field_names_line(self, tmp_path, scnm_en, key, value):
         _, train, _, _ = planted_splits(n_train_per_label=1, n_test_per_label=1)
-        rows = [e.to_dict() for e in build_corpus(train.records[:2], FormatTag.TRAD_TEXT, scnm_en)]
+        rows = list(map(json.loads, build_corpus(train.records[:2], FormatTag.TRAD_TEXT, scnm_en)))
         rows[1][key] = value
         path = tmp_path / "examples.jsonl"
         write_jsonl(path, rows)
@@ -193,7 +205,7 @@ class TestCorpus:
     ])
     def test_malformed_line_names_the_field(self, tmp_path, scnm_en, edit, message):
         _, train, _, _ = planted_splits(n_train_per_label=1, n_test_per_label=1)
-        rows = [e.to_dict() for e in build_corpus(train.records[:2], FormatTag.TRAD_TEXT, scnm_en)]
+        rows = list(map(json.loads, build_corpus(train.records[:2], FormatTag.TRAD_TEXT, scnm_en)))
         rows[1] = edit(rows[1])
         path = tmp_path / "examples.jsonl"
         write_jsonl(path, rows)

@@ -1,0 +1,119 @@
+"""Golden bytes of the ablation pipeline.
+
+``build-formats`` (train and test, every tag), ``evaluate`` for every tag
+on planted generations, and ``report`` run over a small seeded corpus whose
+strings hold what JSON and the pair grammar must escape or keep: CJK text,
+``"``, ``\\``, ``;``, newlines, tabs, U+2028 and an emoji. The sha256 of
+the output tree is pinned, so any change to the bytes of a format file, a
+manifest or a report fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from mremix.cli import main
+
+TREE_SHA256 = "e09881247b7840a0cdb415bee0a79f28623b2e5033942d33660580437588631b"
+
+TAGS = ("TRAD_WORD", "TRAD_TEXT", "JOINT_MRE", "WITH_TLI_TO_WLI",
+        "WO_TLI_TO_WLI", "WITH_WLI_TO_TLI", "WO_WLI_TO_TLI")
+TEXT_LABELS = ("Society", "Literature", "Academia", "Technology", "Nature")
+WORD_LABELS = ("people", "corporations", "places", "products", "events")
+TOKENS = ("東京", "タナカ", "北京大学", '"quoted"', "back\\slash", "semi;colon", "a; b",
+          "line\nbreak", "tab\there", "sep\u2028para", "😀", "plain", "words", "x\\;y")
+ENTITIES = ("東京", "a;b", "x\\y", 'say "hi"', "two\nlines", "tab\tbed", "u\u2028v",
+            "🎉", "Tanaka", "end\\", "c: d")
+IDS = ('q"uote', "back\\slash", "中文", "emoji-😀", "tab\tid")
+# WO_* formats are byte-aliases of the traditional ones, so their generations
+# come from the same stream and both fill one ablation cell with one mean.
+ALIAS = {"WO_TLI_TO_WLI": "TRAD_WORD", "WO_WLI_TO_TLI": "TRAD_TEXT"}
+WORD_TAGS = ("TRAD_WORD", "WO_TLI_TO_WLI", "WITH_TLI_TO_WLI")
+REPEATS = 2
+
+
+def _records(seed: int, n: int) -> list[dict]:
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        pairs = [{"label": rng.choice(WORD_LABELS), "entity": rng.choice(ENTITIES)}
+                 for _ in range(rng.randrange(4))]
+        rows.append({
+            "id": IDS[i] if i < len(IDS) else f"r{i:02d}",
+            "text": " ".join(rng.choice(TOKENS) for _ in range(1 + rng.randrange(5))),
+            "text_label": rng.choice(TEXT_LABELS),
+            "pairs": pairs,
+        })
+    return rows
+
+
+def _write_jsonl(path: Path, rows: list) -> None:
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                    encoding="utf-8")
+
+
+def _generate(target: str, tag: str, rng: random.Random) -> str:
+    """Exact, wrong, recoverable or unparseable output for a gold target."""
+    kind = rng.choice(("exact", "exact", "wrong", "recovered", "unparseable"))
+    if kind == "exact":
+        return target
+    if kind == "unparseable":
+        return "no entities found" if tag in WORD_TAGS else "unknown"
+    if tag in WORD_TAGS:
+        if kind == "wrong":
+            return target.rpartition("; ")[0] or "NONE"
+        return target.replace(": ", ":")
+    label, sep, pairs = target.partition("\n")
+    label = rng.choice([x for x in TEXT_LABELS if x != label]) if kind == "wrong" else label.lower()
+    return label + sep + pairs
+
+
+def _tree_sha256(root: Path) -> str:
+    h = hashlib.sha256()
+    for p in sorted(q for q in root.rglob("*") if q.is_file()):
+        h.update(p.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(p.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def run_pipeline(work: Path) -> Path:
+    """Run the ablation pipeline in ``work`` (the current directory); returns ``out``."""
+    _write_jsonl(work / "train.jsonl", _records(11, 24))
+    _write_jsonl(work / "test.jsonl", _records(12, 30))
+    desc = ["--family", "SCNM", "--language", "en"]
+    assert main(["build-formats", *desc, "--input", "train.jsonl", "--role", "train",
+                 "--tags", "all", "--out", "out/formats-train"]) == 0
+    assert main(["build-formats", *desc, "--input", "test.jsonl", "--role", "test",
+                 "--tags", "all", "--seed", "5", "--test-n", "12",
+                 "--repeats", str(REPEATS), "--out", "out/formats-test"]) == 0
+    (work / "gen").mkdir()
+    for tag in TAGS:
+        draws, gens = [], []
+        for d in range(REPEATS):
+            draw = f"out/formats-test/scnm_en_{tag.lower()}.test.draw{d}.jsonl"
+            rng = random.Random(f"{ALIAS.get(tag, tag)}:{d}")
+            rows = [json.loads(line) for line in
+                    (work / draw).read_text(encoding="utf-8").split("\n") if line]
+            gen = f"gen/{tag.lower()}.draw{d}.jsonl"
+            _write_jsonl(work / gen, [{"record_id": r["record_id"],
+                                       "output": _generate(r["target"], tag, rng)}
+                                      for r in rows])
+            draws.append(draw)
+            gens.append(gen)
+        assert main(["evaluate", *desc, "--tag", tag, "--draws", *draws,
+                     "--generations", *gens, "--out", f"out/eval-{tag.lower()}"]) == 0
+    reports = [f"out/eval-{tag.lower()}/report.json" for tag in TAGS]
+    assert main(["report", "--inputs", *reports, "--out", "out/report"]) == 0
+    return work / "out"
+
+
+def test_ablation_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MREMIX_DATA_ROOT", raising=False)
+    out = run_pipeline(tmp_path)
+    # train files and manifest, draw files and manifest, three reports a tag, two tables
+    assert len([p for p in out.rglob("*") if p.is_file()]) == 7 + 1 + 7 * REPEATS + 1 + 7 * 3 + 2
+    assert _tree_sha256(out) == TREE_SHA256

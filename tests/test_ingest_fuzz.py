@@ -23,7 +23,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mremix import (DatasetDescriptor, FormatTag, LabelEntityPair, MreRecord, build_corpus,
+from mremix import (DatasetDescriptor, FormatTag, LabelEntityPair, MreRecord, build_example,
                     load_split)
 from mremix.cli import main
 from mremix.formats import TAGS
@@ -255,7 +255,7 @@ class TestEvaluateReaderFuzz:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), records=_records(), tag=st.sampled_from(list(FormatTag)))
     def test_valid_files_evaluate(self, data, records, tag):
-        examples = build_corpus(records, tag, DESC)
+        examples = [build_example(record, tag, DESC) for record in records]
         gold, _ = _layout(data.draw, [json.dumps(row) for row in _rows(examples, True)])
         generated = [json.dumps(row) for row in _rows(examples, False)]
         with tempfile.TemporaryDirectory() as tmp:
@@ -267,7 +267,7 @@ class TestEvaluateReaderFuzz:
     @given(data=st.data(), records=_records(), tag=st.sampled_from(list(FormatTag)),
            in_draws=st.booleans(), after=st.sampled_from([b"", b"{broken", b"\xff"]))
     def test_first_bad_line_is_one_data_error(self, data, records, tag, in_draws, after):
-        examples = build_corpus(records, tag, DESC)
+        examples = [build_example(record, tag, DESC) for record in records]
         lines = [json.dumps(row, ensure_ascii=False) for row in _rows(examples, in_draws)]
         k = data.draw(st.integers(0, len(lines) - 1))
         bad, fragment = _spoil_row(data.draw, _rows(examples, in_draws)[k], in_draws)
