@@ -15,7 +15,6 @@ from .core import (
     LabelSchema,
     MreRecord,
     Violation,
-    all_descriptors,
     builtin_schema,
     validate_record,
 )
@@ -58,7 +57,6 @@ from .verbalizer import (
     MaskDistribution,
     Prediction,
     Verbalizer,
-    aggregate,
     apply_template,
     build_from_wli,
     load_external_kv,
@@ -80,7 +78,6 @@ __all__ = [
     "LabelSchema",
     "MreRecord",
     "Violation",
-    "all_descriptors",
     "builtin_schema",
     "validate_record",
     "MremixError",
@@ -121,7 +118,6 @@ __all__ = [
     "MaskDistribution",
     "Prediction",
     "Verbalizer",
-    "aggregate",
     "apply_template",
     "build_from_wli",
     "load_external_kv",

@@ -5,62 +5,44 @@ The table keeps what it is given: each observed text's ids, as one
 ids occurring k_a and k_b times in a text co-occur k_a*k_b times, and an
 id occurring k times pairs with itself k*(k-1)/2 times.
 
-Scoring only reads counts between context ids and query ids, so
-``context_sums`` builds one index restricted to its query set instead of
-counting every pair. Each row of the index is one Python ``int`` that
-packs an id's pair counts against the query positions into fixed-width
-bit fields, field p holding the count at query position p ("SIMD within a
-register"). Summing the rows of a prompt's context ids is then one C-level
-big-int ``sum``, whose fields are the context sums, unpacked at once through
-``int.to_bytes``. No field can carry into the next: ``observe`` keeps the
-bound B = sum of len(text)**2, above every pair count; fields are the
-narrowest of 16, 32 and 64 bits that hold B, and context ids are summed in
-chunks of at most (2**W - 1) // B ids. An index is built from the kept
-texts on the first call with a query-id tuple and reused for later calls
-with the same tuple; ``observe`` drops every index.
+Scoring only reads, per group of query ids (a label's words), the summed
+counts between context ids and the group, so ``context_sums`` builds one
+index restricted to its groups instead of counting every pair. Each row
+of the index is one Python ``int`` that packs an id's summed pair counts
+against each group into fixed-width bit fields, field g holding the sum
+for group g ("SIMD within a register"). Summing the rows of a prompt's
+context ids is then one C-level big-int ``sum``, whose fields, read by
+shift and mask, are the context sums. No field can carry into the next:
+``observe`` keeps the bound B = sum of len(text)**2, above every pair
+count, so no field of a row exceeds G*B for groups of at most G ids;
+fields are 16 bits wider than that, and context ids are summed in chunks
+of at most (2**W - 1) // (G*B) ids. An index is built from the kept texts
+on the first call with a group tuple and reused for later calls with the
+same tuple; ``observe`` drops every index.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import Counter
-from itertools import chain, repeat
-from operator import add
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .errors import DataError
-
-# Query-id tuples whose index is kept at once; a new tuple beyond this
-# drops the older indexes, so memory stays bounded whatever the caller asks.
+# Group tuples whose index is kept at once; a new tuple beyond this drops
+# the older indexes, so memory stays bounded whatever the caller asks.
 _MAX_INDEXES = 4
 
-# Unsigned array typecode of each field width this host has.
-_TYPECODES = {array(code).itemsize * 8: code for code in "QLIH"}
-
-
-def _field_width(bound: int) -> int:
-    """The narrowest field width, in bits, that holds every value up to ``bound``."""
-    for width in (16, 32, 64):
-        if bound < 1 << width:
-            return width
-    raise DataError(f"co-occurrence counts up to {bound} do not fit in 64 bits")
+# Bits of each field above the largest row value, so a chunk of contexts is
+# at least 2**16 ids long.
+_SPARE_BITS = 16
 
 
 class _Index(NamedTuple):
-    """The packed rows of one query-id tuple and how to read them."""
+    """The packed rows of one group tuple and how to read them."""
 
-    rows: dict[int, int]  # id -> its pair counts, one field per query position
+    rows: dict[int, int]  # id -> its summed pair counts, one field per group
     width: int  # bits per field
     chunk: int  # most rows whose sum no field can overflow
-
-
-def _fields(packed: int, count: int, width: int) -> list[int]:
-    """The ``count`` fields of ``packed``, lowest first."""
-    fields = array(_TYPECODES[width], packed.to_bytes(count * width // 8, "little"))
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields.tolist()
 
 
 class CoocTable:
@@ -71,7 +53,7 @@ class CoocTable:
     def __init__(self) -> None:
         self._texts: list[array] = []
         self._bound = 0  # sum of squared text lengths: no pair count exceeds it
-        self._indexes: dict[tuple[int, ...], _Index] = {}
+        self._indexes: dict[tuple[tuple[int, ...], ...], _Index] = {}
 
     def observe(self, ids: Sequence[int]) -> None:
         """Add one text: its ids count all unordered position pairs within it."""
@@ -79,60 +61,61 @@ class CoocTable:
         self._texts.append(array("q", ids))
         self._bound += len(ids) ** 2
 
-    def context_sums(self, context_ids: Sequence[int], query_ids: Sequence[int]) -> list[int]:
-        """For each query id, the summed pair count against all context ids."""
-        query_ids = tuple(query_ids)
-        index = self._indexes.get(query_ids)
+    def context_sums(self, context_ids: Sequence[int],
+                     groups: Sequence[Sequence[int]]) -> list[int]:
+        """For each group of query ids, its summed pair counts against all context ids."""
+        groups = tuple(map(tuple, groups))
+        index = self._indexes.get(groups)
         if index is None:
-            index = self._index(query_ids)
+            index = self._index(groups)
         rows, width, chunk = index
-        n = len(query_ids)
-        sums = _fields(sum(map(rows.get, context_ids[:chunk], repeat(0))), n, width)
-        for start in range(chunk, len(context_ids), chunk):
+        shifts = range(0, len(groups) * width, width)
+        mask = (1 << width) - 1
+        sums = [0] * len(groups)
+        for start in range(0, len(context_ids), chunk):
             total = sum(map(rows.get, context_ids[start:start + chunk], repeat(0)))
-            sums = list(map(add, sums, _fields(total, n, width)))
+            sums = [s + (total >> shift & mask) for s, shift in zip(sums, shifts)]
         return sums
 
-    def _index(self, query_ids: tuple[int, ...]) -> _Index:
-        """Pack each id's pair counts against ``query_ids`` into one row."""
-        width = _field_width(self._bound)
-        # ``unit[q]`` has a 1 in the field of each position of q, so the sum
-        # of the units of a text's ids, its hits, holds k_q at q's positions.
-        # Adding a text's hits to c's row once per occurrence of c adds
-        # k_c * k_q there: their pair count. At c's own positions it adds
-        # k_c * k_c, so the self-pair count, the sum of k_c * (k_c - 1) / 2,
-        # is half of that field less the sum of k_c.
+    def _index(self, groups: tuple[tuple[int, ...], ...]) -> _Index:
+        """Pack each id's summed pair counts against each group into one row."""
+        bound = max(map(len, groups), default=0) * self._bound
+        width = bound.bit_length() + _SPARE_BITS
+        # ``unit[q]`` has a 1 in the field of each group holding q, so a
+        # text's hits, the sum of its ids' units, holds in field g the
+        # occurrences of g's ids. Adding k_c times the hits to c's row adds
+        # k_c * k_q for each q of g: their pair count, except for q = c,
+        # which gets k_c * k_c instead of k_c * (k_c - 1) / 2. So each text
+        # also takes (k_c * k_c + k_c) / 2 units of c from c's row: the
+        # correction is summed per text, as a sum of squares, never as the
+        # square of c's summed occurrences.
         unit: dict[int, int] = {}
-        for position, q in enumerate(query_ids):
-            unit[q] = unit.get(q, 0) + (1 << position * width)
+        for shift, group in zip(range(0, len(groups) * width, width), groups):
+            for q in group:
+                unit[q] = unit.get(q, 0) + (1 << shift)
         rows: dict[int, int] = {}
         for ids in self._texts:
             hits = sum(map(unit.get, ids, repeat(0)))
             if hits:
-                for c in ids:
-                    rows[c] = rows.get(c, 0) + hits
-        occurrences = Counter(chain.from_iterable(self._texts))
-        mask = (1 << width) - 1
-        for position, q in enumerate(query_ids):
-            row = rows.get(q)
-            if row is not None:
-                shift = position * width
-                field = row >> shift & mask
-                row -= (field - (field - occurrences[q]) // 2) << shift
-                if row:
-                    rows[q] = row
-                else:
-                    del rows[q]
-        index = _Index(rows, width, mask // max(self._bound, 1))
+                counts = Counter(ids)
+                for c, k in counts.items():
+                    rows[c] = rows.get(c, 0) + k * hits
+                for q in counts.keys() & unit.keys():
+                    k = counts[q]
+                    rows[q] -= (k * k + k) // 2 * unit[q]
+        rows = {c: row for c, row in rows.items() if row}
+        index = _Index(rows, width, ((1 << width) - 1) // max(bound, 1))
         if len(self._indexes) >= _MAX_INDEXES:
             self._indexes.clear()
-        self._indexes[query_ids] = index
+        self._indexes[groups] = index
         return index
 
     def num_pairs(self) -> int:
-        """Nonzero fields of the kept indexes: one per (id, query position) pair."""
+        """Nonzero fields of the kept indexes: one per (id, group) pair."""
         return sum(
-            len(query_ids) - _fields(row, len(query_ids), index.width).count(0)
-            for query_ids, index in self._indexes.items()
-            for row in index.rows.values()
+            1
+            for groups, (rows, width, _) in self._indexes.items()
+            for row in rows.values()
+            for shift in range(0, len(groups) * width, width)
+            if row >> shift & ((1 << width) - 1)
         )

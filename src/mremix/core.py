@@ -274,7 +274,9 @@ _LEVELS = ("text", "word")
 
 def parse_schema_document(text: str, source: str = "<schema>") -> dict[tuple[str, str], LabelSchema]:
     entries: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines as a file has them: ``splitlines`` would also break at U+2028 or
+    # U+0085, say inside a comment, and misnumber every later line
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -296,6 +298,9 @@ def parse_schema_document(text: str, source: str = "<schema>") -> dict[tuple[str
         labels = tuple(lbl.strip() for lbl in value.split("|"))
         if any(not lbl for lbl in labels):
             raise SchemaError(f"{source}: line {lineno}: empty label in {key}")
+        if len(set(labels)) != len(labels):
+            repeated = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
+            raise SchemaError(f"{source}: line {lineno}: duplicate label {repeated!r} in {key}")
         entries[(family, language, level)] = labels
 
     registry: dict[tuple[str, str], LabelSchema] = {}
@@ -342,11 +347,3 @@ def builtin_schema(family: str, language: str) -> LabelSchema:
         raise SchemaError(f"unknown language: {language!r}")
     return _builtin_registry()[(family, language)]
 
-
-def all_descriptors() -> list[DatasetDescriptor]:
-    """All 21 admissible (family, language) descriptors with bundled schemas."""
-    return [
-        DatasetDescriptor.builtin(family, language)
-        for family in FAMILIES
-        for language in LANGUAGES
-    ]

@@ -5,15 +5,17 @@ handful of texts, and good enough to exercise the whole verbalizer
 pipeline at desk scale. It is not a neural model and makes no claim about
 matching any fine-tuned system's scores.
 
-Scoring: for a prompt with one mask slot and a set of query words,
+Scoring: for a prompt with one mask slot and a query of word groups (a
+verbalizer's labels),
 
     P(w)  proportional to  alpha + sum over context tokens c of count(c, w)
 
-normalized over the query words, which must be distinct. Context tokens
-are all non-mask words of the prompt; counts come from symmetric
-within-text co-occurrence over the training corpus. With ``alpha`` as the
-exact ratio A/D, each word's weight is the integer ``A + D * sum`` and the
-total is their sum, so every mass is exact.
+normalized over the union of the groups' words. Context tokens are all
+non-mask words of the prompt; counts come from symmetric within-text
+co-occurrence over the training corpus. With ``alpha`` as the exact ratio
+A/D, a word's weight is the integer ``A + D * sum``, so a group's sum is
+``A * n + D * s`` for its n words and their summed counts s, and the total
+is the same over the union: every mass is exact.
 
 Segmentation is whitespace for English. For Chinese and Japanese it is a
 greedy longest-match against a caller-supplied lexicon (typically the
@@ -93,17 +95,17 @@ def lexicon_from_split(split: Split) -> tuple[str, ...]:
     return tuple(sorted(entities))
 
 
-# Word lists whose query plan is kept at once; a new list beyond this drops
-# the older plans.
+# Queries whose plan is kept at once; a new query beyond this drops the
+# older plans.
 _MAX_PLANS = 16
 
 
 @dataclass(frozen=True)
 class _QueryPlan:
-    """The word-list-only part of scoring: the query words' vocabulary ids."""
+    """The query-only part of scoring: each label's vocabulary ids, then the union's."""
 
-    known_positions: tuple[int, ...]  # positions in the query of in-vocabulary words
-    known_ids: tuple[int, ...]  # their vocabulary ids, in the same order
+    groups: tuple[tuple[int, ...], ...]  # known ids of each label, then of the union
+    floors: tuple[int, ...]  # A times each group's word count, unknown words included
     covered: frozenset[str]
 
 
@@ -119,7 +121,7 @@ class CountModel:
         self.segmenter = segmenter
         self.alpha = alpha
         self._alpha_ratio = alpha.as_integer_ratio()
-        self._plans: dict[tuple[str, ...], _QueryPlan] = {}
+        self._plans: dict[tuple[tuple[str, ...], ...], _QueryPlan] = {}
 
     @classmethod
     def train(cls, corpus: Sequence[str], segmenter: Segmenter, alpha: float = 1.0) -> "CountModel":
@@ -139,38 +141,40 @@ class CountModel:
 
     # -- the provider contract --
 
-    def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
-        """Mask-position distribution over the query words, in query order.
+    def score(self, prompt: str, query: Sequence[tuple[str, ...]]) -> MaskDistribution:
+        """Each label's integer sum at the mask position, and the union's total.
 
-        Query words outside the training vocabulary keep the smoothing
-        floor but are flagged uncovered; a repeated query word is a
-        ``ValueError``. The word-list-only part of the work is planned once
-        per distinct word list (see ``_plan``).
+        A word listed under two labels counts in both sums and once in the
+        total. Words outside the training vocabulary keep the smoothing
+        floor but are not covered; a word repeated within one label is a
+        ``ValueError``. The query-only part of the work is planned once per
+        distinct query (see ``_plan``).
         """
-        key = tuple(words)
-        plan = self._plans.get(key) or self._plan(key)
+        query = tuple(map(tuple, query))
+        plan = self._plans.get(query) or self._plan(query)
         context_text = prompt.replace(MASK_PLACEHOLDER, " ")
         vocab = self._vocab
         context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
-        floor, scale = self._alpha_ratio
-        weights = [floor] * len(key)
-        if plan.known_ids and context_ids:
-            sums = self._table.context_sums(context_ids, plan.known_ids)
-            for i, s in zip(plan.known_positions, sums):
-                weights[i] = floor + scale * s
-        return MaskDistribution(weights=weights, total=sum(weights), covered=plan.covered)
+        sums = plan.floors
+        if plan.groups[-1] and context_ids:
+            scale = self._alpha_ratio[1]
+            counts = self._table.context_sums(context_ids, plan.groups)
+            sums = [floor + scale * s for floor, s in zip(sums, counts)]
+        return MaskDistribution(sums=list(sums[:-1]), total=sums[-1], covered=plan.covered)
 
-    def _plan(self, words: tuple[str, ...]) -> "_QueryPlan":
-        """Resolve the distinct ``words`` against the vocabulary, and keep the result."""
-        if len(set(words)) != len(words):
-            raise ValueError("query words must be distinct")
-        known = [(i, self._vocab[w]) for i, w in enumerate(words) if w in self._vocab]
+    def _plan(self, query: tuple[tuple[str, ...], ...]) -> "_QueryPlan":
+        """Resolve each label's distinct words against the vocabulary, and keep the result."""
+        if any(len(set(words)) != len(words) for words in query):
+            raise ValueError("query words must be distinct within a label")
+        union = tuple(dict.fromkeys(word for words in query for word in words))
+        vocab = self._vocab
+        floor = self._alpha_ratio[0]
         plan = _QueryPlan(
-            known_positions=tuple(i for i, _ in known),
-            known_ids=tuple(wid for _, wid in known),
-            covered=frozenset(words[i] for i, _ in known),
+            groups=tuple(tuple(vocab[w] for w in words if w in vocab) for words in (*query, union)),
+            floors=tuple(floor * len(words) for words in (*query, union)),
+            covered=frozenset(filter(vocab.__contains__, union)),
         )
         if len(self._plans) >= _MAX_PLANS:
             self._plans.clear()
-        self._plans[words] = plan
+        self._plans[query] = plan
         return plan

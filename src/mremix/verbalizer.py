@@ -1,15 +1,14 @@
 """Knowledgeable verbalizers: construction, aggregation, and prediction.
 
 A verbalizer maps each text-level label to a ranked list of words. To
-classify a text, a probability provider scores every verbalizer word at
-the mask position of a prompt, returning one non-negative integer weight
-per queried word in query order and one integer total: a word's mass is
-its weight over the total. The query is the union of the labels' words,
-and each label knows its words' positions in it, so a label's score is
-the integer sum of the weights at its positions over the total (over the
-total times the label's word count for ``mean``), rounded once. The
-label with the highest exact score wins; a tie goes to the earliest
-label.
+classify a text, a probability provider scores the verbalizer's words at
+the mask position of a prompt. The query is each label's words, in label
+order; the provider returns one non-negative integer sum per label (the
+summed weights of its words) and one integer total over the union of the
+words, so a word's mass is its weight over the total. A label's score is
+its sum over the total (over the total times the label's word count for
+``mean``), rounded once. The label with the highest exact score wins; a
+tie goes to the earliest label.
 
 Verbalizers come from two sources: frequency statistics over a training
 split's word-level entities (``build_from_wli``), or an external word-list
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
@@ -42,49 +42,42 @@ _FLOAT_MAX = int(sys.float_info.max)
 
 @dataclass(frozen=True)
 class MaskDistribution:
-    """Integer weights of the queried words at the mask position.
+    """Integer label sums at the mask position.
 
-    ``weights[i]`` is the non-negative integer weight of the i-th queried
-    word, so ``weights`` is as long as the query and in its order; a word
-    the provider does not know still has an entry (its smoothing floor, or
-    0). Its mass is ``weights[i] / total``, with ``total`` a positive
-    integer (0 only for an empty query); ``probs`` derives those masses.
-    ``covered`` holds the queried words the provider could actually score.
-    No completeness over any vocabulary is implied.
+    ``sums[i]`` is the non-negative integer sum of the weights of the i-th
+    queried label's words, so ``sums`` is as long as the query and in its
+    order; a word the provider does not know still adds its smoothing
+    floor (or 0). ``total`` is the positive integer weight of the union of
+    the query's words (0 only for an empty query), so a label's mass is
+    ``sums[i] / total``; ``probs`` derives those masses. ``covered`` holds
+    the queried words the provider could actually score. No completeness
+    over any vocabulary is implied.
     """
 
-    weights: Sequence[int]
+    sums: Sequence[int]
     total: int
     covered: frozenset[str] = field(default_factory=frozenset)
 
     @property
     def probs(self) -> list[float]:
         total = self.total
-        return [weight / total for weight in self.weights]
+        return [s / total for s in self.sums]
 
 
 class ProbabilityProvider(Protocol):
-    """Deterministic source of mask-position word weights."""
+    """Deterministic source of mask-position label sums."""
 
-    def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
-        """One weight per word of ``words``, in the same order; the words are distinct."""
+    def score(self, prompt: str, query: Sequence[tuple[str, ...]]) -> MaskDistribution:
+        """One sum per label of ``query`` (its distinct words), in the same order."""
         ...
 
 
 @dataclass(frozen=True)
 class Verbalizer:
-    """Ranked words per text-level label, at most k per label.
-
-    Construction also fixes the query, ``_all_words``: the labels' words,
-    first-seen order, once each. ``_folds`` holds, per label, the positions
-    of its words in the query.
-    """
+    """Ranked words per text-level label, at most k per label."""
 
     label_words: Mapping[str, tuple[str, ...]]
     k: int
-    _all_words: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
-    _folds: tuple[tuple[str, tuple[int, ...]], ...] = field(
-        init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -97,22 +90,12 @@ class Verbalizer:
                 raise DataError(f"label {label!r} has more than k={self.k} words")
             if len(set(words)) != len(words):
                 raise DataError(f"label {label!r} lists a word more than once")
-        union = (word for words in self.label_words.values() for word in words)
-        position = {word: i for i, word in enumerate(dict.fromkeys(union))}
-        folds = tuple((label, tuple(map(position.__getitem__, words)))
-                      for label, words in self.label_words.items())
-        object.__setattr__(self, "_all_words", tuple(position))
-        object.__setattr__(self, "_folds", folds)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.label_words)
 
     def words_for(self, label: str) -> tuple[str, ...]:
         return self.label_words[label]
-
-    def all_words(self) -> list[str]:
-        """Union of all labels' words, first-seen order, deduplicated (a fresh list)."""
-        return list(self._all_words)
 
 
 def _require_fixed_schema(schema: LabelSchema) -> None:
@@ -207,39 +190,6 @@ def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
     write_text(path, "\n".join(lines))
 
 
-def _label_sums(
-    dist: MaskDistribution, verbalizer: Verbalizer, strategy: str
-) -> list[tuple[str, int, int]]:
-    """(label, sum of its words' weights, divisor) per label; the divisor is
-    the label's word count for ``mean`` and 1 for ``sum``."""
-    if strategy not in AGGREGATION_STRATEGIES:
-        raise ValueError(f"unknown aggregation strategy: {strategy!r}")
-    weights = dist.weights
-    if len(weights) != len(verbalizer._all_words):
-        raise ValueError(
-            f"distribution has {len(weights)} weights for {len(verbalizer._all_words)} query words"
-        )
-    mean = strategy == "mean"
-    at = weights.__getitem__
-    return [(label, sum(map(at, positions)), (len(positions) or 1) if mean else 1)
-            for label, positions in verbalizer._folds]
-
-
-def aggregate(
-    dist: MaskDistribution, verbalizer: Verbalizer, strategy: str = "sum"
-) -> dict[str, float]:
-    """Per-label scores: the sum of the label's word masses (or their mean).
-
-    ``dist`` answers the query ``verbalizer.all_words()``, one weight per
-    word in that order. Each label's score is the integer sum of its
-    words' weights over ``dist.total`` (times the word count for
-    ``mean``): one correctly rounded division. A word listed under several
-    labels contributes its mass to each of them.
-    """
-    total = dist.total
-    return {label: s / (total * n) for label, s, n in _label_sums(dist, verbalizer, strategy)}
-
-
 @dataclass(frozen=True)
 class Prediction:
     """Result of one mask-position classification."""
@@ -257,17 +207,24 @@ def predict(
 ) -> Prediction:
     """Classify one prompt: query the provider once, aggregate, take the argmax.
 
-    The argmax compares the labels' exact scores: their integer weight
-    sums, cross-multiplied by the word counts for ``mean``. Ties
+    Each label's score is its integer sum over the total, divided by the
+    label's word count for ``mean``. The argmax compares the exact scores:
+    the sums, cross-multiplied by the word counts for ``mean``. Ties
     (including the all-zero degenerate case) resolve to the earliest label
     in the verbalizer's schema order.
     """
+    if strategy not in AGGREGATION_STRATEGIES:
+        raise ValueError(f"unknown aggregation strategy: {strategy!r}")
     slots = prompt.count(MASK_PLACEHOLDER)
     if slots != 1:
         raise ValueError(f"prompt must contain exactly one {MASK_PLACEHOLDER} slot, found {slots}")
-    words = verbalizer._all_words
-    dist = provider.score(prompt, words)
-    sums = _label_sums(dist, verbalizer, strategy)
+    query = tuple(verbalizer.label_words.values())
+    dist = provider.score(prompt, query)
+    if len(dist.sums) != len(query):
+        raise ValueError(f"distribution has {len(dist.sums)} sums for {len(query)} labels")
+    mean = strategy == "mean"
+    sums = [(label, s, (len(words) or 1) if mean else 1)
+            for (label, words), s in zip(verbalizer.label_words.items(), dist.sums)]
 
     best_label, best_sum, best_n = sums[0]  # verbalizers are never empty
     for label, s, n in sums:
@@ -276,7 +233,7 @@ def predict(
 
     total = dist.total
     scores = {label: s / (total * n) for label, s, n in sums}
-    no_coverage = best_sum == 0 or dist.covered.isdisjoint(words)
+    no_coverage = best_sum == 0 or not dist.covered
     return Prediction(label=best_label, scores=scores, no_coverage=no_coverage)
 
 
@@ -339,8 +296,9 @@ class FileDistributionProvider:
     non-negative numbers, or ``covered`` that is not a list of strings.
 
     Each row's probabilities, as floats, become integer weights over their
-    common denominator once, at load, so ``weights[i] / total`` is the
-    file's float exactly.
+    common denominator once, at load, so a word's weight over the total is
+    the file's float exactly, and a label's sum is its words' weights
+    summed.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -371,11 +329,11 @@ class FileDistributionProvider:
                 raise DataError(f"{path}: line {i}: 'probs' must have a finite sum")
             self._table[prompt] = (weights, total, frozenset(covered))
 
-    def score(self, prompt: str, words: Sequence[str]) -> MaskDistribution:
-        """The file's weight of each word (0 when it has none), in query order."""
+    def score(self, prompt: str, query: Sequence[tuple[str, ...]]) -> MaskDistribution:
+        """Each label's summed file weights (0 for a word it lacks), in query order."""
         entry = self._table.get(prompt)
         if entry is None:
             raise DataError(f"{self._path}: no precomputed distribution for prompt {prompt!r}")
         weights, total, covered = entry
-        return MaskDistribution(weights=[weights.get(word, 0) for word in words], total=total,
-                                covered=covered.intersection(words))
+        return MaskDistribution(sums=[sum(map(weights.get, words, repeat(0))) for words in query],
+                                total=total, covered=covered.intersection(chain(*query)))

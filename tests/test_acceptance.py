@@ -18,7 +18,6 @@ from mremix import (
     MaskDistribution,
     MreRecord,
     Verbalizer,
-    aggregate,
     build_example,
     builtin_schema,
     pair_f1,
@@ -29,8 +28,9 @@ from mremix import (
     serialize_pairs,
     shuffle_words,
 )
-from mremix import build_from_wli
+from mremix import DatasetDescriptor, build_from_wli
 from mremix.cli import main
+from mremix.core import FAMILIES, LANGUAGES
 from mremix.formats import LAYOUT, SEPARATOR, TAG_ALIASES, split_target, target_level
 from mremix.jsonio import read_json
 from mremix.parsing import ParseFlag, parse_prediction
@@ -140,7 +140,7 @@ def test_pair_f1_oracle_equivalence():
     assert mismatches == 0
 
 
-def _random_verbalizer_and_dist(rng: SplitMix64):
+def _random_verbalizer_and_weights(rng: SplitMix64):
     vocab = [f"w{i}" for i in range(24)]
     mapping = {}
     for li in range(2 + rng.randbelow(4)):
@@ -148,22 +148,34 @@ def _random_verbalizer_and_dist(rng: SplitMix64):
         mapping[f"L{li}"] = tuple(words)
     kv = Verbalizer(label_words=mapping, k=8)
     weights = {w: rng.randbelow(10_000) + 1 for w in rng.sample(vocab, 14)}
-    return kv, MaskDistribution(weights=[weights.get(w, 0) for w in kv.all_words()],
-                                total=10_000, covered=frozenset(weights))
+    return kv, weights
+
+
+class _WordTableProvider:
+    """Each label's summed weights from a word -> weight table, over 10,000."""
+
+    def __init__(self, weights: dict) -> None:
+        self._weights = weights
+
+    def score(self, prompt, query):
+        return MaskDistribution(sums=[sum(self._weights.get(w, 0) for w in words)
+                                      for words in query],
+                                total=10_000, covered=frozenset(self._weights))
 
 
 @pytest.mark.criterion(3, "aggregation matches a brute-force double loop on 1,000 instances")
 def test_aggregation_oracle():
     rng = SplitMix64(31337)
+    prompt = f"text {MASK_PLACEHOLDER}"
     for _ in range(1_000):
-        kv, dist = _random_verbalizer_and_dist(rng)
-        scores = aggregate(dist, kv)
+        kv, weights = _random_verbalizer_and_weights(rng)
+        scores = predict(prompt, kv, _WordTableProvider(weights)).scores
         for label in kv.labels():
             brute = 0.0
             for word in kv.words_for(label):
-                for dword, dprob in zip(kv.all_words(), dist.probs):
+                for dword, dweight in weights.items():
                     if dword == word:
-                        brute += dprob
+                        brute += dweight / 10_000
             assert abs(scores[label] - brute) <= 1e-12
 
 
@@ -171,7 +183,7 @@ class _FixedProvider:
     def __init__(self, dist: MaskDistribution) -> None:
         self._dist = dist
 
-    def score(self, prompt, words):
+    def score(self, prompt, query):
         return self._dist
 
 
@@ -180,12 +192,13 @@ def test_argmax_scale_invariance():
     rng = SplitMix64(987654321)
     prompt = f"text {MASK_PLACEHOLDER}"
     for _ in range(1_000):
-        kv, dist = _random_verbalizer_and_dist(rng)
+        kv, weights = _random_verbalizer_and_weights(rng)
+        dist = _WordTableProvider(weights).score(prompt, tuple(kv.label_words.values()))
         base = predict(prompt, kv, _FixedProvider(dist))
         for _ in range(10):
             c = rng.randbelow(100_000) + 1  # masses times c / 1,000, in (0, 100]
             scaled = MaskDistribution(
-                weights=[c * w for w in dist.weights], total=1_000 * dist.total,
+                sums=[c * s for s in dist.sums], total=1_000 * dist.total,
                 covered=dist.covered,
             )
             assert predict(prompt, kv, _FixedProvider(scaled)).label == base.label
@@ -369,6 +382,9 @@ def test_schema_fidelity():
         assert len(tcree.text_labels) == 5
         tconer = builtin_schema("TCONER", language)
         assert tconer.open_domain
+    descs = [DatasetDescriptor.builtin(f, lang) for f in FAMILIES for lang in LANGUAGES]
+    assert len(descs) == 21
+    assert [d.family for d in descs if d.schema.open_domain] == ["TCONER"] * 3
     assert builtin_schema("SCNM", "en").text_labels == (
         "Society", "Literature", "Academia", "Technology", "Nature",
     )

@@ -10,7 +10,6 @@ from mremix import (
     LabelEntityPair,
     LabelSchema,
     MreRecord,
-    all_descriptors,
     builtin_schema,
     validate_record,
 )
@@ -81,8 +80,8 @@ def test_family_slugs_roundtrip():
 
 
 def test_all_descriptors_has_21():
-    descs = all_descriptors()
-    assert len(descs) == 21
+    descs = [DatasetDescriptor.builtin(f, lang) for f in FAMILIES for lang in LANGUAGES]
+    assert len(descs) == len({(d.family, d.language) for d in descs}) == 21
     assert sum(1 for d in descs if d.schema.open_domain) == 3
 
 

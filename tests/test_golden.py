@@ -1,4 +1,4 @@
-"""Golden bytes of the ablation pipeline.
+"""Golden bytes of the ablation pipeline and of the KV path.
 
 ``build-formats`` (train and test, every tag), ``evaluate`` for every tag
 on planted generations, and ``report`` run over a small seeded corpus whose
@@ -6,6 +6,13 @@ strings hold what JSON and the pair grammar must escape or keep: CJK text,
 ``"``, ``\\``, ``;``, newlines, tabs, U+2028 and an emoji. The sha256 of
 the output tree is pinned, so any change to the bytes of a format file, a
 manifest or a report fails here.
+
+The KV path is pinned the same way: ``run-kv`` in en and zh, with ``sum``
+and ``mean`` and ``alpha`` 1 and 0.3, and ``score`` with the refmlm provider
+and with a ``file:`` provider, over a seeded corpus with a word under two
+labels, repeated tokens and verbalizer words outside the training
+vocabulary. Its digest was taken before scoring moved from per-word weights
+to per-label sums.
 """
 
 from __future__ import annotations
@@ -117,3 +124,106 @@ def test_ablation_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
     # train files and manifest, draw files and manifest, three reports a tag, two tables
     assert len([p for p in out.rglob("*") if p.is_file()]) == 7 + 1 + 7 * REPEATS + 1 + 7 * 3 + 2
     assert _tree_sha256(out) == TREE_SHA256
+
+
+# -- the KV path ------------------------------------------------------------------
+
+KV_TREE_SHA256 = "7535ff2264ee02693efbbbd439c14bed81951d58dd661f0295a701613cb69220"
+
+KV_TEXT_LABELS = ("Society", "Literature", "Academia", "Technology", "Nature")
+# each label's entity pool; "shared" (and its zh twin) belongs to two labels
+KV_POOLS = {
+    "en": {label: [f"{label.lower()}{j}" for j in range(5)] for label in KV_TEXT_LABELS},
+    "zh": {label: [chr(0x4E00 + 10 * n + j) + chr(0x4F00 + 10 * n + j) for j in range(5)]
+           for n, label in enumerate(KV_TEXT_LABELS)},
+}
+KV_SHARED = {"en": "shared", "zh": "共享"}
+KV_FILLERS = {"en": ("the", "of", "a", "and"), "zh": ("的", "了", "在", "是")}
+KV_OOV = {"en": "neverseen", "zh": "未见"}
+for _language, _pools in KV_POOLS.items():
+    _pools["Society"].append(KV_SHARED[_language])
+    _pools["Nature"].append(KV_SHARED[_language])
+
+
+def _kv_records(language: str, seed: int, per_label: int, role: str) -> list[dict]:
+    rng = random.Random(f"{language}:{seed}")
+    joiner = " " if language == "en" else ""
+    rows = []
+    for label in KV_TEXT_LABELS:
+        for i in range(per_label):
+            words = rng.sample(KV_POOLS[language][label], 2 + rng.randrange(3))
+            tokens = words + [rng.choice(KV_FILLERS[language]) for _ in range(rng.randrange(3))]
+            rng.shuffle(tokens)
+            if rng.random() < 0.3:  # a repeated token
+                tokens.append(tokens[0])
+            rows.append({"id": f"{role}-{label}-{i}", "text": joiner.join(tokens),
+                         "text_label": label,
+                         "pairs": [{"label": "people", "entity": w} for w in words]})
+    return rows
+
+
+def _origin_kv(language: str) -> str:
+    """Per label: three pool words, an out-of-vocabulary word, the shared word
+    under Society and Literature too."""
+    blocks = []
+    for n, label in enumerate(KV_TEXT_LABELS):
+        words = KV_POOLS[language][label][1:4] + [f"{KV_OOV[language]}{n}"]
+        if label in ("Society", "Literature"):
+            words.append(KV_SHARED[language])
+        blocks.append(f"[{label}]\n" + "\n".join(words) + "\n")
+    return "\n".join(blocks)
+
+
+def _probs_rows(tests: list[dict], seed: int) -> list[dict]:
+    """A precomputed distribution per test prompt: some words weighted, exact ties,
+    an all-zero row, rows with and without ``covered``."""
+    rng = random.Random(seed)
+    vocab = [w for pool in KV_POOLS["en"].values() for w in pool] + ["neverseen0", "other"]
+    rows = []
+    for i, record in enumerate(tests):
+        words = rng.sample(vocab, 6)
+        if i % 7 == 3:
+            probs = dict.fromkeys(words, 0.0)
+        elif i % 5 == 1:
+            probs = dict.fromkeys(words, 0.125)
+        else:
+            probs = {w: round(rng.random(), 3) for w in words}
+        row = {"prompt": record["text"] + "\n{mask}", "probs": probs}
+        if i % 3 == 0:
+            row["covered"] = words[:3]
+        rows.append(row)
+    return rows
+
+
+def run_kv_paths(work: Path) -> Path:
+    """``run-kv`` in en and zh for each aggregation and alpha, then ``score`` with
+    the refmlm and a ``file:`` provider, in ``work`` (the current directory)."""
+    for language in ("en", "zh"):
+        _write_jsonl(work / f"train.{language}.jsonl", _kv_records(language, 1, 8, "train"))
+        _write_jsonl(work / f"test.{language}.jsonl", _kv_records(language, 2, 6, "test"))
+        (work / f"origin.{language}.txt").write_text(_origin_kv(language), encoding="utf-8")
+        for aggregation in ("sum", "mean"):
+            for alpha in ("1", "0.3"):
+                assert main(["run-kv", "--family", "SCNM", "--language", language,
+                             "--train", f"train.{language}.jsonl",
+                             "--test", f"test.{language}.jsonl",
+                             "--external-kv", f"origin.{language}.txt", "--seed", "5",
+                             "--few-shot-k", "4", "--test-n", "12", "--repeats", "2",
+                             "--kv-k", "6", "--aggregation", aggregation, "--alpha", alpha,
+                             "--out", f"out/kv-{language}-{aggregation}-{alpha}"]) == 0
+    _write_jsonl(work / "probs.jsonl", _probs_rows(_kv_records("en", 2, 6, "test"), 3))
+    score = ["score", "--family", "SCNM", "--language", "en", "--kv", "origin.en.txt",
+             "--input", "test.en.jsonl"]
+    assert main([*score, "--train", "train.en.jsonl", "--out", "out/score-refmlm/p.jsonl"]) == 0
+    assert main([*score, "--provider", "file:probs.jsonl", "--aggregation", "mean",
+                 "--out", "out/score-file/p.jsonl"]) == 0
+    return work / "out"
+
+
+def test_kv_paths_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MREMIX_DATA_ROOT", raising=False)
+    out = run_kv_paths(tmp_path)
+    # six files and four prediction files a run-kv, two files a score
+    assert len([p for p in out.rglob("*") if p.is_file()]) == 8 * (6 + 4) + 2 * 2
+    assert _tree_sha256(out) == KV_TREE_SHA256

@@ -1,4 +1,5 @@
-"""Fuzzing the verbalizer word-list reader and the ``--config`` reader through the CLI.
+"""Fuzzing the verbalizer word-list and ``--config`` readers through the CLI, and
+the schema file reader through the library.
 
 A valid word-list file or config file is spoiled in one way that is never
 valid: for a word list, a header of a label outside the schema, a word
@@ -7,7 +8,10 @@ not UTF-8; for a config, broken JSON, a root that is not an object, an
 unknown key, a value of the wrong type or out of range, a byte that is not
 UTF-8, or the escape of a lone surrogate. Every such run exits with the
 reader's code (1 for a word list, 3 for a config) and one stderr line,
-never a traceback.
+never a traceback. No command takes a schema file, so the bundled schema
+file, spoiled the same way, goes to ``core.load_schema_file``, which must
+raise a ``SchemaError`` or ``DataError`` of one line naming the file (and
+the spoiled line, when one line is at fault).
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mremix import build_from_wli, save_kv, save_split
 from mremix.cli import main
+from mremix.core import load_schema_file
+from mremix.errors import DataError, SchemaError
 from mremix.runner import ExperimentConfig
 
 from synth import planted_splits
@@ -168,3 +175,78 @@ def test_spoiled_config_is_one_config_error(data, command):
         assert err.count("\n") == 1 and err.startswith("config error: "), err
         assert "Traceback" not in err
         assert not (tmp / "out").exists()
+
+
+# -- schema files -----------------------------------------------------------------
+
+SCHEMA = (Path(__file__).resolve().parents[1] / "src" / "mremix" / "data" / "schemas.txt"
+          ).read_text(encoding="utf-8")
+_SCHEMA_LINES = SCHEMA.split("\n")
+_ENTRIES = [i for i, line in enumerate(_SCHEMA_LINES) if "=" in line.split("#", 1)[0]]
+
+
+def _spoil_schema(draw) -> tuple[bytes, int | None]:
+    """The bundled schema file spoiled in one way, and the (1-based) line at
+    fault, or None when the fault is not one line's."""
+    lines = list(_SCHEMA_LINES)
+    kind = draw(st.sampled_from(["duplicate label", "empty label", "drop entry",
+                                 "repeat entry", "bad key", "no equals", "bytes", "separator"]))
+    if kind == "bytes":
+        body = SCHEMA.encode("utf-8")
+        at = draw(st.integers(0, len(body)))
+        return body[:at] + draw(_JUNK_BYTES) + body[at:], None
+    i = draw(st.sampled_from(_ENTRIES))
+    key, value = lines[i].split("=", 1)
+    labels = [label.strip() for label in value.split("|")]
+    if kind == "drop entry":
+        del lines[i]
+        return "\n".join(lines).encode("utf-8"), None
+    if kind == "duplicate label":
+        labels.insert(draw(st.integers(0, len(labels))), draw(st.sampled_from(labels)))
+        lines[i] = key + "= " + " | ".join(labels)
+    elif kind == "empty label":
+        labels.insert(draw(st.integers(0, len(labels))), draw(st.sampled_from(["", " ", "\t"])))
+        lines[i] = key + "= " + " | ".join(labels)
+    elif kind == "repeat entry":
+        lines.insert(i + 1, lines[i])
+        i += 1
+    elif kind == "bad key":
+        family, language, level = key.strip().split(".")
+        part = draw(st.integers(0, 3))
+        spoiled = [[draw(st.sampled_from(["SCNX", "scnm", "", "TCONER "])), language, level],
+                   [family, draw(st.sampled_from(["de", "EN", ""])), level],
+                   [family, language, draw(st.sampled_from(["label", "Text", ""]))],
+                   [family, language]][part]
+        lines[i] = ".".join(spoiled) + " =" + value
+    elif kind == "no equals":
+        lines[i] = lines[i].replace("=", draw(st.sampled_from([":", "", " "])))
+    else:  # a line separator that is no newline, in a comment, before a bad entry
+        lines.insert(i, "# note\u2028more\x85end")
+        lines[i + 1] = lines[i + 1].replace("=", "")
+        i += 1
+    return "\n".join(lines).encode("utf-8"), i + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spoiled_schema_file_is_one_error_naming_its_line(data):
+    body, line = _spoil_schema(data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schemas.txt"
+        path.write_bytes(body)
+        with pytest.raises((SchemaError, DataError)) as caught:
+            load_schema_file(path)
+    message = str(caught.value)
+    assert "\n" not in message and message.startswith(f"{path}: "), message
+    if line is not None:
+        assert message.startswith(f"{path}: line {line}: "), message
+
+
+def test_duplicate_schema_label_names_file_line_and_key(tmp_path):
+    path = tmp_path / "schemas.txt"
+    path.write_text(SCHEMA.replace("SCNM.en.text = Society |", "SCNM.en.text = Society | Society |"),
+                    encoding="utf-8")
+    line = _SCHEMA_LINES.index(next(x for x in _SCHEMA_LINES if x.startswith("SCNM.en.text"))) + 1
+    with pytest.raises(SchemaError) as caught:
+        load_schema_file(path)
+    assert str(caught.value) == f"{path}: line {line}: duplicate label 'Society' in SCNM.en.text"

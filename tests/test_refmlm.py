@@ -14,9 +14,14 @@ from mremix.verbalizer import MASK_PLACEHOLDER
 from synth import planted_splits
 
 
+def _words(queries):
+    """A query of one label per word, so each label's sum is that word's weight."""
+    return [(q,) for q in queries]
+
+
 def _masses(model, prompt, queries):
     """The model's mass of each query word, by word."""
-    return dict(zip(queries, model.score(prompt, queries).probs))
+    return dict(zip(queries, model.score(prompt, _words(queries)).probs))
 
 
 class TestSegmenters:
@@ -53,7 +58,7 @@ def _pair_count(model, a, b):
     vocab = model._vocab
     if a not in vocab or b not in vocab:
         return 0
-    return model._table.context_sums([vocab[a]], [vocab[b]])[0]
+    return model._table.context_sums([vocab[a]], [[vocab[b]]])[0]
 
 
 class TestTrainCounts:
@@ -97,21 +102,23 @@ class TestScore:
         # count(a,b)=3, count(a,c)=1, alpha=1, context {a} -> P(b)=4/6, P(c)=2/6
         corpus = ["a b", "a b", "a b", "a c"]
         model = CountModel.train(corpus, make_segmenter("en"), alpha=1.0)
-        dist = model.score(f"a {MASK_PLACEHOLDER}", ["b", "c"])
+        dist = model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "c"]))
         assert dist.probs == [4 / 6, 2 / 6]
-        assert (list(dist.weights), dist.total) == ([4, 2], 6)
+        assert (list(dist.sums), dist.total) == ([4, 2], 6)
+        both = model.score(f"a {MASK_PLACEHOLDER}", [("b", "c"), ("c",)])
+        assert (list(both.sums), both.total) == ([6, 2], 6)
 
     def test_no_context_overlap_gives_uniform(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
-        dist = model.score(f"zzz {MASK_PLACEHOLDER}", ["a", "b"])
+        dist = model.score(f"zzz {MASK_PLACEHOLDER}", _words(["a", "b"]))
         assert dist.probs == [0.5, 0.5]
 
     def test_fractional_alpha_weights_are_exact(self):
         # alpha 0.1 is the binary ratio A/D: weights A + D * count, their sum the total
         a, d = (0.1).as_integer_ratio()
         model = CountModel.train(["a b", "a b"], make_segmenter("en"), alpha=0.1)
-        dist = model.score(f"a {MASK_PLACEHOLDER}", [f"oov{i}" for i in range(9)] + ["b"])
-        assert dist.weights == [a] * 9 + [a + 2 * d]
+        dist = model.score(f"a {MASK_PLACEHOLDER}", _words([f"oov{i}" for i in range(9)] + ["b"]))
+        assert dist.sums == [a] * 9 + [a + 2 * d]
         assert dist.total == 10 * a + 2 * d
         assert dist.probs[0] == float(Fraction(a, 10 * a + 2 * d))
 
@@ -120,25 +127,34 @@ class TestScore:
         seg = make_segmenter("en")
         model = CountModel.train([r.text for r in train.records], seg)
         queries = [f"societyw{i:02d}" for i in range(12)] + ["unseen1", "unseen2"]
-        dist = model.score(train.records[0].text + f" {MASK_PLACEHOLDER}", queries)
+        dist = model.score(train.records[0].text + f" {MASK_PLACEHOLDER}", _words(queries))
         assert len(dist.probs) == len(queries)
         assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_query_gets_floor_but_not_coverage(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
-        dist = model.score(f"a {MASK_PLACEHOLDER}", ["b", "zzz"])
+        dist = model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "zzz"]))
         assert "zzz" not in dist.covered
         assert "b" in dist.covered
         assert dist.probs[1] > 0.0
+        # in a label with a known word, the unknown word still adds its floor
+        assert model.score(f"a {MASK_PLACEHOLDER}", [("b", "zzz")]).sums == [3]
+
+    def test_shared_word_counts_in_both_sums_and_once_in_the_total(self):
+        model = CountModel.train(["a b", "a c"], make_segmenter("en"))
+        dist = model.score(f"a {MASK_PLACEHOLDER}", [("b", "c"), ("c", "zzz")])
+        # weights b 2, c 2, zzz 1: the union b, c, zzz totals 5
+        assert (list(dist.sums), dist.total) == ([4, 3], 5)
+        assert dist.covered == frozenset({"b", "c"})
 
     def test_duplicate_queries_rejected(self):
         model = CountModel.train(["a b"], make_segmenter("en"))
         with pytest.raises(ValueError, match="query words must be distinct"):
-            model.score(f"a {MASK_PLACEHOLDER}", ["b", "b", "c"])
-        # the refused list leaves no plan behind, so a second try fails the same way
+            model.score(f"a {MASK_PLACEHOLDER}", [("b", "b"), ("c",)])
+        # the refused query leaves no plan behind, so a second try fails the same way
         with pytest.raises(ValueError, match="query words must be distinct"):
-            model.score(f"a {MASK_PLACEHOLDER}", ["b", "b", "c"])
-        assert model.score(f"a {MASK_PLACEHOLDER}", ["b", "c"]).weights == [2, 1]
+            model.score(f"a {MASK_PLACEHOLDER}", [("b", "b"), ("c",)])
+        assert model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "c"])).sums == [2, 1]
 
     def test_determinism(self):
         _, train, _, _ = planted_splits(n_train_per_label=4)
@@ -146,7 +162,7 @@ class TestScore:
         model = CountModel.train([r.text for r in train.records], seg)
         prompt = train.records[0].text + f" {MASK_PLACEHOLDER}"
         queries = [f"naturew{i:02d}" for i in range(8)]
-        assert model.score(prompt, queries) == model.score(prompt, queries)
+        assert model.score(prompt, _words(queries)) == model.score(prompt, _words(queries))
 
     def test_scaling_counts_preserves_order(self):
         # [DERIVED] expected probabilities recomputed directly from the count tables
@@ -176,7 +192,7 @@ class TestScore:
                 for q in queries:
                     raw.append(1.0 + sum(pairs[frozenset((c, q))] for c in ctx_tokens))
                 expected = [value / sum(raw) for value in raw]
-                dist = model.score(prompt, queries)
+                dist = model.score(prompt, _words(queries))
                 for p, e in zip(dist.probs, expected):
                     assert p == pytest.approx(e, abs=1e-12)
 

@@ -1,10 +1,10 @@
 """The scoring caches against uncached references.
 
-The co-occurrence table answers ``context_sums`` from a per-query-set index, the
-count model plans each word list once, the segmenter builds its lexicon set
-once and the verbalizer its word union once. Each must give exactly what
-the uncached computation gives, through new texts and alternating
-word lists, down to the bytes ``run_kv`` writes.
+The co-occurrence table answers ``context_sums`` from a per-group-tuple index,
+the count model plans each query once and the segmenter builds its lexicon
+set once. Each must give exactly what the uncached computation gives,
+through new texts and alternating queries, down to the bytes ``run_kv``
+writes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from mremix import (
     LabelEntityPair,
     MreRecord,
     build_from_wli,
-    cooc,
     make_segmenter,
     refmlm,
     save_kv,
@@ -30,11 +29,10 @@ from mremix import (
 )
 from mremix.cli import main
 from mremix.cooc import CoocTable
-from mremix.errors import DataError
 from mremix.ingest import Split
 from mremix.rng import SplitMix64
 from mremix.runner import ExperimentConfig, run_kv
-from mremix.verbalizer import MASK_PLACEHOLDER, Verbalizer
+from mremix.verbalizer import MASK_PLACEHOLDER
 
 from synth import planted_splits
 
@@ -56,17 +54,20 @@ class NaiveCoocTable:
     def pair_count(self, a, b):
         return self.pairs.get((a, b) if a <= b else (b, a), 0)
 
-    def context_sums(self, context_ids, query_ids):
-        return [sum(self.pair_count(c, q) for c in context_ids) for q in query_ids]
+    def context_sums(self, context_ids, groups):
+        return [sum(self.pair_count(c, q) for c in context_ids for q in group)
+                for group in groups]
 
 
 @st.composite
 def table_scripts(draw, repeats=st.just(1)):
-    """Query-id lists (reused, with repeats) and a script of observed texts and queries.
+    """Group tuples (reused; groups overlap and may repeat an id) and a script of
+    observed texts and queries.
 
     Each observed text and each context is a drawn id list repeated ``repeats`` times.
     """
-    query_sets = draw(st.lists(st.lists(IDS, max_size=6), min_size=1, max_size=6))
+    query_sets = draw(st.lists(st.lists(st.lists(IDS, max_size=4), max_size=4),
+                               min_size=1, max_size=6))
     ids = st.builds(operator.mul, st.lists(IDS, max_size=8), repeats)
     step = st.one_of(
         st.tuples(st.just("observe"), ids),
@@ -99,41 +100,44 @@ def test_context_sums_equals_pair_dict_reference(script):
 @settings(max_examples=100, deadline=None)
 @given(table_scripts(repeats=st.integers(min_value=1, max_value=40)))
 def test_long_texts_and_contexts_equal_pair_dict_reference(script):
-    # texts of up to 320 ids push the bound past 2**16 (32-bit fields), and
-    # contexts of up to 320 ids span several chunks while fields are 16 bits
+    # texts of up to 320 ids push the bound B past 2**16, and each query id
+    # is counted against contexts of up to 320 ids
     _replay(script)
 
 
-def test_field_width_is_the_narrowest_above_the_bound():
-    bounds = (0, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1)
-    assert [cooc._field_width(b) for b in bounds] == [16, 16, 32, 32, 64, 64]
-    with pytest.raises(DataError, match="64 bits"):
-        cooc._field_width(2**64)
+def test_field_width_is_the_group_bound_plus_16_bits():
     table = CoocTable()
-    table.observe([1] * 256)  # bound 256**2 = 2**16
-    table.context_sums([1], [1])
-    assert table._indexes[(1,)].width == 32
+    table.observe([1] * 256)  # B = 256**2 = 2**16
+    for groups, width in ((((1,),), 33), (((1,), (1, 2, 3)), 34), ((), 16)):
+        table.context_sums([1], groups)  # 1 * B has 17 bits; 3 * B has 18
+        assert table._indexes[groups].width == width
 
 
 def test_context_sums_chunks_contexts_so_no_field_carries():
-    table, reference = CoocTable(), NaiveCoocTable()
-    text = [0] * 90 + [1] * 10  # bound 100**2: 16-bit fields, chunks of 6 ids
+    text = [0] * 90 + [1] * 10  # B = 100**2: 30-bit fields for one-id groups
+    table = CoocTable()
     table.observe(text)
+    groups = ((0,), (1,), (2,))
+    # pair counts (0,0) 4,005, (0,1) 900, (1,1) 45; group 0 sums to
+    # 1,201,504,500 here, past 2**30, so one sum of all the rows would carry
+    context = [0] * 300_000 + [1] * 5 + [2]
+    assert table.context_sums(context, groups) == [
+        300_000 * 4005 + 5 * 900, 300_000 * 900 + 5 * 45, 0]
+    index = table._indexes[groups]
+    assert (index.width, index.chunk) == (30, (2**30 - 1) // 10_000)
+    reference = NaiveCoocTable()
     reference.observe(text)
-    query = (0, 1, 2)
-    context = [0] * 20 + [1] * 5 + [2]  # query 0 sums to 84,600, past 2**16
-    assert table.context_sums(context, query) == reference.context_sums(context, query)
-    assert table.context_sums(context, query) == [84600, 18225, 0]
-    index = table._indexes[query]
-    assert (index.width, index.chunk) == (16, 6)
+    assert table.context_sums(context[-300:], groups) == reference.context_sums(
+        context[-300:], groups)
 
 
 def test_context_sums_self_pair_and_repeats():
     table = CoocTable()
     table.observe([1, 1, 2])  # pairs (1,1)=1, (1,2)=2
-    assert table.context_sums([1, 1, 2], [1, 2, 1]) == [4, 4, 4]
+    groups = ([1], [2], [1, 2], [1, 1])
+    assert table.context_sums([1, 1, 2], groups) == [4, 4, 8, 8]
     table.observe([1, 1, 1])  # (1,1) += 3; drops the index built above
-    assert table.context_sums([1, 1, 2], [1, 2, 1]) == [10, 4, 10]
+    assert table.context_sums([1, 1, 2], groups) == [10, 4, 14, 20]
 
 
 def test_index_rows_hold_only_nonzero_query_pairs():
@@ -144,20 +148,21 @@ def test_index_rows_hold_only_nonzero_query_pairs():
         [9],           # 9's only pair would be a self-pair with k = 1
         [7, 7, 4],
     ]
-    query = (5, 7, 5, 9)  # repeats 5
+    groups = ((5, 7), (5,), (9,), (7, 7))  # 5 in two groups, 7 twice in one
     table, reference = CoocTable(), NaiveCoocTable()
     for ids in texts:
         table.observe(ids)
         reference.observe(ids)
     universe = range(11)
     for c in universe:
-        assert table.context_sums([c], query) == reference.context_sums([c], query)
-    assert table.context_sums([7, 1, 7, 9, 10], query) == reference.context_sums([7, 1, 7, 9, 10], query)
-    rows = table._indexes[query].rows
+        assert table.context_sums([c], groups) == reference.context_sums([c], groups)
+    context = [7, 1, 7, 9, 10]
+    assert table.context_sums(context, groups) == reference.context_sums(context, groups)
+    rows = table._indexes[groups].rows
     assert 9 not in rows and 3 not in rows
     assert 0 not in rows.values()
-    nonzero = sum(1 for c in universe for q in query if reference.pair_count(c, q))
-    assert table.num_pairs() == nonzero == 11
+    nonzero = sum(1 for c in universe for s in reference.context_sums([c], groups) if s)
+    assert table.num_pairs() == nonzero == 13
 
 
 _CORPUS_WORDS = [f"w{i}" for i in range(8)]
@@ -167,23 +172,24 @@ _CORPUS_WORDS = [f"w{i}" for i in range(8)]
 @given(
     corpus=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=6),
                     min_size=1, max_size=8),
-    lists=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov1", "oov2"]), max_size=7,
-                            unique=True),
-                   min_size=2, max_size=2),
+    queries=st.lists(st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov1", "oov2"]),
+                                       min_size=1, max_size=4, unique=True).map(tuple),
+                              max_size=4),
+                     min_size=2, max_size=2),
     contexts=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov3"]), max_size=6),
                       min_size=1, max_size=4),
 )
-def test_alternating_word_lists_match_a_fresh_model(corpus, lists, contexts):
+def test_alternating_word_lists_match_a_fresh_model(corpus, queries, contexts):
     texts = [" ".join(words) for words in corpus]
     model = CountModel.train(texts, make_segmenter("en"))
     for context in contexts:
         prompt = " ".join(context) + f" {MASK_PLACEHOLDER}"
-        for words in lists:
-            fresh = CountModel.train(texts, make_segmenter("en")).score(prompt, words)
-            got = model.score(prompt, list(words))
+        for query in queries:
+            fresh = CountModel.train(texts, make_segmenter("en")).score(prompt, query)
+            got = model.score(prompt, [list(words) for words in query])
             assert got == fresh
-            assert list(got.probs) == list(fresh.probs) and len(got.probs) == len(words)
-            assert list(got.weights) == list(fresh.weights)
+            assert list(got.probs) == list(fresh.probs) and len(got.probs) == len(query)
+            assert list(got.sums) == list(fresh.sums)
 
 
 def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():
@@ -192,13 +198,6 @@ def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():
     assert ja._lexicon_set == frozenset({"東京", "東京都"}) and ja._max_len == 3
     assert ja == make_segmenter("ja", ["東京", "東京都"])
     assert ja("東京都と東京") == ["東京都", "と", "東京"]
-
-
-def test_all_words_returns_a_fresh_list():
-    kv = Verbalizer({"a": ("x", "y"), "b": ("y", "z")}, k=2)
-    words = kv.all_words()
-    words.append("mutated")
-    assert kv.all_words() == ["x", "y", "z"]
 
 
 def _zh_splits():

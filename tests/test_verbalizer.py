@@ -16,7 +16,6 @@ from mremix import (
     CountModel,
     MaskDistribution,
     Verbalizer,
-    aggregate,
     apply_template,
     build_from_wli,
     few_shot_sample,
@@ -33,6 +32,17 @@ from mremix.verbalizer import MASK_PLACEHOLDER, FileDistributionProvider
 from synth import planted_splits
 
 
+def _union(query):
+    """The distinct words of a query, first-seen order."""
+    return list(dict.fromkeys(word for words in query for word in words))
+
+
+def _label_dist(query, weights, total, covered=frozenset()):
+    """Each label's summed weights from a word -> weight table (0 for other words)."""
+    return MaskDistribution(sums=[sum(weights.get(w, 0) for w in words) for words in query],
+                            total=total, covered=covered)
+
+
 class StubProvider:
     """Answers every prompt from one fixed word -> weight table over one total
     (0 for other words)."""
@@ -43,28 +53,39 @@ class StubProvider:
         self._covered = frozenset(weights if covered is None else covered)
         self.calls = 0
 
-    def score(self, prompt, words):
+    def score(self, prompt, query):
         self.calls += 1
-        return MaskDistribution(weights=[self._weights.get(w, 0) for w in words],
-                                total=self._total, covered=self._covered)
+        return _label_dist(query, self._weights, self._total,
+                           self._covered.intersection(_union(query)))
 
 
 class PresenceOracleProvider:
     """Mass proportional to each query word's presence in the prompt."""
 
-    def score(self, prompt, words):
-        hits = [int(w in prompt) for w in words]
-        return MaskDistribution(weights=hits, total=max(sum(hits), 1),
-                                covered=frozenset(w for w in words if w in prompt))
+    def score(self, prompt, query):
+        hits = {w: int(w in prompt) for w in _union(query)}
+        return _label_dist(query, hits, max(sum(hits.values()), 1),
+                           frozenset(w for w, hit in hits.items() if hit))
+
+
+class FixedProvider:
+    """Answers every prompt with one distribution."""
+
+    def __init__(self, dist):
+        self._dist = dist
+
+    def score(self, prompt, query):
+        return self._dist
 
 
 def _kv(mapping, k=10):
     return Verbalizer(label_words=mapping, k=k)
 
 
-def _dist(kv, weights, total=10):
-    """The distribution answering ``kv``'s query from a word -> weight table."""
-    return MaskDistribution(weights=[weights.get(w, 0) for w in kv.all_words()], total=total)
+def _scores(kv, weights, total=10, strategy="sum"):
+    """``predict``'s label scores for a word -> weight table over ``total``."""
+    provider = StubProvider(weights, total=total)
+    return predict(f"t {MASK_PLACEHOLDER}", kv, provider, strategy=strategy).scores
 
 
 class TestBuildFromWli:
@@ -193,31 +214,37 @@ class TestExternalKv:
 
 
 class TestAggregate:
+    """Label scores: a label's sum over the total (over the total times its word count for mean)."""
+
     def test_worked_example(self):
         kv = _kv({"A": ["good", "great"], "B": ["bad"]})
-        dist = _dist(kv, {"good": 3, "great": 2, "bad": 4})
-        scores = aggregate(dist, kv)
+        scores = _scores(kv, {"good": 3, "great": 2, "bad": 4})
         assert scores == {"A": 0.5, "B": 0.4}
 
     def test_all_zero(self):
         kv = _kv({"A": ["x"], "B": ["y"]})
-        scores = aggregate(_dist(kv, {}), kv)
+        scores = _scores(kv, {})
         assert scores == {"A": 0.0, "B": 0.0}
 
     def test_shared_word_contributes_to_both(self):
         kv = _kv({"A": ["shared"], "B": ["shared"]})
-        scores = aggregate(_dist(kv, {"shared": 2}), kv)
+        scores = _scores(kv, {"shared": 2})
         assert scores == {"A": 0.2, "B": 0.2}
 
     def test_masses_must_answer_the_whole_query(self):
         kv = _kv({"A": ["x"], "B": ["y"]})
-        with pytest.raises(ValueError, match="1 weights for 2 query words"):
-            aggregate(MaskDistribution(weights=[5], total=10), kv)
+        provider = FixedProvider(MaskDistribution(sums=[5], total=10))
+        with pytest.raises(ValueError, match="1 sums for 2 labels"):
+            predict(f"t {MASK_PLACEHOLDER}", kv, provider)
+
+    def test_unknown_strategy_rejected(self):
+        kv = _kv({"A": ["x"]})
+        with pytest.raises(ValueError, match="unknown aggregation strategy: 'max'"):
+            predict(f"t {MASK_PLACEHOLDER}", kv, StubProvider({"x": 1}), strategy="max")
 
     def test_mean_strategy_divides_by_word_count(self):
         kv = _kv({"A": ["a1", "a2"], "B": ["b1"]})
-        dist = _dist(kv, {"a1": 4, "a2": 0, "b1": 3})
-        scores = aggregate(dist, kv, strategy="mean")
+        scores = _scores(kv, {"a1": 4, "a2": 0, "b1": 3}, strategy="mean")
         assert scores == {"A": 0.2, "B": 0.3}
 
     def test_matches_brute_force_double_loop(self):
@@ -231,7 +258,7 @@ class TestAggregate:
                 mapping[f"L{li}"] = tuple(rng.sample(vocab, count))
             kv = Verbalizer(label_words=mapping, k=10)
             weights = {w: rng.randbelow(1000) for w in rng.sample(vocab, 12)}
-            scores = aggregate(_dist(kv, weights, total=1000), kv)
+            scores = _scores(kv, weights, total=1000)
             for label, words in mapping.items():
                 brute = 0
                 for word in words:
@@ -297,17 +324,18 @@ def _fraction_argmax(exact_scores):
 
 
 class TableProvider:
-    """Weights from a word -> integer weight table (0 for words it lacks), over
-    their sum plus ``spare`` (at least 1)."""
+    """Label sums from a word -> integer weight table (0 for words it lacks), over
+    the union's weights plus ``spare`` (at least 1)."""
 
     def __init__(self, weights, spare):
         self._weights = weights
         self._spare = spare
 
-    def score(self, prompt, words):
-        weights = [self._weights.get(w, 0) for w in words]
-        return MaskDistribution(weights=weights, total=max(sum(weights) + self._spare, 1),
-                                covered=frozenset(self._weights))
+    def score(self, prompt, query):
+        union = _union(query)
+        total = max(sum(self._weights.get(w, 0) for w in union) + self._spare, 1)
+        return _label_dist(query, self._weights, total,
+                           frozenset(self._weights).intersection(union))
 
 
 _WORDS = [f"w{i}" for i in range(8)]
@@ -340,14 +368,13 @@ class TestPositionalScoring:
     ):
         prompt = f"t {MASK_PLACEHOLDER}"
         provider = TableProvider(known, spare)
-        dist = provider.score(prompt, kv.all_words())
-        exact = _exact_scores(dict(zip(kv.all_words(), dist.weights)), dist.total, kv, strategy)
+        dist = provider.score(prompt, tuple(kv.label_words.values()))
+        exact = _exact_scores(known, dist.total, kv, strategy)
         reference = {label: float(score) for label, score in exact.items()}
 
         result = predict(prompt, kv, provider, strategy=strategy)
         assert result.scores == reference
         assert list(result.scores) == list(reference)
-        assert aggregate(dist, kv, strategy) == reference
         assert result.label == _fraction_argmax(exact)
         assert result.no_coverage == (not known or max(exact.values()) == 0)
 
@@ -376,10 +403,9 @@ class TestPositionalScoring:
         scale = math.lcm(*(v.denominator for v in weight.values()))
 
         class RationalProvider:
-            def score(self, prompt, words):
-                return MaskDistribution(weights=[int(weight[w] * scale) for w in words],
-                                        total=int(2 * Fraction(single) * scale),
-                                        covered=frozenset(weight))
+            def score(self, prompt, query):
+                return _label_dist(query, {w: int(v * scale) for w, v in weight.items()},
+                                   int(2 * Fraction(single) * scale), frozenset(weight))
 
         kv = _kv({"B": ["b"], "A": ["a1", "a2", "a3"]})
         assert predict(f"t {MASK_PLACEHOLDER}", kv, RationalProvider()).label == "B"
@@ -403,7 +429,7 @@ class TestPositionalScoring:
                     pairs[frozenset((text[i], text[j]))] += 1
         # exact weights: the binary value of alpha plus an integer count
         weight = {w: Fraction(alpha) + sum(pairs[frozenset((c, w))] for c in context)
-                  for w in kv.all_words()}
+                  for w in _union(tuple(kv.label_words.values()))}
         exact = _exact_scores(weight, sum(weight.values()), kv, strategy)
         prompt = " ".join(context) + f" {MASK_PLACEHOLDER}"
         result = predict(prompt, kv, model, strategy=strategy)
@@ -524,10 +550,12 @@ class TestFileProvider:
         for row in rows:
             probs = row["probs"]
             words = [*probs, "absent"] if "absent" not in probs else list(probs)
-            dist = provider.score(row["prompt"], words)
-            assert all(type(w) is int and w >= 0 for w in dist.weights) and dist.total > 0
-            for word, weight in zip(words, dist.weights):
-                assert weight / dist.total == float(probs.get(word, 0))
+            # one label a word gives each word's weight; one label of all of them, their sum
+            dist = provider.score(row["prompt"], [(w,) for w in words] + [tuple(words)])
+            assert all(type(s) is int and s >= 0 for s in dist.sums) and dist.total > 0
+            for word, s in zip(words, dist.sums):
+                assert s / dist.total == float(probs.get(word, 0))
+            assert dist.sums[-1] == sum(dist.sums[:-1])
             assert dist.covered == frozenset(row.get("covered", probs)).intersection(words)
 
     @settings(max_examples=300, deadline=None)
