@@ -19,7 +19,6 @@ gives for the example. Readers decode the lines into ``FormattedExample``s.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _encode  # the writer's string encoder
 from pathlib import Path
@@ -51,6 +50,10 @@ class FormatTag(str, Enum):
 
 # Readers look tags up here: an enum call per draw row costs ~14x a dict lookup.
 TAGS = {tag.value: tag for tag in FormatTag}
+
+# Readers build rows they have checked with this, not through a named tuple's
+# Python-level ``__new__``.
+_new = tuple.__new__
 
 # Each format's (level appended to the input or None, level of the target). A level
 # is "word" (the pairs), "text" (the label) or, as a target, "joint" (label, pairs).
@@ -86,8 +89,7 @@ def split_target(target: str, tag: FormatTag) -> tuple[Optional[str], Optional[s
     return label, pairs if separator else None
 
 
-@dataclass(frozen=True)
-class FormattedExample:
+class FormattedExample(NamedTuple):
     """An (input, target) training pair plus the format tag and source record id."""
 
     input: str
@@ -245,8 +247,18 @@ def write_examples(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def read_examples(path: str | Path) -> list[FormattedExample]:
+    """The examples of a format file. A row of four strings with a known tag is
+    built as it is; any other row is checked by ``FormattedExample.from_dict``,
+    whose error names the line and the field."""
     examples = []
     for lineno, row in read_jsonl_numbered(path):
+        if type(row) is dict:
+            inp, target, tag, rid = (row.get("input"), row.get("target"), row.get("tag"),
+                                     row.get("record_id"))
+            if (type(inp) is str and type(target) is str and type(rid) is str
+                    and type(tag) is str and tag in TAGS):
+                examples.append(_new(FormattedExample, (inp, target, TAGS[tag], rid)))
+                continue
         try:
             examples.append(FormattedExample.from_dict(row))
         except DataError as exc:

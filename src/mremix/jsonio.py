@@ -111,17 +111,32 @@ def read_lines_numbered(path: str | Path) -> Iterator[tuple[int, str]]:
                     except UnicodeDecodeError as exc:
                         raise DataError(f"{path}: line {lineno}: not valid UTF-8 "
                                         f"({exc.reason})") from exc
-            if line.strip():
+            if not line.isspace():
                 yield lineno, line
 
 
+# ``json.loads`` on a line skips whitespace around the document with two regex
+# matches; a line that is one document and its newline needs neither.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl_numbered(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """(line number, document) for each non-blank line, as read."""
+    """(line number, document) for each non-blank line, as read.
+
+    A line that is exactly one document followed by ``"\\n"`` is decoded
+    directly; any other line (surrounding whitespace, no final newline, a
+    BOM, trailing data, a syntax error) goes through ``json.loads``, which
+    accepts or rejects it with its own message."""
     for lineno, line in read_lines_numbered(path):
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from exc
+            doc, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = 0
+        if end != len(line) - 1 or line[-1] != "\n":
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from exc
         if "\\u" in line:
             _refuse_lone_surrogates(path, line, lineno)
         yield lineno, doc

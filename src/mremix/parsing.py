@@ -14,14 +14,13 @@ returns a result plus a flag:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import LabelEntityPair, LabelSchema, _field
 from .errors import DataError
-from .formats import LAYOUT, FormatTag, split_target
+from .formats import LAYOUT, FormatTag, _new, split_target
 from .jsonio import read_jsonl_numbered
 from .pairs import parse_canonical, parse_tolerant
 
@@ -35,20 +34,17 @@ class ParseFlag(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ParsedPairs:
+class ParsedPairs(NamedTuple):
     pairs: tuple[LabelEntityPair, ...]
     flag: ParseFlag
 
 
-@dataclass(frozen=True)
-class ParsedLabel:
+class ParsedLabel(NamedTuple):
     label: Optional[str]
     flag: ParseFlag
 
 
-@dataclass(frozen=True)
-class ParsedPrediction:
+class ParsedPrediction(NamedTuple):
     """A generation parsed at whichever level(s) its format targets."""
 
     text_label: Optional[str]
@@ -135,8 +131,7 @@ def parse_prediction(s: str, tag: FormatTag, schema: LabelSchema) -> ParsedPredi
     return ParsedPrediction(label.label, pairs.pairs, flag)
 
 
-@dataclass(frozen=True)
-class GenerationRow:
+class GenerationRow(NamedTuple):
     record_id: Optional[str]
     output: str
 
@@ -150,6 +145,11 @@ def read_generations(path: str | Path) -> list[GenerationRow]:
     """
     out: list[GenerationRow] = []
     for lineno, row in read_jsonl_numbered(path):
+        if type(row) is dict:
+            output, rid = row.get("output"), row.get("record_id")
+            if type(output) is str and (rid is None or type(rid) is str):
+                out.append(_new(GenerationRow, (rid, output)))
+                continue
         if not isinstance(row, dict) or "output" not in row:
             raise DataError(f"{path}: line {lineno}: expected an object with an 'output' field")
         try:

@@ -20,9 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
+from mremix import cli, evaluation
 from mremix.cli import main
+from mremix.formats import target_level
+from mremix.parsing import ParseFlag
 
 TREE_SHA256 = "e09881247b7840a0cdb415bee0a79f28623b2e5033942d33660580437588631b"
 
@@ -124,6 +128,78 @@ def test_ablation_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
     # train files and manifest, draw files and manifest, three reports a tag, two tables
     assert len([p for p in out.rglob("*") if p.is_file()]) == 7 + 1 + 7 * REPEATS + 1 + 7 * 3 + 2
     assert _tree_sha256(out) == TREE_SHA256
+
+
+def test_evaluate_parses_each_generation_once_and_each_gold_target_at_most_once(
+        tmp_path, monkeypatch):
+    """Counted on the golden corpus, whose two draws share records: one
+    ``parse_prediction`` per generation; per ``evaluate``, one gold
+    ``parse_canonical`` per distinct gold pairs string at most, and none for a
+    generation equal to its gold target that parsed CLEAN."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MREMIX_DATA_ROOT", raising=False)
+    parse_prediction, parse_canonical = evaluation.parse_prediction, evaluation.parse_canonical
+    split_target, evaluate_run = evaluation.split_target, cli.evaluate_run
+    row: dict = {}  # the generation and gold target of the row being scored
+    predictions: list[str] = []
+    gold_parses: list[Counter] = []  # one per evaluate
+    unreused = 0  # word-level rows whose generation is not their CLEAN gold
+
+    def counted_prediction(s, tag, schema):
+        result = parse_prediction(s, tag, schema)
+        predictions.append(s)
+        row.update(output=s, clean=result.flag is ParseFlag.CLEAN)
+        return result
+
+    def noted_split(target, tag):
+        nonlocal unreused
+        row["target"] = target
+        unreused += target_level(tag) != "text" and not (row["clean"] and row["output"] == target)
+        return split_target(target, tag)
+
+    def counted_canonical(s):
+        assert not (row["clean"] and row["output"] == row["target"]), row
+        gold_parses[-1][s] += 1
+        return parse_canonical(s)
+
+    def counted_run(*args, **kwargs):
+        gold_parses.append(Counter())
+        return evaluate_run(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "parse_prediction", counted_prediction)
+    monkeypatch.setattr(evaluation, "split_target", noted_split)
+    monkeypatch.setattr(evaluation, "parse_canonical", counted_canonical)
+    monkeypatch.setattr(cli, "evaluate_run", counted_run)
+    run_pipeline(tmp_path)
+
+    generations = [json.loads(line)["output"] for path in (tmp_path / "gen").iterdir()
+                   for line in path.read_text(encoding="utf-8").split("\n") if line]
+    assert sorted(predictions) == sorted(generations)
+    assert len(gold_parses) == len(TAGS)
+    assert all(n == 1 for counts in gold_parses for n in counts.values())
+    # the two draws share records, so some gold target served two rows with one parse
+    assert sum(map(len, gold_parses)) < unreused
+
+
+def test_reformatted_generation_files_give_the_same_reports(tmp_path, monkeypatch):
+    """Generation files rewritten with CRLF endings, leading spaces and no final
+    newline evaluate to byte-identical reports."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MREMIX_DATA_ROOT", raising=False)
+    out = run_pipeline(tmp_path)
+    for path in (tmp_path / "gen").iterdir():
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        path.write_bytes("\r\n".join("  " + line for line in lines).encode("utf-8"))
+    desc = ["--family", "SCNM", "--language", "en"]
+    for tag in TAGS:
+        draws = [f"out/formats-test/scnm_en_{tag.lower()}.test.draw{d}.jsonl"
+                 for d in range(REPEATS)]
+        gens = [f"gen/{tag.lower()}.draw{d}.jsonl" for d in range(REPEATS)]
+        assert main(["evaluate", *desc, "--tag", tag, "--draws", *draws, "--generations", *gens,
+                     "--out", f"again/eval-{tag.lower()}"]) == 0
+        for name in ("report.json", "report.md", "report.tsv"):
+            again = (tmp_path / "again" / f"eval-{tag.lower()}" / name).read_bytes()
+            assert again == (out / f"eval-{tag.lower()}" / name).read_bytes(), (tag, name)
 
 
 # -- the KV path ------------------------------------------------------------------

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mremix import jsonio
 from mremix.errors import DataError
@@ -83,3 +89,124 @@ def test_escaped_surrogate_pairs_load(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(_SURROGATES.replace("\\uDFFF", "\\uD83D\\uDE00"), encoding="utf-8")
     assert jsonio.read_json(path) == {"a": "x", "b": "😀 \\ud800", "c": ["ok", "😀"]}
+
+
+# -- the JSONL reader against its json.loads loop ----------------------------------
+#
+# ``read_jsonl_numbered`` decodes a line that is one document and its newline
+# without ``json.loads``. The reference below is the reader as it stood before
+# that fast path, copied verbatim: a ``json.loads`` per non-blank line. For
+# every file the two must yield the same (line number, document) stream and,
+# where the file is bad, raise a DataError with the same text after it.
+
+
+def reference_read_lines_numbered(path):
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # decode the line's bytes for the reason
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DataError(f"{path}: line {lineno}: not valid UTF-8 "
+                                        f"({exc.reason})") from exc
+            if line.strip():
+                yield lineno, line
+
+
+def reference_read_jsonl_numbered(path):
+    for lineno, line in reference_read_lines_numbered(path):
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from exc
+        if "\\u" in line:
+            jsonio._refuse_lone_surrogates(path, line, lineno)
+        yield lineno, doc
+
+
+def _stream(reader, path) -> tuple[str, str]:
+    """What ``reader`` yields before it stops, as a repr (NaN equals itself
+    there, and -0.0 differs from 0.0), and the text of the error it stops with."""
+    out = []
+    try:
+        for item in reader(path):
+            out.append(item)
+    except DataError as exc:
+        return repr(out), str(exc)
+    return repr(out), ""
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# documents json.dumps does not write: constants, duplicate keys, escapes
+# (lone surrogates and a valid pair among them), odd spacing inside
+_ODD_DOCS = st.sampled_from([
+    "NaN", "-Infinity", '{"a": Infinity}', '{"a": 1, "a": 2}', '"\\ud800"',
+    '{"k": ["ok", "\\uDFFF"]}', '"\\ud83d\\ude00"', '"\\\\ud800"', '{ "a" :1 }', "[ ]",
+    '"tab\\tand \\u6771"', "1e400", "-0", "0.1e-2",
+])
+# lines that are no single document: trailing data, syntax errors, bare words
+_BAD_DOCS = st.sampled_from([
+    "{} {}", "{}x", "[1,]", "{", '{"a" 1}', "nan", "tru", '"open', "1 2", "{}}", "'a'",
+    '"\\x"', "\x00",
+])
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+_PAD = st.sampled_from(["", "", "", " ", "\t", "  "])
+
+
+@st.composite
+def _jsonl_files(draw) -> bytes:
+    """A JSONL file: documents (some odd, a few bad) padded or not, blank lines,
+    LF or CRLF endings, a final newline or none, a BOM, and now and then a byte
+    that is not UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["value", "value", "odd", "bad", "blank"]))
+        if kind == "blank":
+            lines.append(draw(_BLANK))
+            continue
+        if kind == "value":
+            doc = json.dumps(draw(_VALUES), ensure_ascii=draw(st.booleans()))
+        else:
+            doc = draw(_ODD_DOCS if kind == "odd" else _BAD_DOCS)
+        lines.append(draw(_PAD) + doc + draw(_PAD))
+    ending = "\r\n" if draw(st.booleans()) else "\n"
+    text = ending.join(lines)
+    if lines and draw(st.booleans()):
+        text += ending
+    if draw(st.integers(0, 7)) == 0:
+        text = "\ufeff" + text
+    data = text.encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc0\xaf", b"\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_jsonl_files())
+def test_jsonl_reader_matches_the_json_loads_loop(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_bytes(data)
+        assert _stream(jsonio.read_jsonl_numbered, path) == _stream(
+            reference_read_jsonl_numbered, path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1}\n{"b": 2}', '{"a": 1}\r\n\r\n{"b": 2}\r\n', ' {"a": 1}\n{"b": 2} \n',
+    '\ufeff{"a": 1}\n', '{"a": 1}\n{} {}\n', '{"a": 1}\n{}x', '[NaN, -Infinity]\n',
+    '{"a": 1, "a": 2}\n', '{"a": "\\ud800"}\n', "{}\n\t\n  \n[]\n",
+])
+def test_jsonl_reader_edges_match_the_json_loads_loop(tmp_path, text):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _stream(jsonio.read_jsonl_numbered, path) == _stream(
+        reference_read_jsonl_numbered, path)
