@@ -232,9 +232,6 @@ def _prf_from_dict(draw: dict, side: str) -> Optional[Prf]:
 
 
 _FLAG_NAMES = tuple(flag.value for flag in ParseFlag)
-# evaluate_run counts flags by these names: ``.value`` is a Python-level descriptor.
-_FLAG_NAME = {flag: flag.value for flag in ParseFlag}
-_CLEAN = ParseFlag.CLEAN
 
 
 def _parse_counts(draw: dict) -> dict[str, int]:
@@ -313,11 +310,8 @@ def evaluate_run(
     if score_text is None:
         raise DataError(f"text_metric must be one of {tuple(TEXT_METRICS)}, got {text_metric!r}")
     fold = desc.language == "en"
-    schema = desc.schema
     level = target_level(tag)
     word_side, text_side = level != "text", level != "word"
-    # Draws repeat records, so each distinct gold pairs string is parsed once.
-    gold_parses: dict[str, tuple[LabelEntityPair, ...]] = {}
     draw_scores: list[DrawScore] = []
     for d, (gold_examples, gen_rows) in enumerate(zip(draws, generations)):
         if not gold_examples:
@@ -330,7 +324,7 @@ def evaluate_run(
         pred_pairs: list[tuple[LabelEntityPair, ...]] = []
         gold_labels: list[str] = []
         pred_labels: list[Optional[str]] = []
-        counts = dict.fromkeys(_FLAG_NAMES, 0)
+        counts = {flag.value: 0 for flag in ParseFlag}
 
         for i, (example, row) in enumerate(zip(gold_examples, gen_rows)):
             if example.tag is not tag:
@@ -341,25 +335,22 @@ def evaluate_run(
                     f"draw {d}: position {i}: generation is for record "
                     f"{row.record_id!r}, expected {example.record_id!r}"
                 )
-            prediction = parse_prediction(row.output, tag, schema)
+            prediction = parse_prediction(row.output, tag, desc.schema)
             flag = prediction.flag
-            counts[_FLAG_NAME[flag]] += 1
+            counts[flag] += 1  # a flag is the str of its name: no Python-level ``.value``
 
             gold_label, gold_target = split_target(example.target, tag)
             if word_side:
-                if flag is _CLEAN and row.output == example.target:
+                if flag is ParseFlag.CLEAN and row.output == example.target:
                     # the same pairs string, which parse_canonical accepted
                     parsed_gold = prediction.pairs
                 else:
-                    parsed_gold = gold_parses.get(gold_target)
+                    parsed_gold = None if gold_target is None else parse_canonical(gold_target)
                     if parsed_gold is None:
-                        parsed_gold = None if gold_target is None else parse_canonical(gold_target)
-                        if parsed_gold is None:
-                            raise DataError(
-                                f"draw {d}: record {example.record_id!r}: gold target is "
-                                "not canonical; draw files must come from the format builder"
-                            )
-                        gold_parses[gold_target] = parsed_gold
+                        raise DataError(
+                            f"draw {d}: record {example.record_id!r}: gold target is "
+                            "not canonical; draw files must come from the format builder"
+                        )
                 gold_pairs.append(parsed_gold)
                 pred_pairs.append(prediction.pairs)
             if text_side:

@@ -51,10 +51,6 @@ class FormatTag(str, Enum):
 # Readers look tags up here: an enum call per draw row costs ~14x a dict lookup.
 TAGS = {tag.value: tag for tag in FormatTag}
 
-# Readers build rows they have checked with this, not through a named tuple's
-# Python-level ``__new__``.
-_new = tuple.__new__
-
 # Each format's (level appended to the input or None, level of the target). A level
 # is "word" (the pairs), "text" (the label) or, as a target, "joint" (label, pairs).
 LAYOUT: dict[FormatTag, tuple[Optional[str], str]] = {
@@ -108,6 +104,12 @@ class FormattedExample(NamedTuple):
     @classmethod
     def from_dict(cls, data: object) -> "FormattedExample":
         """The example of a JSON document; a shape error names the field."""
+        if type(data) is dict:  # four strings and a known tag: built as they are
+            inp, target, tag, rid = (data.get("input"), data.get("target"), data.get("tag"),
+                                     data.get("record_id"))
+            if (type(inp) is str and type(target) is str and type(rid) is str
+                    and type(tag) is str and tag in TAGS):
+                return tuple.__new__(cls, (inp, target, TAGS[tag], rid))
         if not isinstance(data, dict):
             raise DataError(f"expected an object, got {data!r}")
         return cls(
@@ -247,18 +249,8 @@ def write_examples(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def read_examples(path: str | Path) -> list[FormattedExample]:
-    """The examples of a format file. A row of four strings with a known tag is
-    built as it is; any other row is checked by ``FormattedExample.from_dict``,
-    whose error names the line and the field."""
     examples = []
     for lineno, row in read_jsonl_numbered(path):
-        if type(row) is dict:
-            inp, target, tag, rid = (row.get("input"), row.get("target"), row.get("tag"),
-                                     row.get("record_id"))
-            if (type(inp) is str and type(target) is str and type(rid) is str
-                    and type(tag) is str and tag in TAGS):
-                examples.append(_new(FormattedExample, (inp, target, TAGS[tag], rid)))
-                continue
         try:
             examples.append(FormattedExample.from_dict(row))
         except DataError as exc:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .core import LabelEntityPair, LabelSchema, _field
 from .errors import DataError
-from .formats import LAYOUT, FormatTag, _new, split_target
+from .formats import LAYOUT, FormatTag, split_target
 from .jsonio import read_jsonl_numbered
 from .pairs import parse_canonical, parse_tolerant
 
@@ -135,6 +135,18 @@ class GenerationRow(NamedTuple):
     record_id: Optional[str]
     output: str
 
+    @classmethod
+    def from_dict(cls, data: object) -> "GenerationRow":
+        """The row of a JSON document; a shape error names the field."""
+        if type(data) is dict:  # string fields: built as they are
+            output, rid = data.get("output"), data.get("record_id")
+            if type(output) is str and (rid is None or type(rid) is str):
+                return tuple.__new__(cls, (rid, output))
+        if not isinstance(data, dict) or "output" not in data:
+            raise DataError("expected an object with an 'output' field")
+        rid = None if data.get("record_id") is None else _field(data, "record_id")
+        return cls(rid, _field(data, "output"))
+
 
 def read_generations(path: str | Path) -> list[GenerationRow]:
     """Read a generation file: JSONL with an ``output`` field per test example.
@@ -145,16 +157,8 @@ def read_generations(path: str | Path) -> list[GenerationRow]:
     """
     out: list[GenerationRow] = []
     for lineno, row in read_jsonl_numbered(path):
-        if type(row) is dict:
-            output, rid = row.get("output"), row.get("record_id")
-            if type(output) is str and (rid is None or type(rid) is str):
-                out.append(_new(GenerationRow, (rid, output)))
-                continue
-        if not isinstance(row, dict) or "output" not in row:
-            raise DataError(f"{path}: line {lineno}: expected an object with an 'output' field")
         try:
-            rid = None if row.get("record_id") is None else _field(row, "record_id")
-            out.append(GenerationRow(rid, _field(row, "output")))
+            out.append(GenerationRow.from_dict(row))
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return out

@@ -1,9 +1,9 @@
 """Differential tests of the evaluation path against its reference loops.
 
-``read_examples`` and ``read_generations`` build a row straight from a
-decoded line that passes exact type checks, and ``evaluate_run`` parses each
-distinct gold target once per call (reusing the parse of a generation equal
-to its CLEAN gold). The references below are the code as it stood before:
+``FormattedExample.from_dict`` and ``GenerationRow.from_dict`` build a row
+straight from a decoded line that passes exact type checks, and
+``evaluate_run`` reuses the parse of a generation equal to its CLEAN gold
+instead of parsing that gold target. The references below are the code as it stood before:
 the readers' checked loops, and ``evaluate_run`` with a ``parse_canonical``
 per gold row over dataclass rows, copied verbatim. For every input the fast
 code must give the same rows and the same report, or a ``DataError`` with
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mremix import DatasetDescriptor, LabelEntityPair, MreRecord, build_example, evaluate_run
-from mremix.core import _field
+from mremix.core import _field, _one_of
 from mremix.errors import DataError
 from mremix.evaluation import (
     MATCHING_POLICY,
@@ -33,6 +33,7 @@ from mremix.evaluation import (
 )
 from mremix.formats import (
     LAYOUT,
+    TAGS,
     FormatTag,
     FormattedExample,
     read_examples,
@@ -128,11 +129,22 @@ def reference_evaluate_run(
     )
 
 
+def reference_example_from_dict(data: object) -> FormattedExample:
+    if not isinstance(data, dict):
+        raise DataError(f"expected an object, got {data!r}")
+    return FormattedExample(
+        input=_field(data, "input"),
+        target=_field(data, "target"),
+        tag=TAGS[_one_of(data, "tag", TAGS)],
+        record_id=_field(data, "record_id"),
+    )
+
+
 def reference_read_examples(path) -> list[FormattedExample]:
     examples = []
     for lineno, row in read_jsonl_numbered(path):
         try:
-            examples.append(FormattedExample.from_dict(row))
+            examples.append(reference_example_from_dict(row))
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: not a formatted example ({exc})") from exc
     return examples

@@ -23,7 +23,7 @@ import random
 from collections import Counter
 from pathlib import Path
 
-from mremix import cli, evaluation
+from mremix import evaluation
 from mremix.cli import main
 from mremix.formats import target_level
 from mremix.parsing import ParseFlag
@@ -130,20 +130,19 @@ def test_ablation_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
     assert _tree_sha256(out) == TREE_SHA256
 
 
-def test_evaluate_parses_each_generation_once_and_each_gold_target_at_most_once(
+def test_evaluate_parses_each_generation_once_and_a_clean_exact_gold_never(
         tmp_path, monkeypatch):
-    """Counted on the golden corpus, whose two draws share records: one
-    ``parse_prediction`` per generation; per ``evaluate``, one gold
-    ``parse_canonical`` per distinct gold pairs string at most, and none for a
-    generation equal to its gold target that parsed CLEAN."""
+    """Counted on the golden corpus: one ``parse_prediction`` per generation,
+    and one gold ``parse_canonical`` per word-level row, except a row whose
+    generation equals its gold target and parsed CLEAN, which reuses that parse."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MREMIX_DATA_ROOT", raising=False)
     parse_prediction, parse_canonical = evaluation.parse_prediction, evaluation.parse_canonical
-    split_target, evaluate_run = evaluation.split_target, cli.evaluate_run
+    split_target = evaluation.split_target
     row: dict = {}  # the generation and gold target of the row being scored
     predictions: list[str] = []
-    gold_parses: list[Counter] = []  # one per evaluate
-    unreused = 0  # word-level rows whose generation is not their CLEAN gold
+    rows = Counter()  # word-level rows, by whether the generation is their CLEAN gold
+    gold_parses = 0
 
     def counted_prediction(s, tag, schema):
         result = parse_prediction(s, tag, schema)
@@ -152,33 +151,27 @@ def test_evaluate_parses_each_generation_once_and_each_gold_target_at_most_once(
         return result
 
     def noted_split(target, tag):
-        nonlocal unreused
         row["target"] = target
-        unreused += target_level(tag) != "text" and not (row["clean"] and row["output"] == target)
+        if target_level(tag) != "text":
+            rows[row["clean"] and row["output"] == target] += 1
         return split_target(target, tag)
 
     def counted_canonical(s):
+        nonlocal gold_parses
         assert not (row["clean"] and row["output"] == row["target"]), row
-        gold_parses[-1][s] += 1
+        gold_parses += 1
         return parse_canonical(s)
-
-    def counted_run(*args, **kwargs):
-        gold_parses.append(Counter())
-        return evaluate_run(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "parse_prediction", counted_prediction)
     monkeypatch.setattr(evaluation, "split_target", noted_split)
     monkeypatch.setattr(evaluation, "parse_canonical", counted_canonical)
-    monkeypatch.setattr(cli, "evaluate_run", counted_run)
     run_pipeline(tmp_path)
 
     generations = [json.loads(line)["output"] for path in (tmp_path / "gen").iterdir()
                    for line in path.read_text(encoding="utf-8").split("\n") if line]
     assert sorted(predictions) == sorted(generations)
-    assert len(gold_parses) == len(TAGS)
-    assert all(n == 1 for counts in gold_parses for n in counts.values())
-    # the two draws share records, so some gold target served two rows with one parse
-    assert sum(map(len, gold_parses)) < unreused
+    assert rows[True] and rows[False]  # the corpus has rows of both kinds
+    assert gold_parses == rows[False]
 
 
 def test_reformatted_generation_files_give_the_same_reports(tmp_path, monkeypatch):
