@@ -51,7 +51,7 @@ from .parsing import (
     parse_prediction,
     parse_text_label,
 )
-from .refmlm import CountModel, Segmenter, lexicon_from_split, make_segmenter
+from .refmlm import CountModel, Segmenter, lexicon_from_split
 from .runner import ExperimentConfig, run_kv
 from .verbalizer import (
     MaskDistribution,
@@ -111,7 +111,6 @@ __all__ = [
     "CountModel",
     "Segmenter",
     "lexicon_from_split",
-    "make_segmenter",
     "ExperimentConfig",
     "KvComparisonReport",
     "run_kv",

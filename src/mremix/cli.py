@@ -27,11 +27,11 @@ from .evaluation import (
     report_tsv,
 )
 from .formats import FormatTag, read_examples
-from .ingest import ROLES, few_shot_sample, load_split
+from .ingest import ROLES, load_split
 from .jsonio import read_json, write_json, write_jsonl, write_text
 from .parsing import read_generations
 from .runner import KV_SOURCES, RECORD_FORMATS, ExperimentConfig, guard_overwrite, resolve_data_path
-from .verbalizer import AGGREGATION_STRATEGIES, build_from_wli, load_external_kv, save_kv
+from .verbalizer import AGGREGATION_STRATEGIES, load_external_kv, save_kv
 from .verbalizer import predict  # noqa: F401  (unused; perfbench/tracer.py rebinds cli.predict)
 
 
@@ -40,12 +40,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-def _descriptor(args) -> DatasetDescriptor:
-    if not args.family or not args.language:
-        raise ConfigError("--family and --language are required")
-    return DatasetDescriptor.builtin(args.family, args.language)
 
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -72,7 +66,7 @@ def _guarded_with_sidecar(args) -> tuple[Path, Path]:
 
 
 def cmd_validate(args) -> int:
-    desc = _descriptor(args)
+    desc = runner.descriptor(args.family, args.language)
     for path in args.paths:
         split = load_split(resolve_data_path(path), desc, "train", fmt=args.record_format)
         print(f"OK {path} ({len(split)} records)")
@@ -92,14 +86,8 @@ def cmd_build_formats(args) -> int:
 def cmd_build_kv(args) -> int:
     config = _config_from_args(args)
     config.validate()
-    desc = runner.descriptor(config)
-    if not config.train_path:
-        raise ConfigError("--train is required (or train_path in --config)")
-    train = runner.load(config, config.train_path, "train", desc)
-    source = train
-    if config.kv_source == "fewshot":
-        source = few_shot_sample(train, desc, config.few_shot_k, config.seed)
-    kv = build_from_wli(source, desc, config.kv_words_per_label)
+    desc = runner.descriptor(config.family, config.language)
+    kv = runner.wli_verbalizer(config, runner.load(config, config.train_path, "train", desc), desc)
     out, sidecar = _guarded_with_sidecar(args)
     save_kv(kv, out)
     write_json(sidecar, config.to_dict())
@@ -111,13 +99,11 @@ def cmd_build_kv(args) -> int:
 def cmd_score(args) -> int:
     config = _config_from_args(args)
     config.validate()
-    desc = runner.descriptor(config)
+    desc = runner.descriptor(config.family, config.language)
     kv = load_external_kv(resolve_data_path(args.kv), desc.schema, config.kv_words_per_label)
     test = runner.load(config, args.input, "test", desc)
     train = None
     if config.provider == "refmlm":
-        if not config.train_path:
-            raise ConfigError("--train is required for the refmlm provider")
         train = runner.load(config, config.train_path, "train", desc)
     # unlike run-kv, whose counts come from the few-shot sample, score trains on all of train
     provider, _ = runner.make_provider(config, train, train)
@@ -159,7 +145,7 @@ def _check_draw_dataset(d: int, path: Path, desc: DatasetDescriptor,
 
 
 def cmd_evaluate(args) -> int:
-    desc = _descriptor(args)
+    desc = runner.descriptor(args.family, args.language)
     try:
         tag = FormatTag(args.tag.upper())
     except ValueError:

@@ -28,9 +28,10 @@ from collections import Counter
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-# Group tuples whose index is kept at once; a new tuple beyond this drops
-# the older indexes, so memory stays bounded whatever the caller asks.
-_MAX_INDEXES = 4
+# Group tuples whose index is kept at once, and queries whose plan a count
+# model keeps: a new one beyond this drops the older ones, so memory stays
+# bounded, and a caller cycling through more than this rebuilds on every call.
+MAX_QUERIES = 4
 
 # Bits of each field above the largest row value, so a chunk of contexts is
 # at least 2**16 ids long.
@@ -105,7 +106,7 @@ class CoocTable:
                     rows[q] -= (k * k + k) // 2 * unit[q]
         rows = {c: row for c, row in rows.items() if row}
         index = _Index(rows, width, ((1 << width) - 1) // max(bound, 1))
-        if len(self._indexes) >= _MAX_INDEXES:
+        if len(self._indexes) >= MAX_QUERIES:
             self._indexes.clear()
         self._indexes[groups] = index
         return index

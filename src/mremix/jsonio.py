@@ -98,7 +98,8 @@ def _refuse_lone_surrogates(path: str | Path, text: str, first_line: int = 1) ->
 
 
 def read_lines_numbered(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-blank line, as read; blank lines are counted.
+    """(line number, line) for each non-blank line, as read; blank lines (only
+    spaces, tabs and line breaks, the whitespace JSON allows) are counted.
     Each line is checked for bytes that are not UTF-8 when it is read."""
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -111,7 +112,7 @@ def read_lines_numbered(path: str | Path) -> Iterator[tuple[int, str]]:
                     except UnicodeDecodeError as exc:
                         raise DataError(f"{path}: line {lineno}: not valid UTF-8 "
                                         f"({exc.reason})") from exc
-            if not line.isspace():
+            if not line.isspace() or line.strip(" \t\r\n"):
                 yield lineno, line
 
 

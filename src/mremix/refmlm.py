@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .cooc import CoocTable
+from .cooc import MAX_QUERIES, CoocTable
 from .errors import DataError
 from .ingest import Split
 from .verbalizer import MASK_PLACEHOLDER, MaskDistribution
@@ -42,25 +42,23 @@ WHITESPACE_LANGUAGES = frozenset({"en"})
 class Segmenter:
     """Word segmentation policy: whitespace or lexicon-driven greedy matching.
 
-    Lexicon languages build the lookup set and the longest entry length
-    once, at construction; whitespace languages hold neither.
+    Lexicon languages keep the lexicon as a set, and its longest entry's
+    length, from construction; whitespace languages keep an empty lexicon.
     """
 
     language: str
-    lexicon: tuple[str, ...] = ()
-    _lexicon_set: frozenset[str] = field(init=False, repr=False, compare=False, default=frozenset())
+    lexicon: frozenset[str] = frozenset()
     _max_len: int = field(init=False, repr=False, compare=False, default=1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lexicon", tuple(self.lexicon))
-        if self.language not in WHITESPACE_LANGUAGES:
-            object.__setattr__(self, "_lexicon_set", frozenset(self.lexicon))
-            object.__setattr__(self, "_max_len", max(map(len, self.lexicon), default=1))
+        whitespace = self.language in WHITESPACE_LANGUAGES
+        object.__setattr__(self, "lexicon", frozenset() if whitespace else frozenset(self.lexicon))
+        object.__setattr__(self, "_max_len", max(map(len, self.lexicon), default=1))
 
     def __call__(self, text: str) -> list[str]:
         if self.language in WHITESPACE_LANGUAGES:
             return text.split()
-        return _greedy_segment(text, self._lexicon_set, self._max_len)
+        return _greedy_segment(text, self.lexicon, self._max_len)
 
 
 def _greedy_segment(text: str, lexicon: frozenset[str], max_len: int) -> list[str]:
@@ -85,19 +83,9 @@ def _greedy_segment(text: str, lexicon: frozenset[str], max_len: int) -> list[st
     return tokens
 
 
-def make_segmenter(language: str, lexicon: Iterable[str] = ()) -> Segmenter:
-    return Segmenter(language=language, lexicon=tuple(lexicon))
-
-
-def lexicon_from_split(split: Split) -> tuple[str, ...]:
-    """All distinct word-level entity strings of a split, sorted."""
-    entities = {pair.entity for record in split.records for pair in record.pairs}
-    return tuple(sorted(entities))
-
-
-# Queries whose plan is kept at once; a new query beyond this drops the
-# older plans.
-_MAX_PLANS = 16
+def lexicon_from_split(split: Split) -> frozenset[str]:
+    """All distinct word-level entity strings of a split."""
+    return frozenset(pair.entity for record in split.records for pair in record.pairs)
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,7 @@ class CountModel:
         total. Words outside the training vocabulary keep the smoothing
         floor but are not covered; a word repeated within one label is a
         ``ValueError``. The query-only part of the work is planned once per
-        distinct query (see ``_plan``).
+        distinct query (see ``_plan``) and dropped with the table's indexes.
         """
         query = tuple(map(tuple, query))
         plan = self._plans.get(query) or self._plan(query)
@@ -174,7 +162,7 @@ class CountModel:
             floors=tuple(floor * len(words) for words in (*query, union)),
             covered=frozenset(filter(vocab.__contains__, union)),
         )
-        if len(self._plans) >= _MAX_PLANS:
+        if len(self._plans) >= MAX_QUERIES:
             self._plans.clear()
         self._plans[query] = plan
         return plan

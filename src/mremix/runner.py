@@ -29,10 +29,9 @@ from .formats import (
 )
 from .ingest import Split, few_shot_sample, load_split, repeated_test_sample
 from .jsonio import read_json, write_json, write_jsonl, write_text
-from .refmlm import CountModel, lexicon_from_split, make_segmenter
+from .refmlm import CountModel, Segmenter, lexicon_from_split
 from .verbalizer import (
     AGGREGATION_STRATEGIES,
-    MASK_PLACEHOLDER,
     FileDistributionProvider,
     ProbabilityProvider,
     Verbalizer,
@@ -137,17 +136,17 @@ def resolve_data_path(path: str | Path) -> Path:
     return path
 
 
-def descriptor(config: ExperimentConfig) -> DatasetDescriptor:
-    """The built-in dataset descriptor of the config's family and language."""
-    if not config.family or not config.language:
-        raise ConfigError("family and language must be set (flags or config file)")
-    return DatasetDescriptor.builtin(config.family, config.language)
+def descriptor(family: Optional[str], language: Optional[str]) -> DatasetDescriptor:
+    """The built-in dataset descriptor of a family and a language."""
+    if family and language:
+        return DatasetDescriptor.builtin(family, language)
+    raise ConfigError("--family and --language are required (or family and language in --config)")
 
 
 def load(config: ExperimentConfig, path: Optional[str], role: str, desc) -> Split:
     """Load and validate a record file in the configured format and strictness."""
     if not path:
-        raise ConfigError(f"{role}_path must be set")
+        raise ConfigError(f"--{role} is required (or {role}_path in --config)")
     return load_split(
         resolve_data_path(path), desc, role,
         fmt=config.record_format, strict=not config.lenient,
@@ -201,7 +200,7 @@ def build_format_files(
     error. Then the files are built and written one at a time.
     """
     config.validate()
-    desc = descriptor(config)
+    desc = descriptor(config.family, config.language)
     split = load(config, input_path, role, desc)
     out = Path(out_dir)
 
@@ -241,7 +240,7 @@ def make_provider(
     """The configured provider and its report metadata. refmlm takes its segmenter
     lexicon from ``train`` and its counts from ``corpus_split``; file providers use neither."""
     if config.provider == "refmlm":
-        segmenter = make_segmenter(config.language, lexicon_from_split(train))
+        segmenter = Segmenter(config.language, lexicon_from_split(train))
         corpus = [record.text for record in corpus_split.records]
         model = CountModel.train(corpus, segmenter, alpha=config.alpha)
         detail = {
@@ -254,6 +253,13 @@ def make_provider(
     return FileDistributionProvider(path), {"kind": "file", "path": str(path)}
 
 
+def wli_verbalizer(config: ExperimentConfig, train: Split, desc) -> Verbalizer:
+    """The WLI verbalizer of ``kv_source``: from all of ``train`` or its few-shot sample."""
+    if config.kv_source == "fewshot":
+        train = few_shot_sample(train, desc, config.few_shot_k, config.seed)
+    return build_from_wli(train, desc, config.kv_words_per_label)
+
+
 def classify(
     split: Split, kv: Verbalizer, provider: ProbabilityProvider, config: ExperimentConfig
 ) -> list[dict]:
@@ -261,14 +267,10 @@ def classify(
     rows = []
     for record in split.records:
         prompt = apply_template(record.text, config.template)
-        slots = prompt.count(MASK_PLACEHOLDER)
-        if slots != 1:
-            raise DataError(
-                f"record {record.id!r}: the prompt built from its text has {slots} "
-                f"{MASK_PLACEHOLDER} slots; it must have exactly one"
-            )
         try:
             prediction = predict(prompt, kv, provider, strategy=config.aggregation)
+        except ValueError as exc:  # the record's text adds a {mask} slot
+            raise DataError(f"record {record.id!r}: {exc}") from exc
         except DataError as exc:
             raise DataError(f"record {record.id!r}: provider failed: {exc}") from exc
         rows.append({"record_id": record.id, "label": prediction.label,
@@ -289,20 +291,17 @@ def run_kv(
     reports per-draw and mean text-level F1 for each.
     """
     config.validate()
-    desc = descriptor(config)
+    desc = descriptor(config.family, config.language)
     if desc.schema.open_domain:
         raise ConfigError(
             f"{desc.family} has an open-domain schema and is excluded from KV experiments"
         )
     if not config.external_kv_path:
-        raise ConfigError("external_kv_path must be set (the baseline verbalizer word lists)")
+        raise ConfigError("--external-kv is required (or external_kv_path in --config)")
 
     train = load(config, config.train_path, "train", desc)
     fewshot = few_shot_sample(train, desc, config.few_shot_k, config.seed)
-
-    wli_kv = build_from_wli(
-        train if config.kv_source == "train" else fewshot, desc, config.kv_words_per_label
-    )
+    wli_kv = wli_verbalizer(config, train, desc)
     origin_kv = load_external_kv(
         resolve_data_path(config.external_kv_path), desc.schema, config.kv_words_per_label
     )
@@ -346,9 +345,10 @@ def run_kv(
             for d, draw_rows in enumerate(per_draw_rows)
         ]
         guard_overwrite([out / name for name in names] + [p for p, _ in pred_files], force)
-        write_json(out / "effective_config.json", config.to_dict())
+        # the word lists first: save_kv refuses a word that would not reload
         save_kv(wli_kv, out / "wli_kv.txt")
         save_kv(origin_kv, out / "origin_kv.txt")
+        write_json(out / "effective_config.json", config.to_dict())
         for path, draw_rows in pred_files:
             write_jsonl(path, draw_rows)
         write_json(out / "kv_report.json", report.to_dict())

@@ -19,13 +19,14 @@ datasets are excluded.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .core import LabelSchema
-from .errors import DataError, MremixError, SchemaError
+from .errors import DataError, SchemaError
 from .ingest import Split
 from .jsonio import read_jsonl_numbered, read_lines_numbered, write_text
 from .rng import SplitMix64, derive_seed_token
@@ -143,13 +144,14 @@ def load_external_kv(
     """Load a verbalizer from a word-list file.
 
     File format: per-label blocks, a ``[label]`` header line followed by
-    one word per line; '#' starts a comment. Every schema label must have a
-    non-empty block; words are deduplicated keeping first occurrence and
-    truncated to k.
+    one word per line; '#' starts a comment. Every schema label must have
+    exactly one non-empty block; words are deduplicated keeping first
+    occurrence and truncated to k.
     """
     _require_fixed_schema(schema)
     blocks: dict[str, list[str]] = {}
-    current: Optional[str] = None
+    headers: dict[str, int] = {}  # label -> the line of its block's header
+    current: Optional[list[str]] = None
     for lineno, raw in read_lines_numbered(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,12 +163,15 @@ def load_external_kv(
                     f"{path}: line {lineno}: unknown label {label!r} "
                     "(not in the text-level schema)"
                 )
-            current = label
-            blocks.setdefault(label, [])
+            if label in headers:
+                raise DataError(f"{path}: line {lineno}: second block for label {label!r} "
+                                f"(first on line {headers[label]})")
+            headers[label] = lineno
+            current = blocks[label] = []
             continue
         if current is None:
             raise DataError(f"{path}: line {lineno}: word before any [label] header")
-        blocks[current].append(line)
+        current.append(line)
 
     label_words: dict[str, tuple[str, ...]] = {}
     for label in schema.text_labels:
@@ -181,11 +186,21 @@ def load_external_kv(
 
 
 def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
-    """Export a verbalizer in the external word-list format (auditable, reloadable)."""
+    """Export a verbalizer in the external word-list format (auditable, reloadable).
+
+    A word that would not reload as itself is a ``DataError``, raised before
+    the file is written: an empty word, one with surrounding whitespace, one
+    holding a '#' or a line break, or one of the form ``[...]``.
+    """
     lines: list[str] = []
     for label in verbalizer.labels():
         lines.append(f"[{label}]")
-        lines.extend(verbalizer.words_for(label))
+        for word in verbalizer.words_for(label):
+            if (word != word.strip() or not word or "#" in word or "\n" in word or "\r" in word
+                    or word.startswith("[") and word.endswith("]")):
+                raise DataError(f"label {label!r}: word {word!r} would not reload "
+                                "from a word-list file")
+            lines.append(word)
         lines.append("")
     write_text(path, "\n".join(lines))
 
@@ -217,7 +232,8 @@ def predict(
         raise ValueError(f"unknown aggregation strategy: {strategy!r}")
     slots = prompt.count(MASK_PLACEHOLDER)
     if slots != 1:
-        raise ValueError(f"prompt must contain exactly one {MASK_PLACEHOLDER} slot, found {slots}")
+        raise ValueError(f"the prompt built from its text has {slots} {MASK_PLACEHOLDER} slots; "
+                         "it must have exactly one")
     query = tuple(verbalizer.label_words.values())
     dist = provider.score(prompt, query)
     if len(dist.sums) != len(query):
@@ -253,36 +269,28 @@ def apply_template(text: str, template: str) -> str:
 def shuffle_words(verbalizer: Verbalizer, seed: int) -> Verbalizer:
     """Reassign the pooled words across labels at random (a control baseline).
 
-    Per-label word counts are preserved; only the
-    word-to-label assignment changes. Deterministic for a given seed.
+    Each label keeps its word count and the pool keeps each word's copies;
+    only the word-to-label assignment changes, and no label gets a word
+    twice. The distinct words, shuffled under the ``kv-shuffle`` sub-stream
+    and then stably sorted most-shared first, are dealt in turn to the
+    labels with the most room left, ties going in shuffled label order. The
+    input is itself a valid assignment, so dealt this way the words always
+    fit (the Gale-Ryser construction). Deterministic for a given seed.
     """
-    flat: list[str] = []
-    for label in verbalizer.labels():
-        flat.extend(verbalizer.words_for(label))
+    copies = Counter(chain.from_iterable(verbalizer.label_words.values()))
+    words, labels = list(copies), list(verbalizer.labels())
     rng = SplitMix64(derive_seed_token(seed, "kv-shuffle"))
-    rng.shuffle(flat)
-
-    label_words: dict[str, tuple[str, ...]] = {}
-    remaining = flat
-    for label in verbalizer.labels():
-        need = len(verbalizer.words_for(label))
-        taken: list[str] = []
-        used: set[str] = set()
-        rest: list[str] = []
-        for word in remaining:
-            if len(taken) < need and word not in used:
-                taken.append(word)
-                used.add(word)
-            else:
-                rest.append(word)
-        if len(taken) < need:
-            raise MremixError(
-                "cannot shuffle verbalizer: duplicate words across labels leave "
-                f"no valid assignment for label {label!r}"
-            )
-        label_words[label] = tuple(taken)
-        remaining = rest
-    return Verbalizer(label_words=label_words, k=verbalizer.k)
+    rng.shuffle(words)
+    rng.shuffle(labels)
+    words.sort(key=copies.__getitem__, reverse=True)  # a stable sort, reversed or not
+    room = {label: len(verbalizer.words_for(label)) for label in labels}
+    dealt: dict[str, list[str]] = {label: [] for label in labels}
+    for word in words:
+        for label in sorted(labels, key=room.__getitem__, reverse=True)[:copies[word]]:
+            dealt[label].append(word)
+            room[label] -= 1
+    return Verbalizer(label_words={label: tuple(dealt[label]) for label in verbalizer.labels()},
+                      k=verbalizer.k)
 
 
 class FileDistributionProvider:

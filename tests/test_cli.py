@@ -744,6 +744,46 @@ class TestRunKv:
         assert "external_kv_path" in capsys.readouterr().err
 
 
+# -- one message per missing input ----------------------------------------------
+
+
+def _config_errors(capsys, argvs) -> list[str]:
+    errors = []
+    for argv in argvs:
+        assert main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    return errors
+
+
+def test_missing_train_is_one_message_in_every_command(tmp_path, capsys):
+    _setup_dataset(tmp_path)
+    dataset = ["--family", "SCNM", "--language", "en"]
+    kv, test = str(tmp_path / "origin_kv.txt"), str(tmp_path / "test.jsonl")
+    errors = _config_errors(capsys, [
+        ["build-kv", *dataset, "--out", str(tmp_path / "kv.txt")],
+        ["score", *dataset, "--kv", kv, "--input", test, "--out", str(tmp_path / "p.jsonl")],
+        ["run-kv", *dataset, "--test", test, "--external-kv", kv, "--out", str(tmp_path / "run")],
+    ])
+    assert errors == ["config error: --train is required (or train_path in --config)\n"] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["origin_kv.txt", "test.jsonl",
+                                                         "train.jsonl"]
+
+
+def test_missing_family_is_one_message_in_every_command(tmp_path, capsys):
+    draw_paths, gen_paths = _build_draws(tmp_path)
+    run_kv = _run_kv_args(tmp_path, tmp_path / "run")
+    assert run_kv[1:3] == ["--family", "SCNM"]
+    del run_kv[1:3]
+    errors = _config_errors(capsys, [
+        ["validate", "--language", "en", str(tmp_path / "train.jsonl")],
+        ["evaluate", "--language", "en", "--tag", "TRAD_TEXT", "--draws", *map(str, draw_paths),
+         "--generations", *map(str, gen_paths), "--out", str(tmp_path / "eval")],
+        run_kv,
+    ])
+    assert errors == ["config error: --family and --language are required "
+                      "(or family and language in --config)\n"] * 3
+
+
 class TestReport:
     def test_ablation_grid(self, tmp_path):
         _setup_dataset(tmp_path)

@@ -154,6 +154,13 @@ class TestLoadSplit:
         )
         assert split.records[1].pairs == ()
 
+    def test_line_of_ideographic_space_is_a_malformed_record(self, tmp_path, scnm_en):
+        path = tmp_path / "legacy.tsv"
+        path.write_text("b\tt\tSociety\tNONE\n \t\n\u3000\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_split(path, scnm_en, "train", fmt="tsv")
+        assert str(caught.value).startswith(f"{path}: line 3: malformed record")
+
     def test_tsv_wrong_columns(self, tmp_path, scnm_en):
         path = tmp_path / "legacy.tsv"
         path.write_text("a\tonly three\tcolumns\n", encoding="utf-8")

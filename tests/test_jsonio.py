@@ -210,3 +210,16 @@ def test_jsonl_reader_edges_match_the_json_loads_loop(tmp_path, text):
     path.write_text(text, encoding="utf-8", newline="")
     assert _stream(jsonio.read_jsonl_numbered, path) == _stream(
         reference_read_jsonl_numbered, path)
+
+
+# -- blank lines ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("blank", ["\u3000", "\u00a0", "\x1c", "\x0b", "\x0c", " \u3000\t"])
+def test_a_line_of_other_whitespace_is_not_blank(tmp_path, blank):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(f"{{}}\n \t\r\n{blank}\n{{}}\n", encoding="utf-8")
+    assert list(jsonio.read_lines_numbered(path))[1] == (3, f"{blank}\n")
+    with pytest.raises(DataError) as exc:
+        list(jsonio.read_jsonl_numbered(path))
+    assert str(exc.value).startswith(f"{path}: line 3: not valid JSON")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mremix import CountModel, Verbalizer, make_segmenter, predict
+from mremix import CountModel, Segmenter, Verbalizer, predict
 from mremix.cooc import CoocTable
 from mremix.verbalizer import MASK_PLACEHOLDER, FileDistributionProvider
 
@@ -217,7 +217,7 @@ def verbalizers(draw):
 )
 def test_count_model_equals_the_per_word_oracle(corpus, times, contexts, kv, strategy, alpha):
     texts = [" ".join(words * times) for words in corpus]
-    model = CountModel.train(texts, make_segmenter("en"), alpha=alpha)
+    model = CountModel.train(texts, Segmenter("en"), alpha=alpha)
     table = ReferenceCoocTable()
     for text in texts:
         table.observe([model._vocab[token] for token in text.split()])

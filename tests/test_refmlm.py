@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mremix import CountModel, lexicon_from_split, make_segmenter
+from mremix import CountModel, Segmenter, lexicon_from_split
 from mremix.errors import DataError
 from mremix.rng import SplitMix64
 from mremix.verbalizer import MASK_PLACEHOLDER
@@ -26,31 +26,31 @@ def _masses(model, prompt, queries):
 
 class TestSegmenters:
     def test_english_whitespace(self):
-        seg = make_segmenter("en")
+        seg = Segmenter("en")
         assert seg("Tanaka visited  Tokyo.") == ["Tanaka", "visited", "Tokyo."]
 
     def test_greedy_longest_match(self):
-        seg = make_segmenter("ja", ["東京", "東京都", "京都"])
+        seg = Segmenter("ja", ["東京", "東京都", "京都"])
         assert seg("東京都は京都") == ["東京都", "は", "京都"]
 
     def test_greedy_prefers_longest_at_each_position(self):
-        seg = make_segmenter("ja", ["東京", "京都"])
+        seg = Segmenter("ja", ["東京", "京都"])
         # '東京' wins at position 0, leaving '都' as a single-char fallback
         assert seg("東京都") == ["東京", "都"]
 
     def test_single_char_fallback_skips_whitespace(self):
-        seg = make_segmenter("zh", ["北京"])
+        seg = Segmenter("zh", ["北京"])
         assert seg("北京 很 大") == ["北京", "很", "大"]
 
     def test_lexicon_entries_with_spaces(self):
-        seg = make_segmenter("zh", ["a b"])
+        seg = Segmenter("zh", ["a b"])
         assert seg("xa by") == ["x", "a b", "y"]
 
     def test_lexicon_from_split(self):
         _, train, _, _ = planted_splits(n_train_per_label=2)
         lex = lexicon_from_split(train)
-        assert lex == tuple(sorted(lex))
-        assert all(isinstance(w, str) for w in lex)
+        assert lex == {pair.entity for record in train.records for pair in record.pairs}
+        assert isinstance(lex, frozenset) and all(isinstance(w, str) for w in lex)
 
 
 def _pair_count(model, a, b):
@@ -63,45 +63,45 @@ def _pair_count(model, a, b):
 
 class TestTrainCounts:
     def test_direct_counts(self):
-        model = CountModel.train(["a b", "a c"], make_segmenter("en"))
+        model = CountModel.train(["a b", "a c"], Segmenter("en"))
         assert _pair_count(model, "a", "b") == 1
         assert _pair_count(model, "b", "a") == 1
         assert _pair_count(model, "a", "c") == 1
         assert _pair_count(model, "b", "c") == 0
 
     def test_single_word_text_has_no_pairs_but_global(self):
-        model = CountModel.train(["solo"], make_segmenter("en"))
+        model = CountModel.train(["solo"], Segmenter("en"))
         assert model.vocabulary() == frozenset({"solo"})
         assert _pair_count(model, "solo", "solo") == 0
 
     def test_duplicated_text_doubles_counts(self):
-        once = CountModel.train(["a b c"], make_segmenter("en"))
-        twice = CountModel.train(["a b c", "a b c"], make_segmenter("en"))
+        once = CountModel.train(["a b c"], Segmenter("en"))
+        twice = CountModel.train(["a b c", "a b c"], Segmenter("en"))
         assert _pair_count(twice, "a", "b") == 2 * _pair_count(once, "a", "b") == 2
 
     def test_repeated_token_within_text(self):
-        model = CountModel.train(["a a"], make_segmenter("en"))
+        model = CountModel.train(["a a"], Segmenter("en"))
         assert _pair_count(model, "a", "a") == 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError, match="empty corpus"):
-            CountModel.train([], make_segmenter("en"))
+            CountModel.train([], Segmenter("en"))
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(DataError, match="alpha"):
-            CountModel.train(["a b"], make_segmenter("en"), alpha=0.0)
+            CountModel.train(["a b"], Segmenter("en"), alpha=0.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_alpha_must_be_finite(self, alpha):
         with pytest.raises(DataError, match="alpha must be finite and positive"):
-            CountModel.train(["a b"], make_segmenter("en"), alpha=alpha)
+            CountModel.train(["a b"], Segmenter("en"), alpha=alpha)
 
 
 class TestScore:
     def test_forced_arithmetic_example(self):
         # count(a,b)=3, count(a,c)=1, alpha=1, context {a} -> P(b)=4/6, P(c)=2/6
         corpus = ["a b", "a b", "a b", "a c"]
-        model = CountModel.train(corpus, make_segmenter("en"), alpha=1.0)
+        model = CountModel.train(corpus, Segmenter("en"), alpha=1.0)
         dist = model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "c"]))
         assert dist.probs == [4 / 6, 2 / 6]
         assert (list(dist.sums), dist.total) == ([4, 2], 6)
@@ -109,14 +109,14 @@ class TestScore:
         assert (list(both.sums), both.total) == ([6, 2], 6)
 
     def test_no_context_overlap_gives_uniform(self):
-        model = CountModel.train(["a b"], make_segmenter("en"))
+        model = CountModel.train(["a b"], Segmenter("en"))
         dist = model.score(f"zzz {MASK_PLACEHOLDER}", _words(["a", "b"]))
         assert dist.probs == [0.5, 0.5]
 
     def test_fractional_alpha_weights_are_exact(self):
         # alpha 0.1 is the binary ratio A/D: weights A + D * count, their sum the total
         a, d = (0.1).as_integer_ratio()
-        model = CountModel.train(["a b", "a b"], make_segmenter("en"), alpha=0.1)
+        model = CountModel.train(["a b", "a b"], Segmenter("en"), alpha=0.1)
         dist = model.score(f"a {MASK_PLACEHOLDER}", _words([f"oov{i}" for i in range(9)] + ["b"]))
         assert dist.sums == [a] * 9 + [a + 2 * d]
         assert dist.total == 10 * a + 2 * d
@@ -124,7 +124,7 @@ class TestScore:
 
     def test_distribution_sums_to_one(self):
         desc, train, _, _ = planted_splits(n_train_per_label=6)
-        seg = make_segmenter("en")
+        seg = Segmenter("en")
         model = CountModel.train([r.text for r in train.records], seg)
         queries = [f"societyw{i:02d}" for i in range(12)] + ["unseen1", "unseen2"]
         dist = model.score(train.records[0].text + f" {MASK_PLACEHOLDER}", _words(queries))
@@ -132,7 +132,7 @@ class TestScore:
         assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_query_gets_floor_but_not_coverage(self):
-        model = CountModel.train(["a b"], make_segmenter("en"))
+        model = CountModel.train(["a b"], Segmenter("en"))
         dist = model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "zzz"]))
         assert "zzz" not in dist.covered
         assert "b" in dist.covered
@@ -141,14 +141,14 @@ class TestScore:
         assert model.score(f"a {MASK_PLACEHOLDER}", [("b", "zzz")]).sums == [3]
 
     def test_shared_word_counts_in_both_sums_and_once_in_the_total(self):
-        model = CountModel.train(["a b", "a c"], make_segmenter("en"))
+        model = CountModel.train(["a b", "a c"], Segmenter("en"))
         dist = model.score(f"a {MASK_PLACEHOLDER}", [("b", "c"), ("c", "zzz")])
         # weights b 2, c 2, zzz 1: the union b, c, zzz totals 5
         assert (list(dist.sums), dist.total) == ([4, 3], 5)
         assert dist.covered == frozenset({"b", "c"})
 
     def test_duplicate_queries_rejected(self):
-        model = CountModel.train(["a b"], make_segmenter("en"))
+        model = CountModel.train(["a b"], Segmenter("en"))
         with pytest.raises(ValueError, match="query words must be distinct"):
             model.score(f"a {MASK_PLACEHOLDER}", [("b", "b"), ("c",)])
         # the refused query leaves no plan behind, so a second try fails the same way
@@ -158,7 +158,7 @@ class TestScore:
 
     def test_determinism(self):
         _, train, _, _ = planted_splits(n_train_per_label=4)
-        seg = make_segmenter("en")
+        seg = Segmenter("en")
         model = CountModel.train([r.text for r in train.records], seg)
         prompt = train.records[0].text + f" {MASK_PLACEHOLDER}"
         queries = [f"naturew{i:02d}" for i in range(8)]
@@ -173,8 +173,8 @@ class TestScore:
             for _ in range(1 + rng.randbelow(6)):
                 words = [vocab[rng.randbelow(len(vocab))] for _ in range(2 + rng.randbelow(5))]
                 corpus.append(" ".join(words))
-            base = CountModel.train(corpus, make_segmenter("en"), alpha=1.0)
-            scaled = CountModel.train(corpus * 10, make_segmenter("en"), alpha=1.0)
+            base = CountModel.train(corpus, Segmenter("en"), alpha=1.0)
+            scaled = CountModel.train(corpus * 10, Segmenter("en"), alpha=1.0)
             context = corpus[0]
             prompt = context + f" {MASK_PLACEHOLDER}"
             queries = vocab[:5]
@@ -211,8 +211,8 @@ class TestScore:
                 for _ in range(3)
             ]
             target_c, target_w = "m0", "m1"
-            before = CountModel.train(corpus, make_segmenter("en"))
-            after = CountModel.train(corpus + [f"{target_c} {target_w}"], make_segmenter("en"))
+            before = CountModel.train(corpus, Segmenter("en"))
+            after = CountModel.train(corpus + [f"{target_c} {target_w}"], Segmenter("en"))
             prompt = f"{target_c} {MASK_PLACEHOLDER}"
             queries = [target_w, "m2", "m3"]
             p_before = _masses(before, prompt, queries)[target_w]

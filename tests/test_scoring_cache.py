@@ -20,8 +20,8 @@ from mremix import (
     DatasetDescriptor,
     LabelEntityPair,
     MreRecord,
+    Segmenter,
     build_from_wli,
-    make_segmenter,
     refmlm,
     save_kv,
     save_split,
@@ -181,22 +181,32 @@ _CORPUS_WORDS = [f"w{i}" for i in range(8)]
 )
 def test_alternating_word_lists_match_a_fresh_model(corpus, queries, contexts):
     texts = [" ".join(words) for words in corpus]
-    model = CountModel.train(texts, make_segmenter("en"))
+    model = CountModel.train(texts, Segmenter("en"))
     for context in contexts:
         prompt = " ".join(context) + f" {MASK_PLACEHOLDER}"
         for query in queries:
-            fresh = CountModel.train(texts, make_segmenter("en")).score(prompt, query)
+            fresh = CountModel.train(texts, Segmenter("en")).score(prompt, query)
             got = model.score(prompt, [list(words) for words in query])
             assert got == fresh
             assert list(got.probs) == list(fresh.probs) and len(got.probs) == len(query)
             assert list(got.sums) == list(fresh.sums)
 
 
+def test_plans_and_indexes_share_one_bound():
+    model = CountModel.train(["a b c d e f", "b c d", "a e f"], Segmenter("en"))
+    queries = [(("a",), (word,)) for word in "bcdef"]
+    for query in queries[:4]:
+        model.score(f"a b {MASK_PLACEHOLDER}", query)
+    assert len(model._plans) == len(model._table._indexes) == 4
+    model.score(f"a b {MASK_PLACEHOLDER}", queries[4])  # a fifth query drops the four together
+    assert len(model._plans) <= len(model._table._indexes) <= 4
+
+
 def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():
-    assert make_segmenter("en", ["東京"])._lexicon_set == frozenset()
-    ja = make_segmenter("ja", ["東京", "東京都"])
-    assert ja._lexicon_set == frozenset({"東京", "東京都"}) and ja._max_len == 3
-    assert ja == make_segmenter("ja", ["東京", "東京都"])
+    assert Segmenter("en", ["東京"]).lexicon == frozenset()
+    ja = Segmenter("ja", ["東京", "東京都"])
+    assert ja.lexicon == frozenset({"東京", "東京都"}) and ja._max_len == 3
+    assert ja == Segmenter("ja", ["東京", "東京都"])
     assert ja("東京都と東京") == ["東京都", "と", "東京"]
 
 

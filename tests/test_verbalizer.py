@@ -6,6 +6,7 @@ import tempfile
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 from mremix import (
     CountModel,
     MaskDistribution,
+    Segmenter,
     Verbalizer,
     apply_template,
     build_from_wli,
     few_shot_sample,
     load_external_kv,
-    make_segmenter,
     predict,
     save_kv,
     shuffle_words,
@@ -212,6 +213,31 @@ class TestExternalKv:
         save_kv(reloaded, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_second_block_for_a_label_names_both_lines(self, tmp_path, scpos_adj_en):
+        path = tmp_path / "kv.txt"
+        path.write_text("[positive]\nfun\n[negative]\nbad\n\n[positive]\nnice\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_external_kv(path, scpos_adj_en.schema)
+        assert str(caught.value) == (f"{path}: line 6: second block for label 'positive' "
+                                     "(first on line 1)")
+
+    @pytest.mark.parametrize("word", ["C#", "[Nature]", "[]", "", " pad", "pad\t", "two\nlines",
+                                      "cr\r", "\u3000wide"])
+    def test_word_that_would_not_reload_is_refused_before_writing(self, tmp_path, word):
+        kv = Verbalizer({"positive": ("fun", word), "negative": ("bad",)}, k=2)
+        path = tmp_path / "kv.txt"
+        with pytest.raises(DataError) as caught:
+            save_kv(kv, path)
+        assert str(caught.value) == (f"label 'positive': word {word!r} would not reload "
+                                     "from a word-list file")
+        assert not path.exists()
+
+    def test_brackets_and_inner_spaces_reload(self, tmp_path, scpos_adj_en):
+        kv = Verbalizer({"positive": ("[fun", "fun]", "a b", "a\u3000b", "東京"),
+                         "negative": ("bad",)}, k=5)
+        save_kv(kv, tmp_path / "kv.txt")
+        assert load_external_kv(tmp_path / "kv.txt", scpos_adj_en.schema, k=5) == kv
+
 
 class TestAggregate:
     """Label scores: a label's sum over the total (over the total times its word count for mean)."""
@@ -382,7 +408,7 @@ class TestPositionalScoring:
         # Weights (alpha 1 + count): x 5, y1..y5 1 each, z 1, so X and Y both
         # sum to 5 of 11. Adding five float masses of 1/11 would give
         # 0.4545454545454546, above X's 5/11 = 0.45454545454545453.
-        model = CountModel.train(["c x"] * 4, make_segmenter("en"))
+        model = CountModel.train(["c x"] * 4, Segmenter("en"))
         kv = _kv({"X": ["x"], "Y": [f"y{i}" for i in range(1, 6)], "Z": ["z"]})
         result = predict(f"c {MASK_PLACEHOLDER}", kv, model)
         assert result.scores["Y"] == result.scores["X"] == 5 / 11
@@ -420,7 +446,7 @@ class TestPositionalScoring:
         alpha=st.sampled_from([1.0, 2, 3, 0.3]),
     )
     def test_count_model_labels_equal_integer_oracle(self, corpus, context, kv, strategy, alpha):
-        model = CountModel.train([" ".join(text) for text in corpus], make_segmenter("en"),
+        model = CountModel.train([" ".join(text) for text in corpus], Segmenter("en"),
                                  alpha=alpha)
         pairs = Counter()
         for text in corpus:
@@ -468,6 +494,43 @@ class TestShuffleWords:
         kv = build_from_wli(train, desc, k=10)
         assert shuffle_words(kv, 5).label_words == shuffle_words(kv, 5).label_words
         assert shuffle_words(kv, 5).label_words != shuffle_words(kv, 6).label_words
+
+
+    def test_words_under_four_of_five_labels(self):
+        # 5 labels x 100 words: 100 words each under 4 labels, 20 under one
+        label_words = {label: tuple([f"s{i}" for i in range(100) if i % 5 != j]
+                                    + [f"{label}{i}" for i in range(20)])
+                       for j, label in enumerate("ABCDE")}
+        kv = Verbalizer(label_words, k=100)
+        for seed in range(5):
+            shuffled = shuffle_words(kv, seed)
+            assert [len(words) for words in shuffled.label_words.values()] == [100] * 5
+            assert _pool(shuffled) == _pool(kv)
+
+
+def _pool(kv: Verbalizer) -> Counter:
+    return Counter(chain.from_iterable(kv.label_words.values()))
+
+
+@st.composite
+def _verbalizers(draw) -> Verbalizer:
+    """Labels of unequal sizes, some empty, over a small pool, so that words share labels."""
+    pool = [f"w{i}" for i in range(draw(st.integers(1, 10)))]
+    lists = draw(st.lists(st.lists(st.sampled_from(pool), unique=True), min_size=1, max_size=6))
+    return Verbalizer({f"L{i}": tuple(words) for i, words in enumerate(lists)},
+                      k=max(1, *map(len, lists)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kv=_verbalizers(), seed=st.integers(0, 2**64 - 1))
+def test_shuffle_keeps_label_sizes_and_the_word_pool(kv, seed):
+    shuffled = shuffle_words(kv, seed)
+    assert shuffled.labels() == kv.labels() and shuffled.k == kv.k
+    for label in kv.labels():
+        words = shuffled.words_for(label)
+        assert len(words) == len(kv.words_for(label)) and len(set(words)) == len(words)
+    assert _pool(shuffled) == _pool(kv)
+    assert shuffle_words(kv, seed) == shuffled
 
 
 class TestPlantedSignalOracle:
