@@ -26,12 +26,12 @@ from .evaluation import (
     report_markdown,
     report_tsv,
 )
-from .formats import FormatTag, read_examples
+from .formats import read_examples
 from .ingest import ROLES, load_split
 from .jsonio import read_json, write_json, write_jsonl, write_text
 from .parsing import read_generations
 from .runner import KV_SOURCES, RECORD_FORMATS, ExperimentConfig, guard_overwrite, resolve_data_path
-from .verbalizer import AGGREGATION_STRATEGIES, load_external_kv, save_kv
+from .verbalizer import AGGREGATION_STRATEGIES, load_external_kv, require_fixed_schema, save_kv
 from .verbalizer import predict  # noqa: F401  (unused; perfbench/tracer.py rebinds cli.predict)
 
 
@@ -46,12 +46,11 @@ _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Defaults <- config file <- explicitly passed flags."""
-    config = ExperimentConfig()
+    """Defaults <- config file <- explicitly passed flags, checked once after the merge."""
+    flags = {key: value for key in _CONFIG_KEYS if (value := getattr(args, key, None)) is not None}
     if getattr(args, "config", None):
-        config = ExperimentConfig.from_file(resolve_data_path(args.config))
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    return config.with_overrides(**overrides)
+        return ExperimentConfig.from_file(resolve_data_path(args.config), **flags)
+    return ExperimentConfig(**flags)
 
 
 def _guarded_with_sidecar(args) -> tuple[Path, Path]:
@@ -85,10 +84,11 @@ def cmd_build_formats(args) -> int:
 
 def cmd_build_kv(args) -> int:
     config = _config_from_args(args)
-    config.validate()
     desc = runner.descriptor(config.family, config.language)
-    kv = runner.wli_verbalizer(config, runner.load(config, config.train_path, "train", desc), desc)
+    require_fixed_schema(desc.schema)
+    train_path = runner.required_path(config.train_path, "train")
     out, sidecar = _guarded_with_sidecar(args)
+    kv = runner.wli_verbalizer(config, runner.load(config, train_path, "train", desc), desc)
     save_kv(kv, out)
     write_json(sidecar, config.to_dict())
     total = sum(len(kv.words_for(label)) for label in kv.labels())
@@ -98,16 +98,16 @@ def cmd_build_kv(args) -> int:
 
 def cmd_score(args) -> int:
     config = _config_from_args(args)
-    config.validate()
     desc = runner.descriptor(config.family, config.language)
+    require_fixed_schema(desc.schema)
+    train_path = (runner.required_path(config.train_path, "train")
+                  if config.provider == "refmlm" else None)
+    out, sidecar = _guarded_with_sidecar(args)
     kv = load_external_kv(resolve_data_path(args.kv), desc.schema, config.kv_words_per_label)
-    test = runner.load(config, args.input, "test", desc)
-    train = None
-    if config.provider == "refmlm":
-        train = runner.load(config, config.train_path, "train", desc)
+    test = runner.load(config, resolve_data_path(args.input), "test", desc)
+    train = None if train_path is None else runner.load(config, train_path, "train", desc)
     # unlike run-kv, whose counts come from the few-shot sample, score trains on all of train
     provider, _ = runner.make_provider(config, train, train)
-    out, sidecar = _guarded_with_sidecar(args)
     rows = runner.classify(test, kv, provider, config)
     write_jsonl(out, rows)
     write_json(sidecar, config.to_dict())
@@ -146,14 +146,14 @@ def _check_draw_dataset(d: int, path: Path, desc: DatasetDescriptor,
 
 def cmd_evaluate(args) -> int:
     desc = runner.descriptor(args.family, args.language)
-    try:
-        tag = FormatTag(args.tag.upper())
-    except ValueError:
-        raise ConfigError(f"unknown format tag {args.tag!r}") from None
+    tag = runner.parse_tag(args.tag)
     if len(args.draws) != len(args.generations):
         raise ConfigError(
             f"got {len(args.draws)} draw file(s) but {len(args.generations)} generation file(s)"
         )
+    out = Path(args.out)
+    paths = [out / "report.json", out / "report.md", out / "report.tsv"]
+    guard_overwrite(paths, args.force)
     draws = []
     manifests: dict[Path, dict[str, str]] = {}
     for d, path in enumerate(args.draws):
@@ -170,9 +170,6 @@ def cmd_evaluate(args) -> int:
         generations.append(read_generations(path))
 
     report = evaluate_run(draws, generations, desc, tag, text_metric=args.text_metric)
-    out = Path(args.out)
-    paths = [out / "report.json", out / "report.md", out / "report.tsv"]
-    guard_overwrite(paths, args.force)
     write_json(paths[0], report.to_dict())
     write_text(paths[1], report_markdown(report))
     write_text(paths[2], report_tsv(report))
@@ -192,6 +189,9 @@ def cmd_run_kv(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out = Path(args.out)
+    paths = [out / "ablation.md", out / "ablation.tsv"]
+    guard_overwrite(paths, args.force)
     reports = []
     for path in args.inputs:
         data = read_json(resolve_data_path(path))
@@ -200,9 +200,6 @@ def cmd_report(args) -> int:
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
     md, tsv = ablation_table(reports)
-    out = Path(args.out)
-    paths = [out / "ablation.md", out / "ablation.tsv"]
-    guard_overwrite(paths, args.force)
     write_text(paths[0], md)
     write_text(paths[1], tsv)
     print(md)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cooc import MAX_QUERIES, CoocTable
 from .errors import DataError
@@ -83,9 +83,9 @@ def _greedy_segment(text: str, lexicon: frozenset[str], max_len: int) -> list[st
     return tokens
 
 
-def lexicon_from_split(split: Split) -> frozenset[str]:
-    """All distinct word-level entity strings of a split."""
-    return frozenset(pair.entity for record in split.records for pair in record.pairs)
+def lexicon_from_split(split: Split) -> Iterator[str]:
+    """The word-level entity strings of a split, read only by a lexicon ``Segmenter``."""
+    return (pair.entity for record in split.records for pair in record.pairs)
 
 
 @dataclass(frozen=True)

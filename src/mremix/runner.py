@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,6 +21,7 @@ from .core import DatasetDescriptor
 from .errors import ConfigError, DataError
 from .evaluation import KvComparisonReport, kv_row
 from .formats import (
+    TAGS,
     FormatTag,
     build_corpus,
     corpus_filename,
@@ -37,9 +39,10 @@ from .verbalizer import (
     Verbalizer,
     apply_template,
     build_from_wli,
+    kv_text,
     load_external_kv,
     predict,
-    save_kv,
+    require_fixed_schema,
 )
 
 DATA_ROOT_ENV = "MREMIX_DATA_ROOT"
@@ -55,7 +58,8 @@ class ExperimentConfig:
 
     The protocol defaults are the reference values: 20 few-shot samples per
     category, test draws of 1,000 repeated 3 times, and 100 verbalizer
-    words per label. Every value is echoed into report metadata.
+    words per label. Every value is echoed into report metadata, and checked
+    when the config is built (a wrong one is a ``ConfigError``).
     """
 
     family: Optional[str] = None
@@ -76,29 +80,7 @@ class ExperimentConfig:
     test_path: Optional[str] = None
     external_kv_path: Optional[str] = None
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            data = read_json(path)
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")
-        return cls(**data)
-
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """Apply non-None overrides (flags win over the config file)."""
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **updates)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.default is None:
@@ -106,12 +88,10 @@ class ExperimentConfig:
             expected = str if f.default is None else type(f.default)
             if type(value) is not expected and not (expected is float and type(value) is int):
                 raise ConfigError(f"{f.name} must be {_TYPE_NAMES[expected]}, got {value!r}")
-        if self.aggregation not in AGGREGATION_STRATEGIES:
-            raise ConfigError(f"aggregation must be one of {AGGREGATION_STRATEGIES}")
-        if self.kv_source not in KV_SOURCES:
-            raise ConfigError(f"kv_source must be one of {KV_SOURCES}")
-        if self.record_format not in RECORD_FORMATS:
-            raise ConfigError(f"record_format must be one of {RECORD_FORMATS}")
+        for name, allowed in (("aggregation", AGGREGATION_STRATEGIES), ("kv_source", KV_SOURCES),
+                              ("record_format", RECORD_FORMATS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}")
         if self.provider != "refmlm" and not self.provider.startswith("file:"):
             raise ConfigError("provider must be 'refmlm' or 'file:<path>'")
         for name in ("few_shot_k", "test_sample_size", "test_repeats", "kv_words_per_label"):
@@ -125,6 +105,26 @@ class ExperimentConfig:
             apply_template("", self.template)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    @classmethod
+    def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
+        """The file's config with ``overrides`` (the flags) in place of its values,
+        checked once, after the merge."""
+        try:
+            data = read_json(path)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigError(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")
+        data.update(overrides)
+        return cls(**data)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def resolve_data_path(path: str | Path) -> Path:
@@ -143,39 +143,41 @@ def descriptor(family: Optional[str], language: Optional[str]) -> DatasetDescrip
     raise ConfigError("--family and --language are required (or family and language in --config)")
 
 
-def load(config: ExperimentConfig, path: Optional[str], role: str, desc) -> Split:
-    """Load and validate a record file in the configured format and strictness."""
+def required_path(path: Optional[str], role: str) -> Path:
+    """A required input's path, resolved; a missing one is a config error."""
     if not path:
-        raise ConfigError(f"--{role} is required (or {role}_path in --config)")
-    return load_split(
-        resolve_data_path(path), desc, role,
-        fmt=config.record_format, strict=not config.lenient,
-    )
+        raise ConfigError(f"--{role} is required (or {role.replace('-', '_')}_path in --config)")
+    return resolve_data_path(path)
+
+
+def load(config: ExperimentConfig, path: Path, role: str, desc) -> Split:
+    """Load and validate a record file in the configured format and strictness."""
+    return load_split(path, desc, role, fmt=config.record_format, strict=not config.lenient)
 
 
 def guard_overwrite(paths: Sequence[Path], force: bool) -> None:
-    """Refuse to run over existing outputs unless forced (checked before any write)."""
-    if force:
-        return
+    """Refuse to run over existing outputs unless forced (checked before any input is read)."""
     for path in paths:
-        if path.exists():
+        if not force and path.exists():
             raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
 # -- format building ----------------------------------------------------------
 
 
+def parse_tag(name: str) -> FormatTag:
+    """A format tag by name, in any case."""
+    tag = TAGS.get(name.upper())
+    if tag is None:
+        raise ConfigError(f"unknown format tag {name!r}; valid tags: {', '.join(TAGS)}")
+    return tag
+
+
 def parse_tags(value: str) -> list[FormatTag]:
     """Parse a --tags value: 'all' or a comma-separated tag list."""
     if value.strip().lower() == "all":
         return list(FormatTag)
-    tags = []
-    for name in filter(None, (part.strip() for part in value.split(","))):
-        try:
-            tags.append(FormatTag(name.upper()))
-        except ValueError:
-            valid = ", ".join(t.value for t in FormatTag)
-            raise ConfigError(f"unknown format tag {name!r}; valid tags: {valid}") from None
+    tags = [parse_tag(name) for name in filter(None, (part.strip() for part in value.split(",")))]
     if not tags:
         raise ConfigError("no format tags requested")
     return tags
@@ -195,38 +197,36 @@ def build_format_files(
     repeated-draw protocol first, producing one file per (tag, draw) so the
     draw files double as gold manifests for evaluation.
 
-    Every record is rendered and checked, in file order, before any file is
-    written, so a failing command writes nothing and reports its first
-    error. Then the files are built and written one at a time.
+    An existing output is refused before the input is read. Every record is
+    rendered and checked, in file order, before any file is written, so a
+    failing command writes nothing and reports its first error. Then the
+    files are built and written one at a time.
     """
-    config.validate()
     desc = descriptor(config.family, config.language)
-    split = load(config, input_path, role, desc)
+    path = required_path(input_path, role)
     out = Path(out_dir)
+    draws = [None] if role == "train" else range(config.test_repeats)
+    files = [(tag, d, corpus_filename(desc, tag, role, d)) for tag in tags for d in draws]
+    manifest_path = out / f"{desc.slug}_{role}_manifest.json"
+    guard_overwrite([out / name for *_, name in files] + [manifest_path], force)
 
-    sources = [(None, split)]
-    if role != "train":
-        sources = list(enumerate(repeated_test_sample(
-            split, config.test_sample_size, config.test_repeats, config.seed)))
+    split = load(config, path, role, desc)
+    sources = {None: split} if role == "train" else dict(enumerate(repeated_test_sample(
+        split, config.test_sample_size, config.test_repeats, config.seed)))
 
-    planned: list[tuple[Path, FormatTag, Sequence]] = []
     manifest: dict = {"role": role, "config": config.to_dict(), "files": []}
     rendered: dict = {}  # every draw is a subset of the one split
-    for tag in tags:
-        for draw_index, source in sources:
-            render_corpus(source.records, tag, desc, rendered)
-            name = corpus_filename(desc, tag, role, draw_index)
-            planned.append((out / name, tag, source.records))
-            entry = corpus_manifest(tag, source.records)
-            entry.update({"file": name, "tag": tag.value})
-            if draw_index is not None:
-                entry["draw_index"] = draw_index
-            manifest["files"].append(entry)
+    for tag, d, name in files:
+        records = sources[d].records
+        render_corpus(records, tag, desc, rendered)
+        entry = corpus_manifest(tag, records)
+        entry.update({"file": name, "tag": tag.value})
+        if d is not None:
+            entry["draw_index"] = d
+        manifest["files"].append(entry)
 
-    manifest_path = out / f"{desc.slug}_{role}_manifest.json"
-    guard_overwrite([p for p, *_ in planned] + [manifest_path], force)
-    for path, tag, records in planned:
-        write_examples(path, build_corpus(records, tag, desc, rendered))
+    for tag, d, name in files:
+        write_examples(out / name, build_corpus(sources[d].records, tag, desc, rendered))
     write_json(manifest_path, manifest)
     return manifest
 
@@ -288,27 +288,33 @@ def run_kv(
     Builds the WLI-based verbalizer from the training split, loads the
     baseline verbalizer from the external word-list file, classifies every
     repeated test draw with both through the configured provider, and
-    reports per-draw and mean text-level F1 for each.
+    reports per-draw and mean text-level F1 for each. The checks that need
+    no record, and the word lists' words, come before any scoring.
     """
-    config.validate()
     desc = descriptor(config.family, config.language)
-    if desc.schema.open_domain:
-        raise ConfigError(
-            f"{desc.family} has an open-domain schema and is excluded from KV experiments"
-        )
-    if not config.external_kv_path:
-        raise ConfigError("--external-kv is required (or external_kv_path in --config)")
+    require_fixed_schema(desc.schema)
+    kv_path = required_path(config.external_kv_path, "external-kv")
+    train_path = required_path(config.train_path, "train")
+    test_path = required_path(config.test_path, "test")
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        names = ("effective_config.json", "wli_kv.txt", "origin_kv.txt",
+                 "kv_report.json", "kv_report.md", "kv_report.tsv")
+        pred_paths = [out / f"predictions_{slug}.draw{d}.jsonl"
+                      for slug in ("origin", "wli") for d in range(config.test_repeats)]
+        guard_overwrite([out / name for name in names] + pred_paths, force)
 
-    train = load(config, config.train_path, "train", desc)
-    fewshot = few_shot_sample(train, desc, config.few_shot_k, config.seed)
+    train = load(config, train_path, "train", desc)
+    # only the count model trains on the few-shot sample
+    fewshot = (few_shot_sample(train, desc, config.few_shot_k, config.seed)
+               if config.provider == "refmlm" else None)
     wli_kv = wli_verbalizer(config, train, desc)
-    origin_kv = load_external_kv(
-        resolve_data_path(config.external_kv_path), desc.schema, config.kv_words_per_label
-    )
+    origin_kv = load_external_kv(kv_path, desc.schema, config.kv_words_per_label)
+    kv_files = {"wli_kv.txt": kv_text(wli_kv), "origin_kv.txt": kv_text(origin_kv)}
     provider, provider_detail = make_provider(config, train, fewshot)
     # the provider keeps what it needs of train; drop it before test comes in
     del train
-    test = load(config, config.test_path, "test", desc)
+    test = load(config, test_path, "test", desc)
 
     draws = repeated_test_sample(test, config.test_sample_size, config.test_repeats, config.seed)
 
@@ -335,21 +341,11 @@ def run_kv(
         },
     )
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        names = ("effective_config.json", "wli_kv.txt", "origin_kv.txt",
-                 "kv_report.json", "kv_report.md", "kv_report.tsv")
-        pred_files = [
-            (out / f"predictions_{slug}.draw{d}.jsonl", draw_rows)
-            for slug, per_draw_rows in predictions.items()
-            for d, draw_rows in enumerate(per_draw_rows)
-        ]
-        guard_overwrite([out / name for name in names] + [p for p, _ in pred_files], force)
-        # the word lists first: save_kv refuses a word that would not reload
-        save_kv(wli_kv, out / "wli_kv.txt")
-        save_kv(origin_kv, out / "origin_kv.txt")
+    if out is not None:
+        for name, text in kv_files.items():
+            write_text(out / name, text)
         write_json(out / "effective_config.json", config.to_dict())
-        for path, draw_rows in pred_files:
+        for path, draw_rows in zip(pred_paths, chain.from_iterable(predictions.values())):
             write_jsonl(path, draw_rows)
         write_json(out / "kv_report.json", report.to_dict())
         write_text(out / "kv_report.md", report.markdown())

@@ -99,7 +99,8 @@ class Verbalizer:
         return self.label_words[label]
 
 
-def _require_fixed_schema(schema: LabelSchema) -> None:
+def require_fixed_schema(schema: LabelSchema) -> None:
+    """Refuse an open-domain schema: a verbalizer needs a fixed label set."""
     if schema.open_domain:
         raise SchemaError(
             "knowledgeable verbalizers require a fixed label schema; "
@@ -114,7 +115,7 @@ def build_from_wli(train: Split, desc, k: int = DEFAULT_WORDS_PER_LABEL) -> Verb
     that label are counted; the k most frequent are kept (ties broken by
     code-point order).
     """
-    _require_fixed_schema(desc.schema)
+    require_fixed_schema(desc.schema)
     if train.role != "train":
         raise DataError(f"verbalizer construction requires a train split, got {train.role!r}")
     if k <= 0:
@@ -148,7 +149,7 @@ def load_external_kv(
     exactly one non-empty block; words are deduplicated keeping first
     occurrence and truncated to k.
     """
-    _require_fixed_schema(schema)
+    require_fixed_schema(schema)
     blocks: dict[str, list[str]] = {}
     headers: dict[str, int] = {}  # label -> the line of its block's header
     current: Optional[list[str]] = None
@@ -185,12 +186,12 @@ def load_external_kv(
     return Verbalizer(label_words=label_words, k=k)
 
 
-def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
-    """Export a verbalizer in the external word-list format (auditable, reloadable).
+def kv_text(verbalizer: Verbalizer) -> str:
+    """A verbalizer in the external word-list format (auditable, reloadable).
 
-    A word that would not reload as itself is a ``DataError``, raised before
-    the file is written: an empty word, one with surrounding whitespace, one
-    holding a '#' or a line break, or one of the form ``[...]``.
+    A word that would not reload as itself is a ``DataError``: an empty
+    word, one with surrounding whitespace, one holding a '#' or a line
+    break, or one of the form ``[...]``.
     """
     lines: list[str] = []
     for label in verbalizer.labels():
@@ -202,7 +203,12 @@ def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
                                 "from a word-list file")
             lines.append(word)
         lines.append("")
-    write_text(path, "\n".join(lines))
+    return "\n".join(lines)
+
+
+def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
+    """Write ``kv_text(verbalizer)``, refusing a bad word before the file is written."""
+    write_text(path, kv_text(verbalizer))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mremix import build_from_wli, runner, save_kv, save_split, shuffle_words
+from mremix import build_from_wli, few_shot_sample, runner, save_kv, save_split, shuffle_words
 from mremix.cli import main
-from mremix.formats import read_examples
+from mremix.errors import ConfigError
+from mremix.formats import FormatTag, read_examples
 from mremix.jsonio import read_json, write_json, write_jsonl
 
 from synth import planted_splits
@@ -359,6 +361,39 @@ class TestBuildKv:
         assert not (tmp_path / "kv.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["build-kv", "run-kv"])
+def test_fewshot_kv_source_writes_the_few_shot_verbalizer(tmp_path, command):
+    desc, train, _ = _setup_dataset(tmp_path)
+    expected, from_train = tmp_path / "expected.txt", tmp_path / "from_train.txt"
+    save_kv(build_from_wli(few_shot_sample(train, desc, 5, 3), desc, 10), expected)
+    save_kv(build_from_wli(train, desc, 10), from_train)
+    assert expected.read_bytes() != from_train.read_bytes()
+    out = tmp_path / "out"
+    if command == "build-kv":
+        argv, written = ["build-kv", "--family", "SCNM", "--language", "en",
+                         "--train", str(tmp_path / "train.jsonl"), "--seed", "3",
+                         "--few-shot-k", "5", "--kv-k", "10", "--out", str(out / "kv.txt")], "kv.txt"
+    else:  # the same seed, k and kv-k
+        argv, written = _run_kv_args(tmp_path, out), "wli_kv.txt"
+    assert main(argv + ["--kv-source", "fewshot"]) == 0
+    assert (out / written).read_bytes() == expected.read_bytes()
+
+
+def test_open_domain_is_one_message_in_every_kv_command(tmp_path, capsys):
+    _setup_dataset(tmp_path)
+    dataset = ["--family", "TCONER", "--language", "en"]
+    kv, test = str(tmp_path / "origin_kv.txt"), str(tmp_path / "test.jsonl")
+    train = ["--train", str(tmp_path / "train.jsonl")]
+    errors = _config_errors(capsys, [
+        ["build-kv", *dataset, *train, "--out", str(tmp_path / "kv.txt")],
+        ["score", *dataset, *train, "--kv", kv, "--input", test, "--out", str(tmp_path / "p")],
+        ["run-kv", *dataset, *train, "--test", test, "--external-kv", kv,
+         "--out", str(tmp_path / "run")],
+    ])
+    assert errors == ["config error: knowledgeable verbalizers require a fixed label schema; "
+                      "open-domain datasets are excluded from KV experiments\n"] * 3
+
+
 class TestScore:
     def test_emits_predictions(self, tmp_path):
         _setup_dataset(tmp_path, kv_k=10)
@@ -511,6 +546,18 @@ class TestEvaluate:
                      "--out", str(tmp_path / "eval2")])
         assert code == 2
         assert "draw 1" in capsys.readouterr().err
+
+    def test_missing_draw_file_names_draw(self, tmp_path, capsys):
+        draw_paths, gen_paths = _build_draws(tmp_path)
+        missing = tmp_path / "missing.jsonl"
+        code = main(["evaluate", "--family", "SCNM", "--language", "en",
+                     "--tag", "TRAD_TEXT",
+                     "--draws", str(draw_paths[0]), str(missing),
+                     "--generations", *map(str, gen_paths),
+                     "--out", str(tmp_path / "eval2")])
+        assert code == 2
+        assert capsys.readouterr().err == f"i/o error: draw 1: missing draw file {missing}\n"
+        assert not (tmp_path / "eval2").exists()
 
     def test_count_mismatch_is_config_error(self, tmp_path):
         draw_paths, gen_paths = _build_draws(tmp_path)
@@ -678,6 +725,40 @@ class TestRunKv:
         assert code == 3
         assert "excluded from KV experiments" in capsys.readouterr().err
 
+    def test_file_provider_draws_no_few_shot_sample(self, tmp_path, capsys):
+        _, _, test = _setup_dataset(tmp_path)  # 10 training records per label
+        dists = tmp_path / "dists.jsonl"
+        write_jsonl(dists, [{"prompt": f"{r.text}\n{{mask}}", "probs": {r.text.split()[0]: 1.0}}
+                            for r in test.records])
+        out = tmp_path / "run"
+        code = main(_run_kv_args(tmp_path, out, **{"--provider": f"file:{dists}",
+                                                   "--kv-source": "train", "--few-shot-k": "50"}))
+        assert code == 0, capsys.readouterr().err
+        assert read_json(out / "kv_report.json")["metadata"]["provider"]["kind"] == "file"
+
+    def test_word_that_would_not_reload_fails_before_scoring(self, tmp_path, capsys,
+                                                             monkeypatch):
+        desc, train, _ = _setup_dataset(tmp_path)
+        label = desc.schema.text_labels[0]
+        rows = [r.to_dict() for r in train.records]
+        for row in rows:  # the label's most frequent entity
+            if row["text_label"] == label:
+                row["pairs"][0]["entity"] = "C#"
+        write_jsonl(tmp_path / "train.jsonl", rows)
+        real, calls = runner.predict, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "predict", counted)
+        out = tmp_path / "run"
+        assert main(_run_kv_args(tmp_path, out)) == 1
+        assert capsys.readouterr().err == (
+            f"data error: label {label!r}: word 'C#' would not reload from a word-list file\n")
+        assert calls == []
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         _setup_dataset(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -711,6 +792,17 @@ class TestRunKv:
         effective = read_json(out / "effective_config.json")
         assert effective["few_shot_k"] == 5  # flag wins
         assert effective["family"] == "SCNM"  # file value kept
+
+    def test_flag_replaces_a_refused_config_value(self, tmp_path, capsys):
+        _setup_dataset(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"alpha": 0})
+        assert main(_run_kv_args(tmp_path, tmp_path / "file", **{"--config": str(cfg)})) == 3
+        assert capsys.readouterr().err.startswith("config error: alpha must be finite")
+        # the flag is merged in before the config is checked
+        argv = _run_kv_args(tmp_path, tmp_path / "flag", **{"--config": str(cfg), "--alpha": "1"})
+        assert main(argv) == 0
+        assert read_json(tmp_path / "flag" / "effective_config.json")["alpha"] == 1.0
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -767,6 +859,27 @@ def test_missing_train_is_one_message_in_every_command(tmp_path, capsys):
     assert errors == ["config error: --train is required (or train_path in --config)\n"] * 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["origin_kv.txt", "test.jsonl",
                                                          "train.jsonl"]
+
+
+def test_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        runner.ExperimentConfig(seed=-1)
+    with pytest.raises(ConfigError, match="few_shot_k must be an integer"):
+        runner.ExperimentConfig(few_shot_k="5")
+
+
+def test_unknown_tag_is_one_message_in_every_command(tmp_path, capsys):
+    draw_paths, gen_paths = _build_draws(tmp_path)
+    errors = _config_errors(capsys, [
+        ["evaluate", "--family", "SCNM", "--language", "en", "--tag", "bogus",
+         "--draws", *map(str, draw_paths), "--generations", *map(str, gen_paths),
+         "--out", str(tmp_path / "eval")],
+        ["build-formats", "--family", "SCNM", "--language", "en", "--tags", "bogus",
+         "--input", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "formats")],
+    ])
+    valid = ", ".join(tag.value for tag in FormatTag)
+    assert errors == [f"config error: unknown format tag 'bogus'; valid tags: {valid}\n"] * 2
+    assert not (tmp_path / "eval").exists() and not (tmp_path / "formats").exists()
 
 
 def test_missing_family_is_one_message_in_every_command(tmp_path, capsys):
@@ -933,14 +1046,25 @@ def _overwrite_case(tmp_path, command):
 )
 def test_existing_output_refused_before_any_write(tmp_path, capsys, command):
     argv, out, present = _overwrite_case(tmp_path, command)
+    inputs = {path: path.read_bytes() for path in map(Path, argv)
+              if path.is_absolute() and path.is_file()}
+    assert inputs
     out.mkdir()
     (out / present).write_text("kept", encoding="utf-8")
-    capsys.readouterr()
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "--force" in err and present in err
-    assert [p.name for p in out.iterdir()] == [present]
+    for spoiled in (False, True):
+        if spoiled:  # a malformed line in every input: refused just the same, before reading
+            for path, data in inputs.items():
+                path.write_bytes(b"stray\n" + data if path.suffix == ".txt" else data + b"{\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--force" in err and present in err
+        assert [p.name for p in out.iterdir()] == [present]
+        assert (out / present).read_text(encoding="utf-8") == "kept"
+    assert main(argv + ["--force"]) == 1  # only now is a spoiled input read
     assert (out / present).read_text(encoding="utf-8") == "kept"
+    for path, data in inputs.items():
+        path.write_bytes(data)
     assert main(argv + ["--force"]) == 0
     assert (out / present).read_text(encoding="utf-8") != "kept"
 

@@ -48,9 +48,13 @@ class TestSegmenters:
 
     def test_lexicon_from_split(self):
         _, train, _, _ = planted_splits(n_train_per_label=2)
+        entities = [pair.entity for record in train.records for pair in record.pairs]
+        assert list(lexicon_from_split(train)) == entities
+        # a lexicon language reads it into a set; a whitespace language never reads it
+        assert Segmenter("zh", lexicon_from_split(train)).lexicon == frozenset(entities)
         lex = lexicon_from_split(train)
-        assert lex == {pair.entity for record in train.records for pair in record.pairs}
-        assert isinstance(lex, frozenset) and all(isinstance(w, str) for w in lex)
+        assert Segmenter("en", lex).lexicon == frozenset()
+        assert next(lex) == entities[0]
 
 
 def _pair_count(model, a, b):
