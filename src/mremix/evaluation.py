@@ -22,7 +22,6 @@ every percent cell by ``_fmt``.
 from __future__ import annotations
 
 import statistics
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -61,10 +60,16 @@ def _match_count(
 ) -> int:
     if gold == pred:  # an exact prediction, the common case
         return len(gold)
+    if not gold or not pred:
+        return 0
     if fold_label_case:
         gold = [(label.casefold(), entity) for label, entity in gold]
         pred = [(label.casefold(), entity) for label, entity in pred]
-    return (Counter(gold) & Counter(pred)).total()
+    unmatched = list(gold)  # each predicted pair consumes at most one gold copy
+    for pair in pred:
+        if pair in unmatched:
+            unmatched.remove(pair)
+    return len(gold) - len(unmatched)
 
 
 def _prf_from_counts(match: int, n_pred: int, n_gold: int) -> Prf:

@@ -22,7 +22,7 @@ import json
 from enum import Enum
 from json.encoder import encode_basestring as _encode  # the writer's string encoder
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .core import DatasetDescriptor, MreRecord, _field, _one_of, validate_record
 from .errors import DataError, SerializationError
@@ -223,16 +223,6 @@ def build_corpus(
     """The JSON line of each record's example of ``tag``, in order (see
     ``render_corpus`` for ``rendered``). ``read_examples`` reads them back."""
     return [_line(row, tag) for row in render_corpus(records, tag, desc, rendered)]
-
-
-def corpus_manifest(tag: FormatTag, records: Sequence[MreRecord]) -> dict:
-    """Counts of a file of ``tag`` built from ``records``, plus the ordered
-    record ids (the draw alignment key)."""
-    return {
-        "count": len(records),
-        "counts_by_tag": {tag.value: len(records)} if records else {},
-        "record_ids": [record.id for record in records],
-    }
 
 
 def corpus_filename(

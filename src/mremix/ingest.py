@@ -93,23 +93,22 @@ def load_split(
         raise DataError(f"unknown record file format: {fmt!r}")
 
     records: list[MreRecord] = []
-    ids: set[str] = set()
+    ids: dict[str, int] = {}  # each record id's line
     for lineno, row in read(path):
         try:
             record = build(row)
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-        if record.id in ids:  # read again for the first line: the loop keeps no line numbers
-            first = next(n for n, earlier in read(path) if build(earlier).id == record.id)
+        if record.id in ids:
             raise DataError(f"{path}: line {lineno}: duplicate record id {record.id!r} "
-                            f"(first on line {first})")
+                            f"(first on line {ids[record.id]})")
         violations = validate_record(record, desc)
         if violations:
             detail = "; ".join(str(v) for v in violations)
             if strict:
                 raise DataError(f"{path}: line {lineno}: record {record.id!r}: {detail}")
             logger.warning("%s: line %d: record %r: %s", path, lineno, record.id, detail)
-        ids.add(record.id)
+        ids[record.id] = lineno
         records.append(record)
     del ids  # Split builds its own id set next; the two need not coexist at the peak
 

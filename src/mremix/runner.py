@@ -25,7 +25,6 @@ from .formats import (
     FormatTag,
     build_corpus,
     corpus_filename,
-    corpus_manifest,
     render_corpus,
     write_examples,
 )
@@ -174,12 +173,15 @@ def parse_tag(name: str) -> FormatTag:
 
 
 def parse_tags(value: str) -> list[FormatTag]:
-    """Parse a --tags value: 'all' or a comma-separated tag list."""
+    """Parse a --tags value: 'all' or a comma-separated list naming each tag once."""
     if value.strip().lower() == "all":
         return list(FormatTag)
     tags = [parse_tag(name) for name in filter(None, (part.strip() for part in value.split(",")))]
     if not tags:
         raise ConfigError("no format tags requested")
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigError(f"format tag {tag.value} is named more than once in --tags")
     return tags
 
 
@@ -201,6 +203,9 @@ def build_format_files(
     rendered and checked, in file order, before any file is written, so a
     failing command writes nothing and reports its first error. Then the
     files are built and written one at a time.
+
+    The manifest lists each file (name, tag, a draw's ``draw_index``) and,
+    once, each record set's ordered ids: ``record_ids[d]`` for draw d.
     """
     desc = descriptor(config.family, config.language)
     path = required_path(input_path, role)
@@ -214,19 +219,16 @@ def build_format_files(
     sources = {None: split} if role == "train" else dict(enumerate(repeated_test_sample(
         split, config.test_sample_size, config.test_repeats, config.seed)))
 
-    manifest: dict = {"role": role, "config": config.to_dict(), "files": []}
     rendered: dict = {}  # every draw is a subset of the one split
-    for tag, d, name in files:
-        records = sources[d].records
-        render_corpus(records, tag, desc, rendered)
-        entry = corpus_manifest(tag, records)
-        entry.update({"file": name, "tag": tag.value})
-        if d is not None:
-            entry["draw_index"] = d
-        manifest["files"].append(entry)
+    for tag, d, _ in files:
+        render_corpus(sources[d].records, tag, desc, rendered)
 
     for tag, d, name in files:
         write_examples(out / name, build_corpus(sources[d].records, tag, desc, rendered))
+    record_ids = [[record.id for record in source.records] for source in sources.values()]
+    manifest = {"role": role, "config": config.to_dict(), "record_ids": record_ids,
+                "files": [{"file": name, "tag": tag.value, "draw_index": d} if d is not None
+                          else {"file": name, "tag": tag.value} for tag, d, name in files]}
     write_json(manifest_path, manifest)
     return manifest
 

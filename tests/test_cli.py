@@ -179,6 +179,43 @@ class TestBuildFormats:
         assert len(manifest["files"]) == 7
         assert manifest["config"]["few_shot_k"] == 20  # defaults echoed
 
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_manifest_lists_each_file_and_each_record_set_once(self, tmp_path, role):
+        _setup_dataset(tmp_path)
+        out = tmp_path / "formats"
+        code = main(["build-formats", "--family", "SCNM", "--language", "en",
+                     "--input", str(tmp_path / f"{role}.jsonl"), "--role", role,
+                     "--tags", "all", "--test-n", "15", "--repeats", "3", "--seed", "5",
+                     "--out", str(out)])
+        assert code == 0
+        manifest = read_json(out / f"scnm_en_{role}_manifest.json")
+        assert sorted(manifest) == ["config", "files", "record_ids", "role"]
+        draws = [None] if role == "train" else [0, 1, 2]
+        assert manifest["files"] == [  # no counts, no ids
+            {"file": f"scnm_en_{tag.value.lower()}.{role}.jsonl", "tag": tag.value}
+            if d is None else
+            {"file": f"scnm_en_{tag.value.lower()}.test.draw{d}.jsonl", "tag": tag.value,
+             "draw_index": d}
+            for tag in FormatTag for d in draws]
+        assert len(manifest["record_ids"]) == len(draws)
+        for entry in manifest["files"]:
+            ids = manifest["record_ids"][entry.get("draw_index", 0)]
+            assert [e.record_id for e in read_examples(out / entry["file"])] == ids
+        if role == "train":
+            lines = (tmp_path / "train.jsonl").read_text(encoding="utf-8").splitlines()
+            assert manifest["record_ids"] == [[json.loads(line)["id"] for line in lines]]
+
+    def test_repeated_tag_is_config_error(self, tmp_path, capsys):
+        _setup_dataset(tmp_path)
+        out = tmp_path / "formats"
+        code = main(["build-formats", "--family", "SCNM", "--language", "en",
+                     "--input", str(tmp_path / "train.jsonl"),
+                     "--tags", "TRAD_TEXT,trad_text", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "config error: format tag TRAD_TEXT is named more than once in --tags\n")
+        assert not out.exists()
+
     def test_single_tag(self, tmp_path):
         _setup_dataset(tmp_path)
         out = tmp_path / "one"
@@ -331,6 +368,19 @@ class TestBuildKv:
         sidecar = read_json(tmp_path / "kv.txt.config.json")
         assert sidecar["kv_words_per_label"] == 5
         assert sidecar["train_path"] == str(tmp_path / "train.jsonl")
+
+    def test_lenient_skips_a_record_outside_the_schema(self, tmp_path):
+        _, train, _ = _setup_dataset(tmp_path)
+        rows = [r.to_dict() for r in train.records]
+        rows.insert(3, {"id": "bad", "text": "t", "text_label": "Bogus",
+                        "pairs": rows[0]["pairs"] * 20})
+        write_jsonl(tmp_path / "mixed.jsonl", rows)
+        for name in ("train", "mixed"):
+            code = main(["build-kv", "--family", "SCNM", "--language", "en", "--lenient",
+                         "--train", str(tmp_path / f"{name}.jsonl"), "--kv-k", "5",
+                         "--out", str(tmp_path / f"{name}_kv.txt")])
+            assert code == 0
+        assert (tmp_path / "mixed_kv.txt").read_bytes() == (tmp_path / "train_kv.txt").read_bytes()
 
     def test_tconer_refused_with_exclusion_message(self, tmp_path, capsys):
         desc, train, test = _setup_dataset(tmp_path)
@@ -647,6 +697,28 @@ class TestEvaluate:
                      "--draws", *map(str, copies), "--generations", *map(str, gen_paths),
                      "--out", str(tmp_path / "eval")])
         assert code == 0
+
+    def test_manifest_of_the_earlier_layout_is_read(self, tmp_path, capsys):
+        """A manifest that lists each file's record ids and counts, as build-formats
+        wrote before each record set's ids were listed once, still names the dataset."""
+        draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_WORD")
+        manifest = tmp_path / "draws" / "scnm_en_test_manifest.json"
+        files = []
+        for d, path in enumerate(draw_paths):
+            ids = [e.record_id for e in read_examples(path)]
+            files.append({"file": path.name, "tag": "TRAD_WORD", "draw_index": d,
+                          "count": len(ids), "counts_by_tag": {"TRAD_WORD": len(ids)},
+                          "record_ids": ids})
+        write_json(manifest, {"role": "test", "config": read_json(manifest)["config"],
+                              "files": files})
+        capsys.readouterr()
+        evaluate = ["evaluate", "--family", "SCNM", "--tag", "TRAD_WORD",
+                    "--draws", *map(str, draw_paths), "--generations", *map(str, gen_paths)]
+        assert main([*evaluate, "--language", "en", "--out", str(tmp_path / "eval")]) == 0
+        assert main([*evaluate, "--language", "zh", "--out", str(tmp_path / "zh")]) == 1
+        assert capsys.readouterr().err == (
+            f"data error: draw 0: {draw_paths[0]} was built for SCNM/en (per {manifest}), "
+            "not for SCNM/zh as --family/--language say\n")
 
     def test_malformed_manifest_beside_a_draw_is_data_error(self, tmp_path, capsys):
         draw_paths, gen_paths = _build_draws(tmp_path, tag="TRAD_TEXT")

@@ -17,7 +17,6 @@ from mremix.errors import DataError, SerializationError
 from mremix.formats import (
     TAG_ALIASES,
     corpus_filename,
-    corpus_manifest,
     read_examples,
     split_target,
     target_level,
@@ -155,14 +154,10 @@ class TestFormatLaws:
 
 
 class TestCorpus:
-    def test_order_preserved_and_manifest_counts(self, scnm_en):
+    def test_order_preserved(self, scnm_en):
         _, train, _, _ = planted_splits(n_train_per_label=2, n_test_per_label=1)
         lines = build_corpus(train.records, FormatTag.JOINT_MRE, scnm_en)
         assert [json.loads(line)["record_id"] for line in lines] == train.ids()
-        manifest = corpus_manifest(FormatTag.JOINT_MRE, train.records)
-        assert manifest["count"] == len(train)
-        assert manifest["counts_by_tag"] == {"JOINT_MRE": len(train)}
-        assert manifest["record_ids"] == train.ids()
 
     def test_lines_decode_to_the_examples(self, scnm_en):
         _, train, _, _ = planted_splits(n_train_per_label=2, n_test_per_label=1)

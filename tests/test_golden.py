@@ -28,7 +28,7 @@ from mremix.cli import main
 from mremix.formats import target_level
 from mremix.parsing import ParseFlag
 
-TREE_SHA256 = "e09881247b7840a0cdb415bee0a79f28623b2e5033942d33660580437588631b"
+TREE_SHA256 = "17b9d90041385fb0f7e38d932b0960fa82f22781a311dbfd92537aaa9244c4b8"
 
 TAGS = ("TRAD_WORD", "TRAD_TEXT", "JOINT_MRE", "WITH_TLI_TO_WLI",
         "WO_TLI_TO_WLI", "WITH_WLI_TO_TLI", "WO_WLI_TO_TLI")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mremix import LabelEntityPair, few_shot_sample, load_split, repeated_test_sample
+from mremix import LabelEntityPair, few_shot_sample, ingest, load_split, repeated_test_sample
 from mremix.errors import DataError
 from mremix.ingest import Split, save_split
 from mremix.rng import SplitMix64, derive_seed
@@ -139,6 +139,28 @@ class TestLoadSplit:
             load_split(tsv, scnm_en, "train", fmt="tsv")
         assert str(caught.value) == f"{tsv}: line 3: duplicate record id 'a' (first on line 2)"
 
+    @pytest.mark.parametrize("fmt, reader", [("jsonl", "read_jsonl_numbered"),
+                                             ("tsv", "read_lines_numbered")])
+    def test_duplicate_id_reads_the_file_once(self, tmp_path, scnm_en, monkeypatch, fmt, reader):
+        path = tmp_path / f"dup.{fmt}"
+        if fmt == "jsonl":
+            _write_jsonl(path, [ROW2, ROW1, {**ROW2, "id": "a"}])
+        else:
+            path.write_text("b\tt\tSociety\tNONE\na\tt\tSociety\tNONE\na\tu\tSociety\tNONE\n",
+                            encoding="utf-8")
+        read = getattr(ingest, reader)
+        opened = []
+
+        def counted(*args, **kwargs):
+            opened.append(args)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, reader, counted)
+        with pytest.raises(DataError) as caught:
+            load_split(path, scnm_en, "train", fmt=fmt)
+        assert str(caught.value) == f"{path}: line 3: duplicate record id 'a' (first on line 2)"
+        assert len(opened) == 1
+
     def test_tsv_legacy_layout(self, tmp_path, scnm_en):
         path = tmp_path / "legacy.tsv"
         path.write_text(
@@ -200,6 +222,17 @@ class TestFewShot:
         desc, train, _, _ = planted_splits(n_train_per_label=4)
         with pytest.raises(DataError, match=r"'Society' has 4 records"):
             few_shot_sample(train, desc, 5, seed=0)
+
+    def test_open_domain_takes_the_observed_labels_sorted(self, tconer_en, make_record):
+        labels = ["person", "Book", "person", "city", "Book", "city", "person"]
+        train = Split(records=tuple(make_record(f"r{i}", label=label)
+                                    for i, label in enumerate(labels)), role="train")
+        sampled = few_shot_sample(train, tconer_en, 2, seed=1)
+        assert [r.text_label for r in sampled.records] == ["Book", "Book", "city", "city",
+                                                            "person", "person"]
+        assert [r.id for r in sampled.records][:4] == ["r1", "r4", "r3", "r5"]
+        with pytest.raises(DataError, match=r"^label 'Book' has 2 records, fewer than .* k=3$"):
+            few_shot_sample(train, tconer_en, 3, seed=1)
 
     def test_requires_train_role(self):
         desc, _, test, _ = planted_splits()
