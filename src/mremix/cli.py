@@ -108,7 +108,7 @@ def cmd_score(args) -> int:
     train = None if train_path is None else runner.load(config, train_path, "train", desc)
     # unlike run-kv, whose counts come from the few-shot sample, score trains on all of train
     provider, _ = runner.make_provider(config, train, train)
-    rows = runner.classify(test, kv, provider, config)
+    [rows] = runner.classify(test, [kv], provider, config)
     write_jsonl(out, rows)
     write_json(sidecar, config.to_dict())
     print(f"scored {len(rows)} records -> {out}")

@@ -16,9 +16,10 @@ shift and mask, are the context sums. No field can carry into the next:
 ``observe`` keeps the bound B = sum of len(text)**2, above every pair
 count, so no field of a row exceeds G*B for groups of at most G ids;
 fields are 16 bits wider than that, and context ids are summed in chunks
-of at most (2**W - 1) // (G*B) ids. An index is built from the kept texts
-on the first call with a group tuple and reused for later calls with the
-same tuple; ``observe`` drops every index.
+of at most (2**W - 1) // (G*B) ids. The table keeps one index: built from
+the kept texts for the group tuple of a call, and reused while later calls
+pass the same tuple (the same object, or an equal one); ``observe`` drops
+it.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from itertools import repeat
-from typing import NamedTuple, Sequence
-
-# Group tuples whose index is kept at once, and queries whose plan a count
-# model keeps: a new one beyond this drops the older ones, so memory stays
-# bounded, and a caller cycling through more than this rebuilds on every call.
-MAX_QUERIES = 4
+from typing import NamedTuple, Optional, Sequence
 
 # Bits of each field above the largest row value, so a chunk of contexts is
 # at least 2**16 ids long.
@@ -41,6 +37,7 @@ _SPARE_BITS = 16
 class _Index(NamedTuple):
     """The packed rows of one group tuple and how to read them."""
 
+    groups: tuple[tuple[int, ...], ...]
     rows: dict[int, int]  # id -> its summed pair counts, one field per group
     width: int  # bits per field
     chunk: int  # most rows whose sum no field can overflow
@@ -49,27 +46,29 @@ class _Index(NamedTuple):
 class CoocTable:
     """Symmetric (context, candidate) co-occurrence counts over integer ids."""
 
-    __slots__ = ("_texts", "_bound", "_indexes")
+    __slots__ = ("_texts", "_bound", "_index")
 
     def __init__(self) -> None:
         self._texts: list[array] = []
         self._bound = 0  # sum of squared text lengths: no pair count exceeds it
-        self._indexes: dict[tuple[tuple[int, ...], ...], _Index] = {}
+        self._index: Optional[_Index] = None
 
     def observe(self, ids: Sequence[int]) -> None:
         """Add one text: its ids count all unordered position pairs within it."""
-        self._indexes.clear()
+        self._index = None
         self._texts.append(array("q", ids))
         self._bound += len(ids) ** 2
 
     def context_sums(self, context_ids: Sequence[int],
                      groups: Sequence[Sequence[int]]) -> list[int]:
         """For each group of query ids, its summed pair counts against all context ids."""
-        groups = tuple(map(tuple, groups))
-        index = self._indexes.get(groups)
-        if index is None:
-            index = self._index(groups)
-        rows, width, chunk = index
+        index = self._index
+        if index is None or groups is not index.groups:
+            key = tuple(map(tuple, groups))
+            if index is None or key != index.groups:
+                # keep the caller's tuple of tuples, so its next call is found by identity
+                index = self._index = self._build(groups if groups == key else key)
+        groups, rows, width, chunk = index
         shifts = range(0, len(groups) * width, width)
         mask = (1 << width) - 1
         sums = [0] * len(groups)
@@ -78,7 +77,7 @@ class CoocTable:
             sums = [s + (total >> shift & mask) for s, shift in zip(sums, shifts)]
         return sums
 
-    def _index(self, groups: tuple[tuple[int, ...], ...]) -> _Index:
+    def _build(self, groups: tuple[tuple[int, ...], ...]) -> _Index:
         """Pack each id's summed pair counts against each group into one row."""
         bound = max(map(len, groups), default=0) * self._bound
         width = bound.bit_length() + _SPARE_BITS
@@ -105,17 +104,15 @@ class CoocTable:
                     k = counts[q]
                     rows[q] -= (k * k + k) // 2 * unit[q]
         rows = {c: row for c, row in rows.items() if row}
-        index = _Index(rows, width, ((1 << width) - 1) // max(bound, 1))
-        if len(self._indexes) >= MAX_QUERIES:
-            self._indexes.clear()
-        self._indexes[groups] = index
-        return index
+        return _Index(groups, rows, width, ((1 << width) - 1) // max(bound, 1))
 
     def num_pairs(self) -> int:
-        """Nonzero fields of the kept indexes: one per (id, group) pair."""
+        """Nonzero fields of the kept index: one per (id, group) pair."""
+        if self._index is None:
+            return 0
+        groups, rows, width, _ = self._index
         return sum(
             1
-            for groups, (rows, width, _) in self._indexes.items()
             for row in rows.values()
             for shift in range(0, len(groups) * width, width)
             if row >> shift & ((1 << width) - 1)

@@ -28,14 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .cooc import MAX_QUERIES, CoocTable
+from .cooc import CoocTable
 from .errors import DataError
 from .ingest import Split
 from .verbalizer import MASK_PLACEHOLDER, MaskDistribution
 
 WHITESPACE_LANGUAGES = frozenset({"en"})
+
+# Queries whose plan a count model keeps: a new one beyond this drops the
+# older ones, so memory stays bounded, and a caller cycling through more
+# than this rebuilds the table's index on every call.
+MAX_QUERIES = 4
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,11 @@ def lexicon_from_split(split: Split) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class _QueryPlan:
-    """The query-only part of scoring: each label's vocabulary ids, then the union's."""
+    """The query-only part of scoring: where its groups sit in the joint group
+    tuple (each label's vocabulary ids, then the union's), and their floors."""
 
-    groups: tuple[tuple[int, ...], ...]  # known ids of each label, then of the union
+    query: tuple[tuple[str, ...], ...]
+    start: int  # index of its first group in the model's joint group tuple
     floors: tuple[int, ...]  # A times each group's word count, unknown words included
     covered: frozenset[str]
 
@@ -109,7 +116,10 @@ class CountModel:
         self.segmenter = segmenter
         self.alpha = alpha
         self._alpha_ratio = alpha.as_integer_ratio()
-        self._plans: dict[tuple[tuple[str, ...], ...], _QueryPlan] = {}
+        self._plans: list[_QueryPlan] = []
+        self._groups: tuple[tuple[int, ...], ...] = ()  # every kept plan's groups, in order
+        self._prompt: Optional[str] = None  # the last prompt scored, and
+        self._counts: Optional[list[int]] = None  # its context sums over ``_groups``
 
     @classmethod
     def train(cls, corpus: Sequence[str], segmenter: Segmenter, alpha: float = 1.0) -> "CountModel":
@@ -136,33 +146,62 @@ class CountModel:
         total. Words outside the training vocabulary keep the smoothing
         floor but are not covered; a word repeated within one label is a
         ``ValueError``. The query-only part of the work is planned once per
-        distinct query (see ``_plan``) and dropped with the table's indexes.
+        distinct query (see ``_plan``). A prompt's context sums are computed
+        over the groups of every kept plan at once and kept until another
+        prompt or a new plan comes, so scoring one prompt with each of
+        several queries in turn segments and sums it once.
         """
-        query = tuple(map(tuple, query))
-        plan = self._plans.get(query) or self._plan(query)
-        context_text = prompt.replace(MASK_PLACEHOLDER, " ")
-        vocab = self._vocab
-        context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
+        plan = self._find_plan(query)
+        if prompt != self._prompt:
+            self._counts = self._context_sums(prompt)
+            self._prompt = prompt
         sums = plan.floors
-        if plan.groups[-1] and context_ids:
+        if self._counts is not None:
             scale = self._alpha_ratio[1]
-            counts = self._table.context_sums(context_ids, plan.groups)
+            counts = self._counts[plan.start:plan.start + len(sums)]
             sums = [floor + scale * s for floor, s in zip(sums, counts)]
         return MaskDistribution(sums=list(sums[:-1]), total=sums[-1], covered=plan.covered)
 
-    def _plan(self, query: tuple[tuple[str, ...], ...]) -> "_QueryPlan":
-        """Resolve each label's distinct words against the vocabulary, and keep the result."""
+    def _context_sums(self, prompt: str) -> Optional[list[int]]:
+        """The prompt's context sums over the joint groups (None: all zero)."""
+        vocab = self._vocab
+        context_text = prompt.replace(MASK_PLACEHOLDER, " ")
+        context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
+        if not context_ids or not any(self._groups):
+            return None
+        return self._table.context_sums(context_ids, self._groups)
+
+    def _find_plan(self, query: Sequence[tuple[str, ...]]) -> _QueryPlan:
+        """The kept plan of ``query``, found by identity, then by value, else a new one."""
+        for plan in self._plans:
+            if plan.query is query:
+                return plan
+        key = tuple(map(tuple, query))
+        for plan in self._plans:
+            if plan.query == key:
+                return plan
+        # keep the caller's tuple of tuples, so its next call is found by identity
+        return self._plan(query if query == key else key)
+
+    def _plan(self, query: tuple[tuple[str, ...], ...]) -> _QueryPlan:
+        """Resolve each label's distinct words against the vocabulary, and keep the
+        result; its groups join the joint group tuple, which drops the last prompt's sums."""
         if any(len(set(words)) != len(words) for words in query):
             raise ValueError("query words must be distinct within a label")
+        if len(self._plans) >= MAX_QUERIES:
+            self._plans.clear()
+            self._groups = ()
         union = tuple(dict.fromkeys(word for words in query for word in words))
         vocab = self._vocab
         floor = self._alpha_ratio[0]
         plan = _QueryPlan(
-            groups=tuple(tuple(vocab[w] for w in words if w in vocab) for words in (*query, union)),
+            query=query,
+            start=len(self._groups),
             floors=tuple(floor * len(words) for words in (*query, union)),
             covered=frozenset(filter(vocab.__contains__, union)),
         )
-        if len(self._plans) >= MAX_QUERIES:
-            self._plans.clear()
-        self._plans[query] = plan
+        self._plans.append(plan)
+        self._groups += tuple(tuple(vocab[w] for w in words if w in vocab)
+                              for words in (*query, union))
+        self._prompt = None
         return plan

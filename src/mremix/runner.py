@@ -263,20 +263,28 @@ def wli_verbalizer(config: ExperimentConfig, train: Split, desc) -> Verbalizer:
 
 
 def classify(
-    split: Split, kv: Verbalizer, provider: ProbabilityProvider, config: ExperimentConfig
-) -> list[dict]:
-    """One prediction row per record of ``split``, in order."""
-    rows = []
+    split: Split, kvs: Sequence[Verbalizer], provider: ProbabilityProvider,
+    config: ExperimentConfig,
+) -> list[list[dict]]:
+    """One list of prediction rows per verbalizer of ``kvs``, each in record order.
+
+    Each record's prompt is built once and scored with each verbalizer in
+    turn, so a provider that keeps its last prompt's work (``CountModel``)
+    does that work once per record.
+    """
+    rows: list[list[dict]] = [[] for _ in kvs]
     for record in split.records:
         prompt = apply_template(record.text, config.template)
-        try:
-            prediction = predict(prompt, kv, provider, strategy=config.aggregation)
-        except ValueError as exc:  # the record's text adds a {mask} slot
-            raise DataError(f"record {record.id!r}: {exc}") from exc
-        except DataError as exc:
-            raise DataError(f"record {record.id!r}: provider failed: {exc}") from exc
-        rows.append({"record_id": record.id, "label": prediction.label,
-                     "no_coverage": prediction.no_coverage, "scores": prediction.scores})
+        for kv, kv_rows in zip(kvs, rows):
+            try:
+                prediction = predict(prompt, kv, provider, strategy=config.aggregation)
+            except ValueError as exc:  # the record's text adds a {mask} slot
+                raise DataError(f"record {record.id!r}: {exc}") from exc
+            except DataError as exc:
+                raise DataError(f"record {record.id!r}: provider failed: {exc}") from exc
+            kv_rows.append({"record_id": record.id, "label": prediction.label,
+                            "no_coverage": prediction.no_coverage,
+                            "scores": prediction.scores})
     return rows
 
 
@@ -320,13 +328,14 @@ def run_kv(
 
     draws = repeated_test_sample(test, config.test_sample_size, config.test_repeats, config.seed)
 
-    systems = (("Origin KV", "origin", origin_kv), ("WLI KV", "wli", wli_kv))
-    predictions = {slug: [classify(draw, kv, provider, config) for draw in draws]
-                   for _, slug, kv in systems}
+    # per system, its rows of each draw
+    predictions = list(zip(*(classify(draw, (origin_kv, wli_kv), provider, config)
+                             for draw in draws)))
     gold = [[record.text_label for record in draw.records] for draw in draws]
 
     report = KvComparisonReport(
-        rows=tuple(kv_row(name, gold, predictions[slug]) for name, slug, _ in systems),
+        rows=tuple(kv_row(name, gold, system)
+                   for name, system in zip(("Origin KV", "WLI KV"), predictions)),
         metadata={
             "config": config.to_dict(),
             "family": desc.family,
@@ -347,7 +356,7 @@ def run_kv(
         for name, text in kv_files.items():
             write_text(out / name, text)
         write_json(out / "effective_config.json", config.to_dict())
-        for path, draw_rows in zip(pred_paths, chain.from_iterable(predictions.values())):
+        for path, draw_rows in zip(pred_paths, chain.from_iterable(predictions)):
             write_jsonl(path, draw_rows)
         write_json(out / "kv_report.json", report.to_dict())
         write_text(out / "kv_report.md", report.markdown())

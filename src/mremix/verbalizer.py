@@ -75,10 +75,15 @@ class ProbabilityProvider(Protocol):
 
 @dataclass(frozen=True)
 class Verbalizer:
-    """Ranked words per text-level label, at most k per label."""
+    """Ranked words per text-level label, at most k per label.
+
+    ``query`` is the provider query: each label's words, in label order. It
+    is fixed at construction, so every prediction passes the same object.
+    """
 
     label_words: Mapping[str, tuple[str, ...]]
     k: int
+    query: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -86,6 +91,7 @@ class Verbalizer:
             "label_words",
             {label: tuple(words) for label, words in self.label_words.items()},
         )
+        object.__setattr__(self, "query", tuple(self.label_words.values()))
         for label, words in self.label_words.items():
             if len(words) > self.k:
                 raise DataError(f"label {label!r} has more than k={self.k} words")
@@ -240,7 +246,7 @@ def predict(
     if slots != 1:
         raise ValueError(f"the prompt built from its text has {slots} {MASK_PLACEHOLDER} slots; "
                          "it must have exactly one")
-    query = tuple(verbalizer.label_words.values())
+    query = verbalizer.query
     dist = provider.score(prompt, query)
     if len(dist.sums) != len(query):
         raise ValueError(f"distribution has {len(dist.sums)} sums for {len(query)} labels")

@@ -1,15 +1,18 @@
 """The scoring caches against uncached references.
 
-The co-occurrence table answers ``context_sums`` from a per-group-tuple index,
-the count model plans each query once and the segmenter builds its lexicon
-set once. Each must give exactly what the uncached computation gives,
-through new texts and alternating queries, down to the bytes ``run_kv``
-writes.
+The co-occurrence table answers ``context_sums`` from one index for the last
+group tuple, the count model plans each query once, joins the plans' groups
+into one tuple and keeps the last prompt's sums, and the segmenter builds
+its lexicon set once. Each must give exactly what the uncached computation
+gives, through new texts and alternating queries, down to the bytes
+``run_kv`` writes, and a draw record's prompt is segmented and summed once
+for both verbalizers.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from mremix import (
     Segmenter,
     build_from_wli,
     refmlm,
+    runner,
     save_kv,
     save_split,
     shuffle_words,
@@ -110,7 +114,7 @@ def test_field_width_is_the_group_bound_plus_16_bits():
     table.observe([1] * 256)  # B = 256**2 = 2**16
     for groups, width in ((((1,),), 33), (((1,), (1, 2, 3)), 34), ((), 16)):
         table.context_sums([1], groups)  # 1 * B has 17 bits; 3 * B has 18
-        assert table._indexes[groups].width == width
+        assert table._index.width == width
 
 
 def test_context_sums_chunks_contexts_so_no_field_carries():
@@ -123,7 +127,7 @@ def test_context_sums_chunks_contexts_so_no_field_carries():
     context = [0] * 300_000 + [1] * 5 + [2]
     assert table.context_sums(context, groups) == [
         300_000 * 4005 + 5 * 900, 300_000 * 900 + 5 * 45, 0]
-    index = table._indexes[groups]
+    index = table._index
     assert (index.width, index.chunk) == (30, (2**30 - 1) // 10_000)
     reference = NaiveCoocTable()
     reference.observe(text)
@@ -158,7 +162,7 @@ def test_index_rows_hold_only_nonzero_query_pairs():
         assert table.context_sums([c], groups) == reference.context_sums([c], groups)
     context = [7, 1, 7, 9, 10]
     assert table.context_sums(context, groups) == reference.context_sums(context, groups)
-    rows = table._indexes[groups].rows
+    rows = table._index.rows
     assert 9 not in rows and 3 not in rows
     assert 0 not in rows.values()
     nonzero = sum(1 for c in universe for s in reference.context_sums([c], groups) if s)
@@ -175,31 +179,43 @@ _CORPUS_WORDS = [f"w{i}" for i in range(8)]
     queries=st.lists(st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov1", "oov2"]),
                                        min_size=1, max_size=4, unique=True).map(tuple),
                               max_size=4),
-                     min_size=2, max_size=2),
+                     min_size=2, max_size=refmlm.MAX_QUERIES + 2),
     contexts=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov3"]), max_size=6),
                       min_size=1, max_size=4),
 )
 def test_alternating_word_lists_match_a_fresh_model(corpus, queries, contexts):
+    # one model, driven prompt-major (each prompt with every query in turn: the
+    # last prompt's sums are reused) and then query-major (each query over every
+    # prompt); more queries than a model keeps plans for drop them all, and each
+    # query goes in as one reused tuple (found by identity) and as fresh lists
     texts = [" ".join(words) for words in corpus]
+    prompts = [" ".join(context) + f" {MASK_PLACEHOLDER}" for context in contexts]
+    fresh = {(prompt, i): CountModel.train(texts, Segmenter("en")).score(prompt, query)
+             for prompt in prompts for i, query in enumerate(queries)}
+    reused = [tuple(query) for query in queries]
     model = CountModel.train(texts, Segmenter("en"))
-    for context in contexts:
-        prompt = " ".join(context) + f" {MASK_PLACEHOLDER}"
-        for query in queries:
-            fresh = CountModel.train(texts, Segmenter("en")).score(prompt, query)
-            got = model.score(prompt, [list(words) for words in query])
-            assert got == fresh
-            assert list(got.probs) == list(fresh.probs) and len(got.probs) == len(query)
-            assert list(got.sums) == list(fresh.sums)
+    order = ([(prompt, i) for prompt in prompts for i in range(len(queries))]
+             + [(prompt, i) for i in range(len(queries)) for prompt in prompts])
+    for prompt, i in order:
+        for query in (reused[i], [list(words) for words in queries[i]]):
+            got = model.score(prompt, query)
+            assert got == fresh[prompt, i]
+            assert list(got.probs) == list(fresh[prompt, i].probs)
+            assert list(got.sums) == list(fresh[prompt, i].sums) and len(got.sums) == len(query)
 
 
-def test_plans_and_indexes_share_one_bound():
+def test_plans_share_one_bound_and_one_joint_index():
     model = CountModel.train(["a b c d e f", "b c d", "a e f"], Segmenter("en"))
     queries = [(("a",), (word,)) for word in "bcdef"]
     for query in queries[:4]:
         model.score(f"a b {MASK_PLACEHOLDER}", query)
-    assert len(model._plans) == len(model._table._indexes) == 4
+    # each plan's three groups (two labels, then their union) follow the last plan's,
+    # and the table keeps the one index of that joint tuple
+    assert [plan.start for plan in model._plans] == [0, 3, 6, 9]
+    assert len(model._groups) == 12 and model._table._index.groups is model._groups
     model.score(f"a b {MASK_PLACEHOLDER}", queries[4])  # a fifth query drops the four together
-    assert len(model._plans) <= len(model._table._indexes) <= 4
+    assert [plan.query for plan in model._plans] == [queries[4]]
+    assert len(model._groups) == 3 and model._table._index.groups is model._groups
 
 
 def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():
@@ -258,6 +274,41 @@ def test_run_kv_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, langu
         trees[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert len(trees["indexed"]) == 10
     assert trees["indexed"] == trees["naive"]
+
+
+def test_run_kv_segments_and_sums_each_draw_record_once(tmp_path, monkeypatch):
+    desc, train, test = _splits("en")
+    save_split(tmp_path / "train.jsonl", train)
+    save_split(tmp_path / "test.jsonl", test)
+    save_kv(shuffle_words(build_from_wli(train, desc, k=10), seed=99), tmp_path / "origin.txt")
+    repeats, n = 3, 20
+    config = ExperimentConfig(
+        family="SCNM", language="en", seed=3, few_shot_k=5, test_sample_size=n,
+        test_repeats=repeats, kv_words_per_label=10, train_path=str(tmp_path / "train.jsonl"),
+        test_path=str(tmp_path / "test.jsonl"), external_kv_path=str(tmp_path / "origin.txt"),
+    )
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[owner.__name__ + "." + name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((CoocTable, "context_sums"), (Segmenter, "__call__"),
+                        (CountModel, "score"), (runner, "predict")):
+        counted(owner, name)
+    report = run_kv(config)
+    trained = report.metadata["provider"]["training_texts"]
+    # both verbalizers predict for every draw record, and each call scores once
+    assert calls["mremix.runner.predict"] == calls["CountModel.score"] == 2 * repeats * n
+    # a record's prompt is segmented and summed once for both; the second plan,
+    # added at the first record's second prediction, computes that prompt again
+    assert calls["CoocTable.context_sums"] == repeats * n + 1
+    assert calls["Segmenter.__call__"] == trained + repeats * n + 1
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])
