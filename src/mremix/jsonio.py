@@ -21,6 +21,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -100,9 +101,29 @@ def _refuse_lone_surrogates(path: str | Path, text: str, first_line: int = 1) ->
 def read_lines_numbered(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line) for each non-blank line, as read; blank lines (only
     spaces, tabs and line breaks, the whitespace JSON allows) are counted.
-    Each line is checked for bytes that are not UTF-8 when it is read."""
+
+    The file is decoded once, strictly. The decoder works ahead of the lines
+    handed out, a chunk at a time, so when it meets bytes that are not UTF-8
+    the file is read again from the first line not yet handed out, each line
+    checked as it is read: the error names the first bad line, and a caller
+    still meets every line before it."""
+    lineno = 0
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.isspace() or line.strip(" \t\r\n"):
+                    yield lineno, line
+        return
+    except UnicodeDecodeError:
+        pass
+    yield from _read_lines_checked(path, lineno)
+
+
+def _read_lines_checked(path: str | Path, skip: int) -> Iterator[tuple[int, str]]:
+    """``read_lines_numbered`` after its first ``skip`` lines, decoding each line
+    on its own so that the first one holding bytes that are not UTF-8 is named."""
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(islice(fh, skip, None), start=skip + 1):
             if not line.isascii():
                 try:
                     line.encode("utf-8")

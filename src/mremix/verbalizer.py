@@ -22,6 +22,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
 
@@ -127,21 +128,23 @@ def build_from_wli(train: Split, desc, k: int = DEFAULT_WORDS_PER_LABEL) -> Verb
     if k <= 0:
         raise DataError("words-per-label k must be positive")
 
-    counts: dict[str, dict[str, int]] = {label: {} for label in desc.schema.text_labels}
+    entity = itemgetter(1)  # of a pair
+    counts: dict[str, Counter[str]] = {label: Counter() for label in desc.schema.text_labels}
     for record in train.records:
         table = counts.get(record.text_label)
-        if table is None:
-            continue
-        for pair in record.pairs:
-            table[pair.entity] = table.get(pair.entity, 0) + 1
+        if table is not None:
+            table.update(map(entity, record.pairs))
 
     label_words: dict[str, tuple[str, ...]] = {}
     for label in desc.schema.text_labels:
         table = counts[label]
         if not table:
             raise DataError(f"label {label!r} has no word-level entities in the training split")
-        ranked = sorted(table.items(), key=lambda item: (-item[1], item[0]))[:k]
-        label_words[label] = tuple(word for word, _ in ranked)
+        # by count, most first, ties by code point: a stable sort on counts
+        # after a sort on words, with no key built per word
+        ranked = sorted(table.items())
+        ranked.sort(key=itemgetter(1), reverse=True)
+        label_words[label] = tuple(word for word, _ in ranked[:k])
     return Verbalizer(label_words=label_words, k=k)
 
 

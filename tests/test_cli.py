@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import subprocess
@@ -1183,3 +1184,81 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "OK" in proc.stdout
+
+
+# -- the collector policy -------------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case, expected", [("ok", 0), ("data", 1), ("io", 2), ("config", 3),
+                                            ("uncaught", None)])
+def test_main_restores_the_collector_settings(tmp_path, monkeypatch, capsys, enabled,
+                                              case, expected):
+    from mremix import cli
+
+    _setup_dataset(tmp_path)
+    write_jsonl(tmp_path / "null.jsonl",
+                [{"id": "a", "text": None, "text_label": "Society", "pairs": []}])
+    validate = ["validate", "--family", "SCNM", "--language", "en"]
+    argv = {"ok": [*validate, str(tmp_path / "train.jsonl")],
+            "data": [*validate, str(tmp_path / "null.jsonl")],
+            "io": [*validate, str(tmp_path / "missing.jsonl")],
+            "config": ["validate"],
+            "uncaught": ["report", "--inputs", "r.json", "--out", "o"]}[case]
+    during = []
+
+    def failing(args):
+        during.append(gc.get_threshold()[0])
+        raise RuntimeError("not a toolkit error")
+
+    monkeypatch.setattr(cli, "cmd_report", failing)
+    thresholds, was_enabled = gc.get_threshold(), gc.isenabled()
+    try:
+        gc.set_threshold(555, 11, 12)
+        if not enabled:
+            gc.disable()
+        if expected is None:
+            with pytest.raises(RuntimeError):
+                main(argv)
+            assert during == [cli._GC_THRESHOLD]
+        else:
+            assert main(argv) == expected
+        assert (gc.get_threshold(), gc.isenabled()) == ((555, 11, 12), enabled)
+    finally:
+        gc.set_threshold(*thresholds)
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _run_kv_garbage(tmp_path, per_label: int) -> list:
+    """The objects ``run-kv`` leaves unreachable on a planted split with
+    ``per_label`` train and test records per label, each draw a fifth of test."""
+    _setup_dataset(tmp_path, n_train=per_label, n_test=per_label)
+    args = _run_kv_args(tmp_path, tmp_path / "out", **{"--test-n": str(per_label)})
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # a collection keeps what it finds in gc.garbage
+    assert main(args) == 0
+    gc.collect()
+    gc.set_debug(0)
+    found = list(gc.garbage)
+    gc.garbage.clear()
+    return found
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, capsys):
+    from mremix import LabelEntityPair, MreRecord
+    from mremix.cooc import CoocTable
+    from mremix.ingest import Split
+
+    flags, was_enabled = gc.get_debug(), gc.isenabled()
+    gc.disable()
+    try:
+        small = _run_kv_garbage(tmp_path / "small", 8)
+        large = _run_kv_garbage(tmp_path / "large", 80)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert 0 < len(small) == len(large)
+    data = (MreRecord, LabelEntityPair, Split, CoocTable)
+    assert not [obj for obj in small + large if isinstance(obj, data)]

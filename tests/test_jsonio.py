@@ -164,7 +164,7 @@ _PAD = st.sampled_from(["", "", "", " ", "\t", "  "])
 @st.composite
 def _jsonl_files(draw) -> bytes:
     """A JSONL file: documents (some odd, a few bad) padded or not, blank lines,
-    LF or CRLF endings, a final newline or none, a BOM, and now and then a byte
+    LF, CRLF or CR endings, a final newline or none, a BOM, and now and then a byte
     that is not UTF-8."""
     lines = []
     for _ in range(draw(st.integers(0, 5))):
@@ -177,7 +177,7 @@ def _jsonl_files(draw) -> bytes:
         else:
             doc = draw(_ODD_DOCS if kind == "odd" else _BAD_DOCS)
         lines.append(draw(_PAD) + doc + draw(_PAD))
-    ending = "\r\n" if draw(st.booleans()) else "\n"
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = ending.join(lines)
     if lines and draw(st.booleans()):
         text += ending
@@ -210,6 +210,54 @@ def test_jsonl_reader_edges_match_the_json_loads_loop(tmp_path, text):
     path.write_text(text, encoding="utf-8", newline="")
     assert _stream(jsonio.read_jsonl_numbered, path) == _stream(
         reference_read_jsonl_numbered, path)
+
+
+# The text decoder works ahead of the lines handed out, 8 KiB at a time, so in a
+# large file it meets a bad byte while lines before it are still to come. These
+# files are 64 KiB and more; line 701 starts far past the first chunk.
+_BIG_LINES = 2000
+
+
+def _big_file(ending: str, spoil: str) -> tuple[bytes, str]:
+    """A JSONL file with CJK text, blank lines and ``ending``, spoiled as named,
+    and the start of the error the readers must stop with."""
+    lines = [b" \t" if i % 50 == 49 else json.dumps(
+        {"id": i, "text": f"東京 line {i} " + "ü" * (i % 7)}, ensure_ascii=False).encode()
+        for i in range(_BIG_LINES)]
+    error = ""
+    if spoil in ("byte", "json then byte"):
+        lines[700] = lines[700][:12] + b"\xff" + lines[700][12:]
+        error = "line 701: not valid UTF-8 (invalid start byte)"
+    if spoil == "json then byte":
+        lines[699] = b'{"id": 699,'
+        error = "line 700: not valid JSON"
+    data = ending.encode().join(lines)
+    if spoil == "byte in unterminated last line":
+        data += ending.encode() + '{"text": "東京"}'.encode()[:-3]
+        error = f"line {_BIG_LINES + 1}: not valid UTF-8 (unexpected end of data)"
+    else:
+        data += ending.encode()
+    assert len(data) >= 64 * 1024
+    return data, error
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("spoil", ["", "byte", "json then byte",
+                                   "byte in unterminated last line"])
+@pytest.mark.parametrize("reader, reference", [
+    (jsonio.read_lines_numbered, reference_read_lines_numbered),
+    (jsonio.read_jsonl_numbered, reference_read_jsonl_numbered),
+])
+def test_readers_match_the_reference_past_the_first_decode_chunk(
+        tmp_path, ending, spoil, reader, reference):
+    path = tmp_path / "rows.jsonl"
+    data, error = _big_file(ending, spoil)
+    path.write_bytes(data)
+    stream, message = _stream(reader, path)
+    assert (stream, message) == _stream(reference, path)
+    if reader is jsonio.read_lines_numbered and spoil == "json then byte":
+        error = "line 701: not valid UTF-8"  # the line reader checks no JSON
+    assert message.startswith(f"{path}: {error}") if error else message == ""
 
 
 # -- blank lines ----------------------------------------------------------------

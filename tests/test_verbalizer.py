@@ -152,6 +152,35 @@ class TestBuildFromWli:
             oracle = sorted(counts, key=lambda w: (-counts[w], w))[:k]
             assert list(kv.words_for(label)) == oracle
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["positive", "negative"]),
+                st.lists(st.sampled_from(["a", "B", "ab", "é", "é", "東京", "京", "ß",
+                                          "\U0001d538", "z"]), max_size=4),
+            ),
+            max_size=12,
+        ),
+        k=st.integers(1, 12),
+    )
+    def test_ranking_matches_the_count_then_word_key(self, scpos_adj_en, rows, k):
+        from mremix import LabelEntityPair, MreRecord
+        from mremix.ingest import Split
+
+        rows = [("positive", ["a"]), ("negative", ["a"])] + rows
+        records = tuple(
+            MreRecord(id=str(i), text="some text", text_label=label,
+                      pairs=tuple(LabelEntityPair(label, word) for word in words))
+            for i, (label, words) in enumerate(rows)
+        )
+        kv = build_from_wli(Split(records, "train"), scpos_adj_en, k=k)
+        for label in ("positive", "negative"):
+            counts = Counter(word for row_label, words in rows if row_label == label
+                             for word in words)
+            ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+            assert list(kv.words_for(label)) == [word for word, _ in ranked]
+
 
 class TestExternalKv:
     def _write(self, path, blocks):
