@@ -109,6 +109,7 @@ def cmd_score(args) -> int:
     train = None if train_path is None else runner.load(config, train_path, "train", desc)
     # unlike run-kv, whose counts come from the few-shot sample, score trains on all of train
     provider, _ = runner.make_provider(config, train, train)
+    del train  # the provider keeps what it needs of it
     [rows] = runner.classify(test, [kv], provider, config)
     write_jsonl(out, rows)
     write_json(sidecar, config.to_dict())
@@ -231,17 +232,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lenient", action="store_true", dest="lenient", default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mremix", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("validate", help="validate record files against a schema")
+def _add_validate(p: argparse.ArgumentParser) -> None:
     _add_descriptor_flags(p)
     p.add_argument("--record-format", choices=RECORD_FORMATS, default="jsonl")
     p.add_argument("paths", nargs="+", help="record files to validate")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("build-formats", help="emit ablation-format training/test files")
+
+def _add_build_formats(p: argparse.ArgumentParser) -> None:
     _add_descriptor_flags(p)
     _add_config_flags(p)
     p.add_argument("--input", required=True, help="record file to format")
@@ -251,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_build_formats)
 
-    p = sub.add_parser("build-kv", help="build a verbalizer from training WLI")
+
+def _add_build_kv(p: argparse.ArgumentParser) -> None:
     _add_descriptor_flags(p)
     _add_config_flags(p)
     p.add_argument("--train", dest="train_path",
@@ -260,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_build_kv)
 
-    p = sub.add_parser("score", help="classify records with a verbalizer + provider")
+
+def _add_score(p: argparse.ArgumentParser) -> None:
     _add_descriptor_flags(p)
     _add_config_flags(p)
     p.add_argument("--kv", required=True, help="verbalizer word-list file")
@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("evaluate", help="score generation files against gold draws")
+
+def _add_evaluate(p: argparse.ArgumentParser) -> None:
     _add_descriptor_flags(p)
     p.add_argument("--tag", required=True, help="format tag the generations follow")
     p.add_argument("--draws", nargs="+", required=True, help="gold draw files, in order")
@@ -281,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("run-kv", help="full origin-KV vs WLI-KV comparison")
+
+def _add_run_kv(p: argparse.ArgumentParser) -> None:
     _add_descriptor_flags(p)
     _add_config_flags(p)
     p.add_argument("--train", dest="train_path", help="training record file")
@@ -291,13 +293,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_run_kv)
 
-    p = sub.add_parser("report", help="aggregate evaluation reports into the ablation table")
+
+def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inputs", nargs="+", required=True, help="report.json files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_report)
 
+
+# each subcommand: its help line, and what adds its arguments and its ``func``
+_COMMANDS = {
+    "validate": ("validate record files against a schema", _add_validate),
+    "build-formats": ("emit ablation-format training/test files", _add_build_formats),
+    "build-kv": ("build a verbalizer from training WLI", _add_build_kv),
+    "score": ("classify records with a verbalizer + provider", _add_score),
+    "evaluate": ("score generation files against gold draws", _add_evaluate),
+    "run-kv": ("full origin-KV vs WLI-KV comparison", _add_run_kv),
+    "report": ("aggregate evaluation reports into the ablation table", _add_report),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser. Every subcommand is listed with its help, but
+    given a ``command``, only that subcommand gets its arguments."""
+    parser = _Parser(prog="mremix", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_arguments(p)
     return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed by a parser built for the subcommand it names first, or
+    for all of them when it names none (``-h``, nothing, an unknown word)."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    return build_parser(command).parse_args(argv)
 
 
 # The cyclic collector's generation-0 threshold while a command runs. A
@@ -313,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(_GC_THRESHOLD, *thresholds[1:])
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UnicodeDecodeError as exc:  # a ValueError, but bad input bytes, not bad config
         print(f"data error: not valid UTF-8 ({exc})", file=sys.stderr)

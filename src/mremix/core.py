@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Collection, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from .errors import DataError, SchemaError
 from .jsonio import open_text
@@ -108,22 +108,25 @@ def _checked_pairs(raw: list) -> list[LabelEntityPair]:
     return pairs
 
 
-@dataclass(frozen=True)
-class MreRecord:
+class MreRecord(namedtuple("MreRecord", "id text text_label pairs")):
     """One dataset example: text, its text-level label, and its word-level pairs.
 
-    ``pairs`` preserves source order and may contain duplicates; whether
-    duplicates earn or lose credit is an evaluation decision, not an
-    ingestion one.
+    A record is an immutable ``(id, text, text_label, pairs)`` tuple, equal
+    to the plain tuple of its fields. ``pairs`` is stored as a tuple by every
+    constructor (``_make`` and ``_replace`` included); it preserves source
+    order and may contain duplicates, since whether duplicates earn or lose
+    credit is an evaluation decision, not an ingestion one.
     """
 
-    id: str
-    text: str
-    text_label: str
-    pairs: tuple[LabelEntityPair, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+    def __new__(cls, id: str, text: str, text_label: str,
+                pairs: Iterable[LabelEntityPair] = ()) -> "MreRecord":
+        return _new_tuple(cls, (id, text, text_label, tuple(pairs)))
+
+    @classmethod
+    def _make(cls, iterable) -> "MreRecord":
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {
@@ -151,7 +154,7 @@ class MreRecord:
             pairs = []
         if len(pairs) != len(raw):
             pairs = _checked_pairs(raw)
-        return cls(rid, text, text_label, pairs)
+        return _new_tuple(cls, (rid, text, text_label, tuple(pairs)))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .cooc import CoocTable
@@ -47,41 +49,50 @@ MAX_QUERIES = 4
 class Segmenter:
     """Word segmentation policy: whitespace or lexicon-driven greedy matching.
 
-    Lexicon languages keep the lexicon as a set, and its longest entry's
-    length, from construction; whitespace languages keep an empty lexicon.
+    Lexicon languages keep the lexicon as a set, its longest entry's length
+    and the set of its entries' first characters, from construction;
+    whitespace languages keep an empty lexicon.
     """
 
     language: str
     lexicon: frozenset[str] = frozenset()
     _max_len: int = field(init=False, repr=False, compare=False, default=1)
+    _starts: frozenset[str] = field(init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self) -> None:
         whitespace = self.language in WHITESPACE_LANGUAGES
-        object.__setattr__(self, "lexicon", frozenset() if whitespace else frozenset(self.lexicon))
-        object.__setattr__(self, "_max_len", max(map(len, self.lexicon), default=1))
+        lexicon = frozenset() if whitespace else frozenset(self.lexicon)
+        object.__setattr__(self, "lexicon", lexicon)
+        object.__setattr__(self, "_max_len", max(map(len, lexicon), default=1))
+        # each entry's ``[:1]``: an empty entry adds "", which no character equals
+        object.__setattr__(self, "_starts", frozenset(map(itemgetter(slice(1)), lexicon)))
 
     def __call__(self, text: str) -> list[str]:
         if self.language in WHITESPACE_LANGUAGES:
             return text.split()
-        return _greedy_segment(text, self.lexicon, self._max_len)
+        return _greedy_segment(text, self.lexicon, self._max_len, self._starts)
 
 
-def _greedy_segment(text: str, lexicon: frozenset[str], max_len: int) -> list[str]:
+def _greedy_segment(text: str, lexicon: frozenset[str], max_len: int,
+                    starts: frozenset[str]) -> list[str]:
+    """Longest lexicon match at each position, else the character itself
+    (dropped if it is whitespace). A character that starts no entry costs
+    one set lookup; only one that does is matched against the lexicon."""
     tokens: list[str] = []
     i, n = 0, len(text)
     while i < n:
-        longest = min(max_len, n - i)
+        ch = text[i]
         matched = None
-        for length in range(longest, 0, -1):
-            candidate = text[i : i + length]
-            if candidate in lexicon:
-                matched = candidate
-                break
+        if ch in starts:
+            for length in range(min(max_len, n - i), 0, -1):
+                candidate = text[i : i + length]
+                if candidate in lexicon:
+                    matched = candidate
+                    break
         if matched is not None:
             tokens.append(matched)
             i += len(matched)
             continue
-        ch = text[i]
         if not ch.isspace():
             tokens.append(ch)
         i += 1
@@ -90,7 +101,7 @@ def _greedy_segment(text: str, lexicon: frozenset[str], max_len: int) -> list[st
 
 def lexicon_from_split(split: Split) -> Iterator[str]:
     """The word-level entity strings of a split, read only by a lexicon ``Segmenter``."""
-    return (pair.entity for record in split.records for pair in record.pairs)
+    return map(itemgetter(1), chain.from_iterable(map(attrgetter("pairs"), split.records)))
 
 
 @dataclass(frozen=True)

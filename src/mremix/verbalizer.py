@@ -21,10 +21,10 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .core import LabelSchema
 from .errors import DataError, SchemaError
@@ -42,23 +42,23 @@ DEFAULT_WORDS_PER_LABEL = 100
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class MaskDistribution:
+class MaskDistribution(NamedTuple):
     """Integer label sums at the mask position.
 
     ``sums[i]`` is the non-negative integer sum of the weights of the i-th
-    queried label's words, so ``sums`` is as long as the query and in its
-    order; a word the provider does not know still adds its smoothing
-    floor (or 0). ``total`` is the positive integer weight of the union of
-    the query's words (0 only for an empty query), so a label's mass is
-    ``sums[i] / total``; ``probs`` derives those masses. ``covered`` holds
-    the queried words the provider could actually score. No completeness
-    over any vocabulary is implied.
+    queried label's words, so ``sums`` is a list as long as the query and
+    in its order; a word the provider does not know still adds its
+    smoothing floor (or 0). ``total`` is the positive integer weight of the
+    union of the query's words (0 only for an empty query), so a label's
+    mass is ``sums[i] / total``; ``probs`` derives those masses.
+    ``covered`` holds the queried words the provider could actually score.
+    No completeness over any vocabulary is implied. A named tuple, equal to
+    the plain tuple of its fields.
     """
 
     sums: Sequence[int]
     total: int
-    covered: frozenset[str] = field(default_factory=frozenset)
+    covered: frozenset[str] = frozenset()
 
     @property
     def probs(self) -> list[float]:
@@ -128,22 +128,25 @@ def build_from_wli(train: Split, desc, k: int = DEFAULT_WORDS_PER_LABEL) -> Verb
     if k <= 0:
         raise DataError("words-per-label k must be positive")
 
-    entity = itemgetter(1)  # of a pair
-    counts: dict[str, Counter[str]] = {label: Counter() for label in desc.schema.text_labels}
+    second = itemgetter(1)  # a pair's entity, a (word, count) item's count
+    pairs_of: dict[str, list] = {label: [] for label in desc.schema.text_labels}
     for record in train.records:
-        table = counts.get(record.text_label)
-        if table is not None:
-            table.update(map(entity, record.pairs))
+        label_pairs = pairs_of.get(record.text_label)
+        if label_pairs is not None:
+            label_pairs.append(record.pairs)
 
     label_words: dict[str, tuple[str, ...]] = {}
-    for label in desc.schema.text_labels:
-        table = counts[label]
+    for label, label_pairs in pairs_of.items():
+        table = Counter(map(second, chain.from_iterable(label_pairs)))
         if not table:
             raise DataError(f"label {label!r} has no word-level entities in the training split")
-        # by count, most first, ties by code point: a stable sort on counts
-        # after a sort on words, with no key built per word
-        ranked = sorted(table.items())
-        ranked.sort(key=itemgetter(1), reverse=True)
+        # by count, most first, ties by code point. Only words that reach the
+        # k-th largest count can rank in the first k, so only those are
+        # sorted: a stable sort on counts after a sort on words, with no key
+        # built per word
+        cut = sorted(table.values(), reverse=True)[min(k, len(table)) - 1]
+        ranked = sorted(compress(table.items(), map(cut.__le__, table.values())))
+        ranked.sort(key=second, reverse=True)
         label_words[label] = tuple(word for word, _ in ranked[:k])
     return Verbalizer(label_words=label_words, k=k)
 
@@ -220,9 +223,8 @@ def save_kv(verbalizer: Verbalizer, path: str | Path) -> None:
     write_text(path, kv_text(verbalizer))
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Result of one mask-position classification."""
+class Prediction(NamedTuple):
+    """Result of one mask-position classification (a named tuple)."""
 
     label: str
     scores: dict[str, float]
@@ -253,19 +255,21 @@ def predict(
     dist = provider.score(prompt, query)
     if len(dist.sums) != len(query):
         raise ValueError(f"distribution has {len(dist.sums)} sums for {len(query)} labels")
-    mean = strategy == "mean"
-    sums = [(label, s, (len(words) or 1) if mean else 1)
-            for (label, words), s in zip(verbalizer.label_words.items(), dist.sums)]
-
-    best_label, best_sum, best_n = sums[0]  # verbalizers are never empty
-    for label, s, n in sums:
-        if s * best_n > best_sum * n:
-            best_label, best_sum, best_n = label, s, n
-
-    total = dist.total
-    scores = {label: s / (total * n) for label, s, n in sums}
+    sums, total = dist.sums, dist.total
+    if strategy == "mean":
+        counts = [len(words) or 1 for words in query]
+        best, best_sum, best_n = 0, sums[0], counts[0]  # verbalizers are never empty
+        for i, (s, n) in enumerate(zip(sums, counts)):
+            if s * best_n > best_sum * n:
+                best, best_sum, best_n = i, s, n
+        scores = [s / (total * n) for s, n in zip(sums, counts)]
+    else:
+        best_sum = max(sums)
+        best = sums.index(best_sum)  # the earliest of the largest
+        scores = [s / total for s in sums]
+    labels = verbalizer.labels()
     no_coverage = best_sum == 0 or not dist.covered
-    return Prediction(label=best_label, scores=scores, no_coverage=no_coverage)
+    return Prediction(labels[best], dict(zip(labels, scores)), no_coverage)
 
 
 def apply_template(text: str, template: str) -> str:

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import math
 import subprocess
 import sys
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from mremix import build_from_wli, few_shot_sample, runner, save_kv, save_split, shuffle_words
+from mremix import build_from_wli, cli, few_shot_sample, runner, save_kv, save_split, shuffle_words
 from mremix.cli import main
 from mremix.errors import ConfigError
 from mremix.formats import FormatTag, read_examples
@@ -17,6 +20,66 @@ from mremix.jsonio import read_json, write_json, write_jsonl
 
 from synth import planted_splits
 from test_ablation_paths import reference_lines
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """What ``parse(argv)`` gives: the parsed arguments (by repr, so a NaN
+    equals itself), or the error raised (a usage error, or the exit of
+    ``-h``) and what was printed."""
+    printed = io.StringIO()
+    try:
+        with redirect_stdout(printed), redirect_stderr(printed):
+            return "parsed", repr(sorted(vars(parse(argv)).items()))
+    except (ConfigError, SystemExit) as exc:
+        return type(exc).__name__, str(exc), printed.getvalue()
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.fixture(autouse=True)
+def _parsed_as_by_the_full_parser(monkeypatch):
+    """Every argv a test here passes to ``main`` must parse (or fail, or print
+    help) exactly as the parser with every subcommand's arguments parses it."""
+    parse_args = cli.parse_args
+
+    def checked(argv):
+        assert _parse_outcome(parse_args, argv) == _parse_outcome(_full_parse, argv)
+        return parse_args(argv)
+
+    monkeypatch.setattr(cli, "parse_args", checked)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_subcommand_parser_matches_the_full_one(command):
+    only = cli.build_parser(command)
+    [sub] = [action for action in only._actions if action.dest == "command"]
+    # the other subcommands are listed, with no arguments of their own
+    assert {name: len(p._actions) == 1 for name, p in sub.choices.items()} == {
+        name: name != command for name in cli._COMMANDS}
+    outcome = _parse_outcome(only.parse_args, [command, "--help"])
+    assert outcome[:2] == ("SystemExit", "0") and f"usage: mremix {command} " in outcome[2]
+    assert outcome == _parse_outcome(_full_parse, [command, "--help"])
+
+
+@pytest.mark.parametrize("argv, code, printed", [
+    (["--help"], 0, "usage: mremix [-h]"),
+    (["-h", "run-kv"], 0, "usage: mremix [-h]"),
+    ([], 3, "config error: the following arguments are required: command\n"),
+    (["bogus"], 3, "config error: argument command: invalid choice: 'bogus' (choose from "
+     "'validate', 'build-formats', 'build-kv', 'score', 'evaluate', 'run-kv', 'report')\n"),
+])
+def test_no_subcommand_keeps_its_output_and_exit_code(argv, code, printed, capsys):
+    if code == 0:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(printed) and all(name in out for name in cli._COMMANDS)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == printed
 
 
 def _setup_dataset(tmp_path, n_train=10, n_test=8, kv_k=10):
@@ -480,6 +543,29 @@ class TestScore:
         err = capsys.readouterr().err
         assert "provider failed" in err
         assert test.records[0].id in err
+
+    def test_train_split_is_dropped_before_classifying(self, tmp_path, monkeypatch, capsys):
+        _setup_dataset(tmp_path)
+        trains = []
+        load, classify = runner.load, runner.classify
+
+        def loading(config, path, role, desc):
+            split = load(config, path, role, desc)
+            if role == "train":
+                trains.append(weakref.ref(split))
+            return split
+
+        def classifying(*args, **kwargs):
+            assert len(trains) == 1 and trains[0]() is None
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "load", loading)
+        monkeypatch.setattr(runner, "classify", classifying)
+        assert main(["score", "--family", "SCNM", "--language", "en",
+                     "--kv", str(tmp_path / "origin_kv.txt"),
+                     "--input", str(tmp_path / "test.jsonl"),
+                     "--train", str(tmp_path / "train.jsonl"),
+                     "--out", str(tmp_path / "p.jsonl")]) == 0
 
     def test_mask_slot_in_record_text_is_data_error_naming_record(self, tmp_path, capsys):
         _, _, test = _setup_dataset(tmp_path)

@@ -11,13 +11,15 @@ list.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mremix import DatasetDescriptor, LabelEntityPair, LabelSchema, MreRecord, validate_record
-from mremix.core import LANGUAGES, Violation, _field
+from mremix.core import LANGUAGES, Violation, _checked_pairs, _field, _new_tuple, _strip
 from mremix.errors import DataError
 
 
@@ -201,3 +203,103 @@ def test_from_dict_names_the_first_bad_pair():
     # a mapping that is not a JSON object is refused as the reference refuses it
     proxy = MappingProxyType(good)
     assert error([proxy]) == f"pairs[0]: must be an object, got {proxy!r}"
+
+
+# -- MreRecord as a named tuple ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    id: str
+    text: str
+    text_label: str
+    pairs: tuple[LabelEntityPair, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+
+    @classmethod
+    def from_dict(cls, data: object) -> "ReferenceRecord":
+        if not isinstance(data, dict):
+            raise DataError(f"expected an object, got {data!r}")
+        rid, text, text_label = _field(data, "id"), _field(data, "text"), _field(data, "text_label")
+        raw = _field(data, "pairs", list)
+        try:
+            pairs = [_new_tuple(LabelEntityPair, (_strip(p["label"]), _strip(p["entity"])))
+                     for p in raw if type(p) is dict]
+        except (KeyError, TypeError):
+            pairs = []
+        if len(pairs) != len(raw):
+            pairs = _checked_pairs(raw)
+        return cls(rid, text, text_label, pairs)
+
+
+_GOOD_PAIR = {"label": " people", "entity": "Tanaka "}
+
+
+@st.composite
+def _any_pair(draw) -> object:
+    """A pair as a dict (maybe missing a key, maybe with a non-string field), a
+    list, a string or a read-only mapping."""
+    kind = draw(st.sampled_from(["dict", "dict", "list", "string", "mapping"]))
+    if kind == "list":
+        return draw(st.lists(_STRINGS, max_size=2))
+    if kind == "string":
+        return draw(_STRINGS)
+    if kind == "mapping":
+        return MappingProxyType(dict(_GOOD_PAIR))
+    return draw(_pair_values())
+
+
+@st.composite
+def _record_documents(draw) -> object:
+    """A record document with each field present or missing, a string or any
+    other JSON value; ``pairs`` a list of pairs of any kind, or not a list."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    doc = {}
+    for key in ("id", "text", "text_label"):
+        if draw(st.integers(0, 9)):
+            doc[key] = draw(_MAYBE_STRING)
+    if draw(st.integers(0, 9)):
+        doc["pairs"] = draw(st.one_of(st.lists(_any_pair(), max_size=4),
+                                      st.lists(st.just(_GOOD_PAIR), max_size=3), _JSON))
+    return doc
+
+
+def _fields_or_error(build, doc) -> object:
+    try:
+        record = build(doc)
+    except DataError as exc:
+        return str(exc)
+    assert type(record.pairs) is tuple
+    assert all(type(pair) is LabelEntityPair for pair in record.pairs)
+    return record.id, record.text, record.text_label, record.pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_record_documents())
+def test_from_dict_matches_the_dataclass_record(doc):
+    assert _fields_or_error(MreRecord.from_dict, doc) == _fields_or_error(
+        ReferenceRecord.from_dict, doc)
+
+
+def test_record_is_a_named_tuple_storing_pairs_as_a_tuple():
+    pairs = [LabelEntityPair("people", "Tanaka"), LabelEntityPair("places", "Tokyo")]
+    made = [MreRecord("r", "t", "Society", list(pairs)),
+            MreRecord(id="r", text="t", text_label="Society", pairs=iter(pairs)),
+            MreRecord._make(["r", "t", "Society", list(pairs)]),
+            MreRecord("r", "t", "Society")._replace(pairs=list(pairs))]
+    for record in made:
+        assert type(record.pairs) is tuple and record == ("r", "t", "Society", tuple(pairs))
+        assert hash(record) == hash(made[0])
+    assert MreRecord("r", "t", "Society").pairs == ()
+    assert made[0]._replace(text="u").pairs is made[0].pairs
+
+
+def test_record_survives_a_pickle_round_trip():
+    record = MreRecord.from_dict({"id": "r", "text": "t", "text_label": "Society",
+                                  "pairs": [_GOOD_PAIR, _GOOD_PAIR]})
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is MreRecord and hash(copy) == hash(record)
+    assert all(type(pair) is LabelEntityPair for pair in copy.pairs)

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mremix import CountModel, Segmenter, lexicon_from_split
 from mremix.errors import DataError
@@ -55,6 +57,57 @@ class TestSegmenters:
         lex = lexicon_from_split(train)
         assert Segmenter("en", lex).lexicon == frozenset()
         assert next(lex) == entities[0]
+
+
+def reference_segment(text: str, lexicon: frozenset[str], max_len: int) -> list[str]:
+    """The greedy loop as it stood before the first-character set, kept as an
+    oracle: at each position every length from the longest down is looked up."""
+    tokens: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        longest = min(max_len, n - i)
+        matched = None
+        for length in range(longest, 0, -1):
+            candidate = text[i : i + length]
+            if candidate in lexicon:
+                matched = candidate
+                break
+        if matched is not None:
+            tokens.append(matched)
+            i += len(matched)
+            continue
+        ch = text[i]
+        if not ch.isspace():
+            tokens.append(ch)
+        i += 1
+    return tokens
+
+
+# shared prefixes (東, 東京, 東京都), spaces and other whitespace, and astral
+# characters (𠀋, 😀), which are one code point each
+_SEG_CHARS = "東京都大阪ab \t\u3000𠀋😀"
+
+
+@st.composite
+def _lexicon_and_text(draw) -> tuple[list[str], str]:
+    """A lexicon (one-character entries, entries with spaces, maybe an empty
+    one) and a text of its words, other characters and whitespace."""
+    lexicon = draw(st.lists(st.text(alphabet=_SEG_CHARS, max_size=4), max_size=8))
+    piece = st.text(alphabet=_SEG_CHARS, min_size=1, max_size=3)
+    if lexicon:
+        piece = st.one_of(st.sampled_from(lexicon), piece)
+    return lexicon, "".join(draw(st.lists(piece, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lexicon_and_text(), language=st.sampled_from(["zh", "ja"]))
+@example(case=(["", "東", "東京都", "a b", "𠀋😀"], "東京都東京 a b𠀋😀 𠀋"), language="zh")
+@example(case=([""], "東 京"), language="ja")
+@example(case=([" ", "\t東"], " \t東 東"), language="ja")
+def test_segmenter_matches_the_greedy_reference(case, language):
+    lexicon, text = case
+    expected = reference_segment(text, frozenset(lexicon), max(map(len, lexicon), default=1))
+    assert Segmenter(language, lexicon)(text) == expected
 
 
 def _pair_count(model, a, b):
