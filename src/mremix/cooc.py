@@ -1,9 +1,10 @@
 """The co-occurrence table behind the reference count model.
 
 The table keeps what it is given: each observed text's ids, as one
-``array``. Counts are symmetric within-text position pairs: two distinct
-ids occurring k_a and k_b times in a text co-occur k_a*k_b times, and an
-id occurring k times pairs with itself k*(k-1)/2 times.
+``tuple`` of the caller's id objects. Counts are symmetric within-text
+position pairs: two distinct ids occurring k_a and k_b times in a text
+co-occur k_a*k_b times, and an id occurring k times pairs with itself
+k*(k-1)/2 times.
 
 Scoring only reads, per group of query ids (a label's words), the summed
 counts between context ids and the group, so ``context_sums`` builds one
@@ -20,13 +21,19 @@ of at most (2**W - 1) // (G*B) ids. The table keeps one index: built from
 the kept texts for the group tuple of a call, and reused while later calls
 pass the same tuple (the same object, or an equal one); ``observe`` drops
 it.
-"""
+
+A build makes a fixed number of C-level calls per text, not one Python
+step per distinct id: it packs the text's query-id hits into one ``int``
+and scatter-adds it to the row of every id occurrence with one
+``dict.update``. That over-counts each query id's pairs with itself; the
+excess is summed per text and taken off once per query id after the last
+text."""
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from itertools import repeat
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 # Bits of each field above the largest row value, so a chunk of contexts is
@@ -49,14 +56,14 @@ class CoocTable:
     __slots__ = ("_texts", "_bound", "_index")
 
     def __init__(self) -> None:
-        self._texts: list[array] = []
+        self._texts: list[tuple[int, ...]] = []
         self._bound = 0  # sum of squared text lengths: no pair count exceeds it
         self._index: Optional[_Index] = None
 
     def observe(self, ids: Sequence[int]) -> None:
         """Add one text: its ids count all unordered position pairs within it."""
         self._index = None
-        self._texts.append(array("q", ids))
+        self._texts.append(tuple(ids))
         self._bound += len(ids) ** 2
 
     def context_sums(self, context_ids: Sequence[int],
@@ -82,27 +89,34 @@ class CoocTable:
         bound = max(map(len, groups), default=0) * self._bound
         width = bound.bit_length() + _SPARE_BITS
         # ``unit[q]`` has a 1 in the field of each group holding q, so a
-        # text's hits, the sum of its ids' units, holds in field g the
-        # occurrences of g's ids. Adding k_c times the hits to c's row adds
-        # k_c * k_q for each q of g: their pair count, except for q = c,
-        # which gets k_c * k_c instead of k_c * (k_c - 1) / 2. So each text
-        # also takes (k_c * k_c + k_c) / 2 units of c from c's row: the
-        # correction is summed per text, as a sum of squares, never as the
-        # square of c's summed occurrences.
+        # text's hits, the sum of its query ids' units, holds in field g the
+        # occurrences of g's ids. Adding the hits to c's row once per
+        # occurrence of c adds k_c * k_q for each q of g: their pair count,
+        # except for q = c, which gets k_c * k_c instead of k_c * (k_c - 1) / 2.
+        # ``dict.update`` reads and writes one (id, row) pair at a time, so
+        # an id repeated in the text is added to once per occurrence. Each
+        # text therefore owes (k_q * k_q + k_q) / 2 units of q back to q's
+        # row: 1 per occurrence when no query id repeats, else counted. The
+        # debts are summed per text, never from q's summed occurrences, and
+        # paid once per query id.
         unit: dict[int, int] = {}
         for shift, group in zip(range(0, len(groups) * width, width), groups):
             for q in group:
                 unit[q] = unit.get(q, 0) + (1 << shift)
         rows: dict[int, int] = {}
+        debts: Counter[int] = Counter()
         for ids in self._texts:
-            hits = sum(map(unit.get, ids, repeat(0)))
-            if hits:
-                counts = Counter(ids)
-                for c, k in counts.items():
-                    rows[c] = rows.get(c, 0) + k * hits
-                for q in counts.keys() & unit.keys():
-                    k = counts[q]
-                    rows[q] -= (k * k + k) // 2 * unit[q]
+            queried = list(filter(unit.__contains__, ids))
+            if queried:
+                hits = sum(map(unit.get, queried))
+                rows.update(zip(ids, map(add, map(rows.get, ids, repeat(0)), repeat(hits))))
+                if len(set(queried)) == len(queried):
+                    debts.update(queried)
+                else:
+                    for q, k in Counter(queried).items():
+                        debts[q] += (k * k + k) // 2
+        for q, debt in debts.items():
+            rows[q] -= debt * unit[q]
         rows = {c: row for c, row in rows.items() if row}
         return _Index(groups, rows, width, ((1 << width) - 1) // max(bound, 1))
 

@@ -171,14 +171,18 @@ def _json_level(row: RenderedRecord, level: str) -> str:
     return _joined(row.json_text_label, row.json_pairs)
 
 
+# Each tag's JSON field as ``_line`` writes it: the enum's ``value`` is a
+# Python-level property, read here once per tag instead of once per line.
+_TAG_FIELDS = {tag: ', "tag": "' + tag.value + '", "target": ' for tag in FormatTag}
+
+
 def _line(row: RenderedRecord, tag: FormatTag) -> str:
     """The JSON line of the example of ``tag``: ``json_line(example.to_dict())``,
     with its keys in sorted order, concatenated from the record's JSON strings."""
     appended, level = LAYOUT[tag]
     target = _json_level(row, level)
     inp = row.json_text if appended is None else _joined(row.json_text, _json_level(row, appended))
-    return ('{"input": ' + inp + ', "record_id": ' + row.json_id
-            + ', "tag": "' + tag.value + '", "target": ' + target + "}")
+    return '{"input": ' + inp + ', "record_id": ' + row.json_id + _TAG_FIELDS[tag] + target + "}"
 
 
 def build_example(record: MreRecord, tag: FormatTag, desc: DatasetDescriptor) -> FormattedExample:
