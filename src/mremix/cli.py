@@ -108,7 +108,7 @@ def cmd_score(args) -> int:
     test = runner.load(config, resolve_data_path(args.input), "test", desc)
     train = None if train_path is None else runner.load(config, train_path, "train", desc)
     # unlike run-kv, whose counts come from the few-shot sample, score trains on all of train
-    provider, _ = runner.make_provider(config, train, train)
+    provider, _ = runner.make_provider(config, train, train, [kv])
     del train  # the provider keeps what it needs of it
     [rows] = runner.classify(test, [kv], provider, config)
     write_jsonl(out, rows)

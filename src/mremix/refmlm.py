@@ -39,11 +39,6 @@ from .verbalizer import MASK_PLACEHOLDER, MaskDistribution
 
 WHITESPACE_LANGUAGES = frozenset({"en"})
 
-# Queries whose plan a count model keeps: a new one beyond this drops the
-# older ones, so memory stays bounded, and a caller cycling through more
-# than this rebuilds the table's index on every call.
-MAX_QUERIES = 4
-
 
 @dataclass(frozen=True)
 class Segmenter:
@@ -109,17 +104,17 @@ class _QueryPlan:
     """The query-only part of scoring: where its groups sit in the joint group
     tuple (each label's vocabulary ids, then the union's), and their floors."""
 
-    query: tuple[tuple[str, ...], ...]
     start: int  # index of its first group in the model's joint group tuple
     floors: tuple[int, ...]  # A times each group's word count, unknown words included
     covered: frozenset[str]
 
 
 class CountModel:
-    """Bag-of-words co-occurrence model over a segmented corpus."""
+    """Bag-of-words co-occurrence model over a segmented corpus, built for the
+    queries it will score: their groups share one joint tuple and one index."""
 
     def __init__(self, table: CoocTable, vocab: dict[str, int], segmenter: Segmenter,
-                 alpha: float = 1.0) -> None:
+                 queries: Sequence[Sequence[Sequence[str]]], alpha: float = 1.0) -> None:
         if not 0 < alpha < math.inf:
             raise DataError("smoothing constant alpha must be finite and positive")
         self._table = table
@@ -127,13 +122,28 @@ class CountModel:
         self.segmenter = segmenter
         self.alpha = alpha
         self._alpha_ratio = alpha.as_integer_ratio()
-        self._plans: list[_QueryPlan] = []
-        self._groups: tuple[tuple[int, ...], ...] = ()  # every kept plan's groups, in order
+        floor = self._alpha_ratio[0]
+        self._plans: dict[tuple[tuple[str, ...], ...], _QueryPlan] = {}  # by query
+        groups: list[tuple[int, ...]] = []
+        for query in queries:
+            key = tuple(map(tuple, query))
+            if any(len(set(words)) != len(words) for words in key):
+                raise ValueError("query words must be distinct within a label")
+            union = tuple(dict.fromkeys(chain.from_iterable(key)))
+            # keyed by the caller's tuple of tuples, so its calls are found by identity
+            self._plans[query if query == key else key] = _QueryPlan(
+                len(groups), tuple(floor * len(words) for words in (*key, union)),
+                frozenset(filter(vocab.__contains__, union)))
+            groups += (tuple(vocab[w] for w in words if w in vocab) for words in (*key, union))
+        # the keys above hold each query, so no other object can take its id
+        self._by_identity = {id(query): plan for query, plan in self._plans.items()}
+        self._groups = tuple(groups)
         self._prompt: Optional[str] = None  # the last prompt scored, and
-        self._counts: Optional[list[int]] = None  # its context sums over ``_groups``
+        self._counts: Optional[list[int]] = None  # its context sums (None: all zero)
 
     @classmethod
-    def train(cls, corpus: Sequence[str], segmenter: Segmenter, alpha: float = 1.0) -> "CountModel":
+    def train(cls, corpus: Sequence[str], segmenter: Segmenter,
+              queries: Sequence[Sequence[Sequence[str]]], alpha: float = 1.0) -> "CountModel":
         """Count co-occurrences between all word positions of each text."""
         if not corpus:
             raise DataError("cannot train a count model on an empty corpus")
@@ -141,7 +151,7 @@ class CountModel:
         vocab: dict[str, int] = {}
         for text in corpus:
             table.observe([vocab.setdefault(token, len(vocab)) for token in segmenter(text)])
-        return cls(table=table, vocab=vocab, segmenter=segmenter, alpha=alpha)
+        return cls(table=table, vocab=vocab, segmenter=segmenter, queries=queries, alpha=alpha)
 
     # -- introspection --
 
@@ -155,16 +165,18 @@ class CountModel:
 
         A word listed under two labels counts in both sums and once in the
         total. Words outside the training vocabulary keep the smoothing
-        floor but are not covered; a word repeated within one label is a
-        ``ValueError``. The query-only part of the work is planned once per
-        distinct query (see ``_plan``). A prompt's context sums are computed
-        over the groups of every kept plan at once and kept until another
-        prompt or a new plan comes, so scoring one prompt with each of
-        several queries in turn segments and sums it once.
+        floor but are not covered. ``query`` is one the model was trained
+        with, the same object or an equal one; any other is a ``ValueError``.
+        The last prompt's context sums, over every query's groups, are kept,
+        so scoring a prompt with each query in turn segments and sums it once.
         """
         plan = self._find_plan(query)
         if prompt != self._prompt:
-            self._counts = self._context_sums(prompt)
+            vocab, groups = self._vocab, self._groups
+            tokens = self.segmenter(prompt.replace(MASK_PLACEHOLDER, " "))
+            context_ids = [vocab[token] for token in tokens if token in vocab]
+            self._counts = (self._table.context_sums(context_ids, groups)
+                            if context_ids and any(groups) else None)
             self._prompt = prompt
         sums = plan.floors
         if self._counts is not None:
@@ -173,46 +185,9 @@ class CountModel:
             sums = [floor + scale * s for floor, s in zip(sums, counts)]
         return MaskDistribution(sums=list(sums[:-1]), total=sums[-1], covered=plan.covered)
 
-    def _context_sums(self, prompt: str) -> Optional[list[int]]:
-        """The prompt's context sums over the joint groups (None: all zero)."""
-        vocab = self._vocab
-        context_text = prompt.replace(MASK_PLACEHOLDER, " ")
-        context_ids = [vocab[token] for token in self.segmenter(context_text) if token in vocab]
-        if not context_ids or not any(self._groups):
-            return None
-        return self._table.context_sums(context_ids, self._groups)
-
     def _find_plan(self, query: Sequence[tuple[str, ...]]) -> _QueryPlan:
-        """The kept plan of ``query``, found by identity, then by value, else a new one."""
-        for plan in self._plans:
-            if plan.query is query:
-                return plan
-        key = tuple(map(tuple, query))
-        for plan in self._plans:
-            if plan.query == key:
-                return plan
-        # keep the caller's tuple of tuples, so its next call is found by identity
-        return self._plan(query if query == key else key)
-
-    def _plan(self, query: tuple[tuple[str, ...], ...]) -> _QueryPlan:
-        """Resolve each label's distinct words against the vocabulary, and keep the
-        result; its groups join the joint group tuple, which drops the last prompt's sums."""
-        if any(len(set(words)) != len(words) for words in query):
-            raise ValueError("query words must be distinct within a label")
-        if len(self._plans) >= MAX_QUERIES:
-            self._plans.clear()
-            self._groups = ()
-        union = tuple(dict.fromkeys(word for words in query for word in words))
-        vocab = self._vocab
-        floor = self._alpha_ratio[0]
-        plan = _QueryPlan(
-            query=query,
-            start=len(self._groups),
-            floors=tuple(floor * len(words) for words in (*query, union)),
-            covered=frozenset(filter(vocab.__contains__, union)),
-        )
-        self._plans.append(plan)
-        self._groups += tuple(tuple(vocab[w] for w in words if w in vocab)
-                              for words in (*query, union))
-        self._prompt = None
+        """The plan of ``query``, found by identity, then by value."""
+        plan = self._by_identity.get(id(query)) or self._plans.get(tuple(map(tuple, query)))
+        if plan is None:
+            raise ValueError("the count model was not trained with this query")
         return plan

@@ -237,14 +237,16 @@ def build_format_files(
 
 
 def make_provider(
-    config: ExperimentConfig, train: Optional[Split], corpus_split: Optional[Split]
+    config: ExperimentConfig, train: Optional[Split], corpus_split: Optional[Split],
+    kvs: Sequence[Verbalizer],
 ) -> tuple[ProbabilityProvider, dict]:
     """The configured provider and its report metadata. refmlm takes its segmenter
-    lexicon from ``train`` and its counts from ``corpus_split``; file providers use neither."""
+    lexicon from ``train``, its counts from ``corpus_split`` and the only queries it
+    can score from ``kvs``; file providers use none of them."""
     if config.provider == "refmlm":
         segmenter = Segmenter(config.language, lexicon_from_split(train))
         corpus = [record.text for record in corpus_split.records]
-        model = CountModel.train(corpus, segmenter, alpha=config.alpha)
+        model = CountModel.train(corpus, segmenter, [kv.query for kv in kvs], alpha=config.alpha)
         detail = {
             "kind": "refmlm",
             "training_texts": len(corpus),
@@ -270,7 +272,8 @@ def classify(
 
     Each record's prompt is built once and scored with each verbalizer in
     turn, so a provider that keeps its last prompt's work (``CountModel``)
-    does that work once per record.
+    does that work once per record. A ``CountModel`` must have been built
+    for every verbalizer of ``kvs`` (see ``make_provider``).
     """
     rows: list[list[dict]] = [[] for _ in kvs]
     for record in split.records:
@@ -321,7 +324,8 @@ def run_kv(
     wli_kv = wli_verbalizer(config, train, desc)
     origin_kv = load_external_kv(kv_path, desc.schema, config.kv_words_per_label)
     kv_files = {"wli_kv.txt": kv_text(wli_kv), "origin_kv.txt": kv_text(origin_kv)}
-    provider, provider_detail = make_provider(config, train, fewshot)
+    kvs = (origin_kv, wli_kv)
+    provider, provider_detail = make_provider(config, train, fewshot, kvs)
     # the provider keeps what it needs of train; drop it before test comes in
     del train
     test = load(config, test_path, "test", desc)
@@ -329,7 +333,7 @@ def run_kv(
     draws = repeated_test_sample(test, config.test_sample_size, config.test_repeats, config.seed)
 
     # per system, its rows of each draw
-    predictions = list(zip(*(classify(draw, (origin_kv, wli_kv), provider, config)
+    predictions = list(zip(*(classify(draw, kvs, provider, config)
                              for draw in draws)))
     gold = [[record.text_label for record in draw.records] for draw in draws]
 

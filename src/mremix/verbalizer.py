@@ -320,7 +320,9 @@ class FileDistributionProvider:
     ``covered`` is optional and defaults to the keys of ``probs``. Querying
     a prompt absent from the file is an error, and so is a row of the wrong
     shape: a non-string prompt, ``probs`` that is not an object of finite,
-    non-negative numbers, or ``covered`` that is not a list of strings.
+    non-negative numbers, or ``covered`` that is not a list of strings. A
+    prompt may repeat only with an equal row (the same probabilities and
+    covered words); a different one is an error naming both lines.
 
     Each row's probabilities, as floats, become integer weights over their
     common denominator once, at load, so a word's weight over the total is
@@ -331,6 +333,7 @@ class FileDistributionProvider:
     def __init__(self, path: str | Path) -> None:
         self._path = str(path)
         self._table: dict[str, tuple[dict[str, int], int, frozenset[str]]] = {}
+        lines: dict[str, int] = {}  # each prompt's first line
         for i, row in read_jsonl_numbered(path):
             if not isinstance(row, dict) or "prompt" not in row or "probs" not in row:
                 raise DataError(f"{path}: line {i}: expected 'prompt' and 'probs' fields")
@@ -354,7 +357,11 @@ class FileDistributionProvider:
             weights = {w: n * (total // d) for w, (n, d) in zip(probs, ratios)}
             if sum(weights.values()) > _FLOAT_MAX * total:  # a label's mass could overflow
                 raise DataError(f"{path}: line {i}: 'probs' must have a finite sum")
-            self._table[prompt] = (weights, total, frozenset(covered))
+            entry = (weights, total, frozenset(covered))
+            first = lines.setdefault(prompt, i)
+            if self._table.setdefault(prompt, entry) != entry:
+                raise DataError(f"{path}: line {i}: the row of prompt {prompt!r} differs "
+                                f"from its row at line {first}")
 
     def score(self, prompt: str, query: Sequence[tuple[str, ...]]) -> MaskDistribution:
         """Each label's summed file weights (0 for a word it lacks), in query order."""

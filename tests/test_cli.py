@@ -618,6 +618,24 @@ class TestScore:
         assert capsys.readouterr().err == (
             f"data error: {dist_path}: line 3: 'prompt' must be a string\n")
 
+    def test_probs_file_repeating_a_prompt_with_another_row_is_data_error(self, tmp_path,
+                                                                         capsys):
+        _setup_dataset(tmp_path)
+        dist_path = tmp_path / "dists.jsonl"
+        write_jsonl(dist_path, [{"prompt": "q {mask}", "probs": {"x": 1}},
+                                {"prompt": "r {mask}", "probs": {"x": 1}},
+                                {"prompt": "q {mask}", "probs": {"x": 1}},
+                                {"prompt": "q {mask}", "probs": {"x": 1, "y": 0}}])
+        code = main(["score", "--family", "SCNM", "--language", "en",
+                     "--kv", str(tmp_path / "origin_kv.txt"),
+                     "--input", str(tmp_path / "test.jsonl"),
+                     "--provider", f"file:{dist_path}", "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"data error: {dist_path}: line 4: the row of prompt 'q {{mask}}' differs "
+            "from its row at line 1\n")
+        assert not (tmp_path / "p.jsonl").exists()
+
     @pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "config-nan"])
     def test_non_finite_alpha_is_config_error(self, tmp_path, capsys, source):
         _setup_dataset(tmp_path)

@@ -144,7 +144,7 @@ def test_build_equals_the_counter_build_on_the_benchmark_score_corpus(tmp_path, 
     (tmp_path / "origin_kv.txt").write_text(corpus.origin_kv(), encoding="utf-8")
     kv = load_external_kv(tmp_path / "origin_kv.txt", descriptor("SCNM", "en").schema)
     segmenter = Segmenter("en")
-    model = CountModel.train(texts, segmenter)
+    model = CountModel.train(texts, segmenter, [kv.query])
     model.score(f"{texts[0]} {MASK_PLACEHOLDER}", kv.query)
     index = model._table._index
     reference = CounterBuildTable()

@@ -217,7 +217,7 @@ def verbalizers(draw):
 )
 def test_count_model_equals_the_per_word_oracle(corpus, times, contexts, kv, strategy, alpha):
     texts = [" ".join(words * times) for words in corpus]
-    model = CountModel.train(texts, Segmenter("en"), alpha=alpha)
+    model = CountModel.train(texts, Segmenter("en"), [kv.query], alpha=alpha)
     table = ReferenceCoocTable()
     for text in texts:
         table.observe([model._vocab[token] for token in text.split()])

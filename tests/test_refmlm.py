@@ -120,45 +120,46 @@ def _pair_count(model, a, b):
 
 class TestTrainCounts:
     def test_direct_counts(self):
-        model = CountModel.train(["a b", "a c"], Segmenter("en"))
+        model = CountModel.train(["a b", "a c"], Segmenter("en"), [])
         assert _pair_count(model, "a", "b") == 1
         assert _pair_count(model, "b", "a") == 1
         assert _pair_count(model, "a", "c") == 1
         assert _pair_count(model, "b", "c") == 0
 
     def test_single_word_text_has_no_pairs_but_global(self):
-        model = CountModel.train(["solo"], Segmenter("en"))
+        model = CountModel.train(["solo"], Segmenter("en"), [])
         assert model.vocabulary() == frozenset({"solo"})
         assert _pair_count(model, "solo", "solo") == 0
 
     def test_duplicated_text_doubles_counts(self):
-        once = CountModel.train(["a b c"], Segmenter("en"))
-        twice = CountModel.train(["a b c", "a b c"], Segmenter("en"))
+        once = CountModel.train(["a b c"], Segmenter("en"), [])
+        twice = CountModel.train(["a b c", "a b c"], Segmenter("en"), [])
         assert _pair_count(twice, "a", "b") == 2 * _pair_count(once, "a", "b") == 2
 
     def test_repeated_token_within_text(self):
-        model = CountModel.train(["a a"], Segmenter("en"))
+        model = CountModel.train(["a a"], Segmenter("en"), [])
         assert _pair_count(model, "a", "a") == 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError, match="empty corpus"):
-            CountModel.train([], Segmenter("en"))
+            CountModel.train([], Segmenter("en"), [])
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(DataError, match="alpha"):
-            CountModel.train(["a b"], Segmenter("en"), alpha=0.0)
+            CountModel.train(["a b"], Segmenter("en"), [], alpha=0.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_alpha_must_be_finite(self, alpha):
         with pytest.raises(DataError, match="alpha must be finite and positive"):
-            CountModel.train(["a b"], Segmenter("en"), alpha=alpha)
+            CountModel.train(["a b"], Segmenter("en"), [], alpha=alpha)
 
 
 class TestScore:
     def test_forced_arithmetic_example(self):
         # count(a,b)=3, count(a,c)=1, alpha=1, context {a} -> P(b)=4/6, P(c)=2/6
         corpus = ["a b", "a b", "a b", "a c"]
-        model = CountModel.train(corpus, Segmenter("en"), alpha=1.0)
+        queries = [_words(["b", "c"]), [("b", "c"), ("c",)]]
+        model = CountModel.train(corpus, Segmenter("en"), queries, alpha=1.0)
         dist = model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "c"]))
         assert dist.probs == [4 / 6, 2 / 6]
         assert (list(dist.sums), dist.total) == ([4, 2], 6)
@@ -166,15 +167,16 @@ class TestScore:
         assert (list(both.sums), both.total) == ([6, 2], 6)
 
     def test_no_context_overlap_gives_uniform(self):
-        model = CountModel.train(["a b"], Segmenter("en"))
+        model = CountModel.train(["a b"], Segmenter("en"), [_words(["a", "b"])])
         dist = model.score(f"zzz {MASK_PLACEHOLDER}", _words(["a", "b"]))
         assert dist.probs == [0.5, 0.5]
 
     def test_fractional_alpha_weights_are_exact(self):
         # alpha 0.1 is the binary ratio A/D: weights A + D * count, their sum the total
         a, d = (0.1).as_integer_ratio()
-        model = CountModel.train(["a b", "a b"], Segmenter("en"), alpha=0.1)
-        dist = model.score(f"a {MASK_PLACEHOLDER}", _words([f"oov{i}" for i in range(9)] + ["b"]))
+        query = _words([f"oov{i}" for i in range(9)] + ["b"])
+        model = CountModel.train(["a b", "a b"], Segmenter("en"), [query], alpha=0.1)
+        dist = model.score(f"a {MASK_PLACEHOLDER}", query)
         assert dist.sums == [a] * 9 + [a + 2 * d]
         assert dist.total == 10 * a + 2 * d
         assert dist.probs[0] == float(Fraction(a, 10 * a + 2 * d))
@@ -182,14 +184,14 @@ class TestScore:
     def test_distribution_sums_to_one(self):
         desc, train, _, _ = planted_splits(n_train_per_label=6)
         seg = Segmenter("en")
-        model = CountModel.train([r.text for r in train.records], seg)
         queries = [f"societyw{i:02d}" for i in range(12)] + ["unseen1", "unseen2"]
+        model = CountModel.train([r.text for r in train.records], seg, [_words(queries)])
         dist = model.score(train.records[0].text + f" {MASK_PLACEHOLDER}", _words(queries))
         assert len(dist.probs) == len(queries)
         assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_query_gets_floor_but_not_coverage(self):
-        model = CountModel.train(["a b"], Segmenter("en"))
+        model = CountModel.train(["a b"], Segmenter("en"), [_words(["b", "zzz"]), [("b", "zzz")]])
         dist = model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "zzz"]))
         assert "zzz" not in dist.covered
         assert "b" in dist.covered
@@ -198,27 +200,27 @@ class TestScore:
         assert model.score(f"a {MASK_PLACEHOLDER}", [("b", "zzz")]).sums == [3]
 
     def test_shared_word_counts_in_both_sums_and_once_in_the_total(self):
-        model = CountModel.train(["a b", "a c"], Segmenter("en"))
+        model = CountModel.train(["a b", "a c"], Segmenter("en"), [[("b", "c"), ("c", "zzz")]])
         dist = model.score(f"a {MASK_PLACEHOLDER}", [("b", "c"), ("c", "zzz")])
         # weights b 2, c 2, zzz 1: the union b, c, zzz totals 5
         assert (list(dist.sums), dist.total) == ([4, 3], 5)
         assert dist.covered == frozenset({"b", "c"})
 
     def test_duplicate_queries_rejected(self):
-        model = CountModel.train(["a b"], Segmenter("en"))
+        # a label listing a word twice is refused at training, whatever follows it
         with pytest.raises(ValueError, match="query words must be distinct"):
-            model.score(f"a {MASK_PLACEHOLDER}", [("b", "b"), ("c",)])
-        # the refused query leaves no plan behind, so a second try fails the same way
+            CountModel.train(["a b"], Segmenter("en"), [[("b", "b"), ("c",)]])
         with pytest.raises(ValueError, match="query words must be distinct"):
-            model.score(f"a {MASK_PLACEHOLDER}", [("b", "b"), ("c",)])
+            CountModel.train(["a b"], Segmenter("en"), [_words(["b", "c"]), [("c",), ("b", "b")]])
+        model = CountModel.train(["a b"], Segmenter("en"), [_words(["b", "c"])])
         assert model.score(f"a {MASK_PLACEHOLDER}", _words(["b", "c"])).sums == [2, 1]
 
     def test_determinism(self):
         _, train, _, _ = planted_splits(n_train_per_label=4)
         seg = Segmenter("en")
-        model = CountModel.train([r.text for r in train.records], seg)
-        prompt = train.records[0].text + f" {MASK_PLACEHOLDER}"
         queries = [f"naturew{i:02d}" for i in range(8)]
+        model = CountModel.train([r.text for r in train.records], seg, [_words(queries)])
+        prompt = train.records[0].text + f" {MASK_PLACEHOLDER}"
         assert model.score(prompt, _words(queries)) == model.score(prompt, _words(queries))
 
     def test_scaling_counts_preserves_order(self):
@@ -230,11 +232,11 @@ class TestScore:
             for _ in range(1 + rng.randbelow(6)):
                 words = [vocab[rng.randbelow(len(vocab))] for _ in range(2 + rng.randbelow(5))]
                 corpus.append(" ".join(words))
-            base = CountModel.train(corpus, Segmenter("en"), alpha=1.0)
-            scaled = CountModel.train(corpus * 10, Segmenter("en"), alpha=1.0)
+            queries = vocab[:5]
+            base = CountModel.train(corpus, Segmenter("en"), [_words(queries)], alpha=1.0)
+            scaled = CountModel.train(corpus * 10, Segmenter("en"), [_words(queries)], alpha=1.0)
             context = corpus[0]
             prompt = context + f" {MASK_PLACEHOLDER}"
-            queries = vocab[:5]
 
             # independent recomputation of both distributions from position pairs
             ctx_tokens = context.split()
@@ -268,10 +270,11 @@ class TestScore:
                 for _ in range(3)
             ]
             target_c, target_w = "m0", "m1"
-            before = CountModel.train(corpus, Segmenter("en"))
-            after = CountModel.train(corpus + [f"{target_c} {target_w}"], Segmenter("en"))
-            prompt = f"{target_c} {MASK_PLACEHOLDER}"
             queries = [target_w, "m2", "m3"]
+            before = CountModel.train(corpus, Segmenter("en"), [_words(queries)])
+            after = CountModel.train(corpus + [f"{target_c} {target_w}"], Segmenter("en"),
+                                     [_words(queries)])
+            prompt = f"{target_c} {MASK_PLACEHOLDER}"
             p_before = _masses(before, prompt, queries)[target_w]
             p_after = _masses(after, prompt, queries)[target_w]
             assert p_after >= p_before

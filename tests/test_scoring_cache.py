@@ -1,18 +1,20 @@
 """The scoring caches against uncached references.
 
 The co-occurrence table answers ``context_sums`` from one index for the last
-group tuple, the count model plans each query once, joins the plans' groups
-into one tuple and keeps the last prompt's sums, and the segmenter builds
-its lexicon set once. Each must give exactly what the uncached computation
-gives, through new texts and alternating queries, down to the bytes
-``run_kv`` writes, and a draw record's prompt is segmented and summed once
-for both verbalizers.
+group tuple; the count model is built for its queries, plans each at
+training, joins their groups into one tuple, so the table builds that index
+once, and keeps the last prompt's sums; and the segmenter builds its lexicon
+set once. Each must give exactly what the uncached computation gives,
+through new texts and alternating queries, down to the bytes ``run_kv``
+writes, and a draw record's prompt is segmented and summed once for both
+verbalizers.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -179,21 +181,22 @@ _CORPUS_WORDS = [f"w{i}" for i in range(8)]
     queries=st.lists(st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov1", "oov2"]),
                                        min_size=1, max_size=4, unique=True).map(tuple),
                               max_size=4),
-                     min_size=2, max_size=refmlm.MAX_QUERIES + 2),
+                     min_size=2, max_size=6),
     contexts=st.lists(st.lists(st.sampled_from(_CORPUS_WORDS + ["oov3"]), max_size=6),
                       min_size=1, max_size=4),
 )
 def test_alternating_word_lists_match_a_fresh_model(corpus, queries, contexts):
-    # one model, driven prompt-major (each prompt with every query in turn: the
-    # last prompt's sums are reused) and then query-major (each query over every
-    # prompt); more queries than a model keeps plans for drop them all, and each
-    # query goes in as one reused tuple (found by identity) and as fresh lists
+    # one model built for every query, driven prompt-major (each prompt with
+    # every query in turn: the last prompt's sums are reused) and then
+    # query-major (each query over every prompt); each query goes in as the
+    # tuple it was trained with (found by identity) and as fresh lists (by
+    # value), and must score as a model trained with that query alone
     texts = [" ".join(words) for words in corpus]
     prompts = [" ".join(context) + f" {MASK_PLACEHOLDER}" for context in contexts]
-    fresh = {(prompt, i): CountModel.train(texts, Segmenter("en")).score(prompt, query)
+    fresh = {(prompt, i): CountModel.train(texts, Segmenter("en"), [query]).score(prompt, query)
              for prompt in prompts for i, query in enumerate(queries)}
     reused = [tuple(query) for query in queries]
-    model = CountModel.train(texts, Segmenter("en"))
+    model = CountModel.train(texts, Segmenter("en"), reused)
     order = ([(prompt, i) for prompt in prompts for i in range(len(queries))]
              + [(prompt, i) for i in range(len(queries)) for prompt in prompts])
     for prompt, i in order:
@@ -204,18 +207,40 @@ def test_alternating_word_lists_match_a_fresh_model(corpus, queries, contexts):
             assert list(got.sums) == list(fresh[prompt, i].sums) and len(got.sums) == len(query)
 
 
-def test_plans_share_one_bound_and_one_joint_index():
-    model = CountModel.train(["a b c d e f", "b c d", "a e f"], Segmenter("en"))
-    queries = [(("a",), (word,)) for word in "bcdef"]
-    for query in queries[:4]:
-        model.score(f"a b {MASK_PLACEHOLDER}", query)
-    # each plan's three groups (two labels, then their union) follow the last plan's,
-    # and the table keeps the one index of that joint tuple
-    assert [plan.start for plan in model._plans] == [0, 3, 6, 9]
-    assert len(model._groups) == 12 and model._table._index.groups is model._groups
-    model.score(f"a b {MASK_PLACEHOLDER}", queries[4])  # a fifth query drops the four together
-    assert [plan.query for plan in model._plans] == [queries[4]]
-    assert len(model._groups) == 3 and model._table._index.groups is model._groups
+def _count_builds(monkeypatch) -> Counter:
+    """Count ``CoocTable._build`` calls from here on, under the key "builds"."""
+    calls: Counter = Counter()
+    build = CoocTable._build
+
+    def counted(table, groups):
+        calls["builds"] += 1
+        return build(table, groups)
+
+    monkeypatch.setattr(CoocTable, "_build", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_queries", [6, 9])
+def test_bound_queries_share_one_joint_tuple_and_one_index_build(monkeypatch, n_queries):
+    calls = _count_builds(monkeypatch)
+    queries = [(("a",), (word,)) for word in "bcdefghij"[:n_queries]]
+    model = CountModel.train(["a b c d e f g h i j", "b c d", "a e f"], Segmenter("en"), queries)
+    # each query's three groups (two labels, then their union) follow the last query's
+    vocab = model._vocab
+    assert model._groups == tuple(chain.from_iterable(
+        ((vocab["a"],), (vocab[word],), (vocab["a"], vocab[word])) for (_, (word,)) in queries))
+    assert [model._plans[query].start for query in queries] == list(range(0, 3 * n_queries, 3))
+    prompts = [f"a b {MASK_PLACEHOLDER}", f"c d {MASK_PLACEHOLDER}"]
+    for prompt in prompts:
+        for query in queries:
+            model.score(prompt, query)
+            model.score(prompt, [list(words) for words in query])
+    # the table keeps the one index of the joint tuple, built at the first prompt
+    assert calls["builds"] == 1 and model._table._index.groups is model._groups
+    with pytest.raises(ValueError, match="not trained with this query"):
+        model.score(prompts[0], (("a",), ("k",)))
+    with pytest.raises(ValueError, match="not trained with this query"):
+        model.score(prompts[0], [("a",)])
 
 
 def test_segmenter_builds_lexicon_set_only_for_lexicon_languages():
@@ -298,17 +323,18 @@ def test_run_kv_segments_and_sums_each_draw_record_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((CoocTable, "context_sums"), (Segmenter, "__call__"),
-                        (CountModel, "score"), (runner, "predict")):
+    for owner, name in ((CoocTable, "context_sums"), (CoocTable, "_build"),
+                        (Segmenter, "__call__"), (CountModel, "score"), (runner, "predict")):
         counted(owner, name)
     report = run_kv(config)
     trained = report.metadata["provider"]["training_texts"]
     # both verbalizers predict for every draw record, and each call scores once
     assert calls["mremix.runner.predict"] == calls["CountModel.score"] == 2 * repeats * n
-    # a record's prompt is segmented and summed once for both; the second plan,
-    # added at the first record's second prediction, computes that prompt again
-    assert calls["CoocTable.context_sums"] == repeats * n + 1
-    assert calls["Segmenter.__call__"] == trained + repeats * n + 1
+    # a record's prompt is segmented and summed once for both, over one index
+    # built for both
+    assert calls["CoocTable.context_sums"] == repeats * n
+    assert calls["Segmenter.__call__"] == trained + repeats * n
+    assert calls["CoocTable._build"] == 1
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])
@@ -318,6 +344,7 @@ def test_score_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, langua
     save_split(tmp_path / "train.jsonl", train)
     save_split(tmp_path / "test.jsonl", test)
     save_kv(build_from_wli(train, desc, k=10), tmp_path / "kv.txt")
+    calls = _count_builds(monkeypatch)
     trees = {}
     for name, table in (("indexed", CoocTable), ("naive", NaiveCoocTable)):
         monkeypatch.setattr(refmlm, "CoocTable", table)
@@ -329,3 +356,4 @@ def test_score_bytes_equal_with_naive_context_sums(tmp_path, monkeypatch, langua
         trees[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert sorted(trees["indexed"]) == ["preds.jsonl", "preds.jsonl.config.json"]
     assert trees["indexed"] == trees["naive"]
+    assert calls["builds"] == 1  # the indexed score command built its index once

@@ -437,13 +437,13 @@ class TestPositionalScoring:
         # Weights (alpha 1 + count): x 5, y1..y5 1 each, z 1, so X and Y both
         # sum to 5 of 11. Adding five float masses of 1/11 would give
         # 0.4545454545454546, above X's 5/11 = 0.45454545454545453.
-        model = CountModel.train(["c x"] * 4, Segmenter("en"))
         kv = _kv({"X": ["x"], "Y": [f"y{i}" for i in range(1, 6)], "Z": ["z"]})
+        mean_kv = _kv({"Y": ["y1"], "X": ["x"]})
+        model = CountModel.train(["c x"] * 4, Segmenter("en"), [kv.query, mean_kv.query])
         result = predict(f"c {MASK_PLACEHOLDER}", kv, model)
         assert result.scores["Y"] == result.scores["X"] == 5 / 11
         assert result.label == "X"
-        mean = predict(f"c {MASK_PLACEHOLDER}", _kv({"Y": ["y1"], "X": ["x"]}), model,
-                       strategy="mean")
+        mean = predict(f"c {MASK_PLACEHOLDER}", mean_kv, model, strategy="mean")
         assert mean.label == "X"
 
     @pytest.mark.parametrize("single, part", [
@@ -476,7 +476,7 @@ class TestPositionalScoring:
     )
     def test_count_model_labels_equal_integer_oracle(self, corpus, context, kv, strategy, alpha):
         model = CountModel.train([" ".join(text) for text in corpus], Segmenter("en"),
-                                 alpha=alpha)
+                                 [kv.query], alpha=alpha)
         pairs = Counter()
         for text in corpus:
             for i in range(len(text)):
@@ -662,3 +662,23 @@ class TestFileProvider:
         message = str(caught.value)
         assert "\n" not in message
         assert message.startswith(f"{path}: line {2 + blanks}: ")
+
+    @pytest.mark.parametrize("change", [
+        {"probs": {"x": 0.75, "y": 0.25}},
+        {"covered": ["x", "y"]},
+        {"covered": ["x"], "probs": {"x": 0.25}},
+    ], ids=["probs", "covered", "words"])
+    def test_a_prompt_repeated_with_another_row_is_refused(self, tmp_path, change):
+        row = {"prompt": "p {mask}", "probs": {"x": 0.25, "y": 0.75}, "covered": ["x"]}
+        # an equal row (keys and covered words in another order) is no conflict
+        equal = {"prompt": "p {mask}", "probs": {"y": 0.75, "x": 0.25}, "covered": ["x"]}
+        lines = [json.dumps(row), json.dumps({"prompt": "q {mask}", "probs": {"x": 1}}), "",
+                 json.dumps(equal)]
+        provider = FileDistributionProvider(_probs_file(tmp_path, lines))
+        assert (list(provider.score("p {mask}", [("x",), ("y",)]).sums), len(provider._table)) == (
+            [1, 3], 2)
+        path = _probs_file(tmp_path, lines + [json.dumps(dict(row, **change))])
+        with pytest.raises(DataError) as caught:
+            FileDistributionProvider(path)
+        assert str(caught.value) == (
+            f"{path}: line 5: the row of prompt 'p {{mask}}' differs from its row at line 1")
